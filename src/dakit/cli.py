@@ -23,6 +23,10 @@ from . import ladder, mna
 from . import taper as taper_mod
 from .errors import DakitError
 
+# one %-format per row; "%.9e" renders every float exactly as _fmt does
+_TOUCHSTONE_ROW = " ".join(["%.9e"] * 9)
+_CSV_ROW = ",".join(["%.9e"] * 6)
+
 
 def main() -> int:
     return run()
@@ -48,14 +52,21 @@ def run(argv: list[str] | None = None) -> int:
 def write_touchstone(swp: mna.TwoPortSweep, destination) -> None:
     """Write a version-1 two-port Touchstone file (Hz, real/imaginary)."""
     lines = ["! two-port S-parameters", f"# HZ S RI R {swp.reference_impedance:g}"]
-    for f, m in zip(swp.frequencies, swp.s_matrices):
-        s11, s12 = m[0]
-        s21, s22 = m[1]
-        fields = [_fmt(f)]
-        for s in (s11, s21, s12, s22):
-            fields.append(_fmt(s.real))
-            fields.append(_fmt(s.imag))
-        lines.append(" ".join(fields))
+    for f, ((s11, s12), (s21, s22)) in zip(swp.frequencies, swp.s_matrices):
+        lines.append(
+            _TOUCHSTONE_ROW
+            % (
+                f,
+                s11.real,
+                s11.imag,
+                s21.real,
+                s21.imag,
+                s12.real,
+                s12.imag,
+                s22.real,
+                s22.imag,
+            )
+        )
     _write_text(destination, "\n".join(lines) + "\n")
 
 
@@ -65,19 +76,12 @@ def write_csv(swp: mna.TwoPortSweep, destination) -> None:
     A zero magnitude renders as -inf rather than raising.
     """
     lines = ["freq_hz,s11_db,s21_db,s12_db,s22_db,s21_phase_deg"]
-    for f, m in zip(swp.frequencies, swp.s_matrices):
-        s11, s12 = m[0]
-        s21, s22 = m[1]
+    for f, ((s11, s12), (s21, s22)) in zip(swp.frequencies, swp.s_matrices):
         phase = math.degrees(math.atan2(s21.imag, s21.real))
-        row = [
-            _fmt(f),
-            _fmt(_db(abs(s11))),
-            _fmt(_db(abs(s21))),
-            _fmt(_db(abs(s12))),
-            _fmt(_db(abs(s22))),
-            _fmt(phase),
-        ]
-        lines.append(",".join(row))
+        lines.append(
+            _CSV_ROW
+            % (f, _db(abs(s11)), _db(abs(s21)), _db(abs(s12)), _db(abs(s22)), phase)
+        )
     _write_text(destination, "\n".join(lines) + "\n")
 
 

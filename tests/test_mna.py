@@ -1,8 +1,13 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dakit import (
+    LINEAR,
+    LOG,
     Capacitor,
     DesignError,
     DesignOptions,
@@ -20,6 +25,7 @@ from dakit import (
     sweep,
     synthesize_design,
 )
+from dakit.mna import _BLOCK
 
 # matched symmetric pi attenuator, voltage ratio A: shunt z0(A+1)/(A-1),
 # series z0(A^2-1)/(2A); reflectionless with |S21| = 1/A by construction
@@ -61,6 +67,11 @@ def proto_amp():
 
     sub = Substrate(er=4.4, h_mm=1.6, t_mm=0.035)
     return synthesize_design(t, sub, DesignOptions(stages=4))
+
+
+def lossy_series_amp(fr4):
+    t = TransistorModel(name="L", gm=0.04, cgs=1.2e-12, cds=0.2e-12, ri=1.5, rds=220.0)
+    return synthesize_design(t, fr4, DesignOptions(stages=3, series_cap=0.4e-12))
 
 
 class TestNetworkValidation:
@@ -167,11 +178,7 @@ class TestBuildNetwork:
         assert sum(isinstance(e, Vccs) for e in net.elements) == 4
 
     def test_lossy_series_report_structure(self, fr4):
-        t = TransistorModel(name="L", gm=0.04, cgs=1.2e-12, cds=0.2e-12, ri=1.5, rds=220.0)
-        rep = synthesize_design(
-            t, fr4, DesignOptions(stages=3, series_cap=0.4e-12)
-        )
-        net = build_network(rep)
+        net = build_network(lossy_series_amp(fr4))
         # per stage: series cap, ri, cgs, rds, cds, vccs; chains 4+4; 2 terms
         assert sum(isinstance(e, Capacitor) for e in net.elements) == 3 * 3
         assert sum(isinstance(e, Resistor) for e in net.elements) == 2 + 2 * 3
@@ -267,6 +274,125 @@ class TestSweep:
     def test_deterministic(self):
         net = build_network(proto_amp())
         assert sweep(net, 10e6, 10e9, 21) == sweep(net, 10e6, 10e9, 21)
+
+
+def dense_reference(net: Network, f: float) -> np.ndarray:
+    # per-frequency solve of the whole nodal system: both ports terminated
+    # in z0 and driven by the Norton equivalent of a unit incident wave
+    w = 2.0 * math.pi * f
+    size = net.node_count - 1
+    y = np.zeros((size, size), dtype=complex)
+
+    def add(i: int, j: int, adm: complex) -> None:
+        if i and j:
+            y[i - 1, j - 1] += adm
+
+    for e in net.elements:
+        if isinstance(e, Vccs):
+            for out, sign_out in ((e.out_p, 1.0), (e.out_m, -1.0)):
+                for ctrl, sign_ctrl in ((e.ctrl_p, 1.0), (e.ctrl_m, -1.0)):
+                    add(out, ctrl, sign_out * sign_ctrl * e.gm)
+            continue
+        if isinstance(e, Resistor):
+            adm = 1.0 / e.ohms
+        elif isinstance(e, Capacitor):
+            adm = 1j * w * e.farads
+        else:
+            adm = 1.0 / (1j * w * e.henries)
+        add(e.a, e.a, adm)
+        add(e.b, e.b, adm)
+        add(e.a, e.b, -adm)
+        add(e.b, e.a, -adm)
+    ports = (net.port1, net.port2)
+    rhs = np.zeros((size, 2), dtype=complex)
+    for k, port in enumerate(ports):
+        y[port.node - 1, port.node - 1] += 1.0 / port.z0
+        rhs[port.node - 1, k] = 2.0 / math.sqrt(port.z0)
+    v = np.linalg.solve(y, rhs)
+    s = np.array([v[port.node - 1, :] / math.sqrt(port.z0) for port in ports])
+    return s - np.eye(2)
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("spacing", [LINEAR, LOG])
+    def test_sweep_matches_single_frequency_bits(self, spacing, fr4):
+        for net in (build_network(proto_amp()), build_network(lossy_series_amp(fr4))):
+            swp = sweep(net, 10e6, 15e9, 2 * _BLOCK + 1, spacing)
+            for f, s in zip(swp.frequencies, swp.s_matrices):
+                assert s == s_parameters_at(net, f)
+
+    @pytest.mark.parametrize("points", [2, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    @pytest.mark.parametrize("spacing", [LINEAR, LOG])
+    def test_grid_matches_dense_reference(self, points, spacing, fr4):
+        nets = (build_network(proto_amp()), build_network(lossy_series_amp(fr4)), lc_ladder())
+        for net in nets:
+            swp = sweep(net, 10e6, 15e9, points, spacing)
+            assert len(swp.s_matrices) == points
+            for f, s in zip(swp.frequencies, swp.s_matrices):
+                want = dense_reference(net, f)
+                err = np.max(np.abs(np.array(s) - want))
+                assert err <= 1e-10 * max(1.0, np.max(np.abs(want)))
+
+    def test_singular_nodal_system_names_frequency(self):
+        # node 3 is connected to nothing, so the internal block is singular
+        net = Network(4, (Resistor(1, 0, 50.0), Resistor(2, 0, 50.0)), Port(1), Port(2))
+        with pytest.raises(SimulationError, match=r"nodal system at 2000000000\.0 Hz"):
+            s_parameters_at(net, 2e9)
+        with pytest.raises(SimulationError, match=r"nodal system at 100000000\.0 Hz"):
+            sweep(net, 1e8, 1e9, 11)
+
+    def test_singular_frequency_inside_a_block(self):
+        # node 3 hangs 1 H parallel with 1 F, resonant at w = 1 rad/s exactly:
+        # only the grid's last point is singular, and it is not a block's first
+        f_res = 1.0 / (2.0 * math.pi)
+        tank = (Inductor(3, 0, 1.0), Capacitor(3, 0, 1.0))
+        net = Network(4, (Resistor(1, 0, 50.0), Resistor(2, 0, 50.0)) + tank, Port(1), Port(2))
+        with pytest.raises(SimulationError, match=f"nodal system at {f_res} Hz"):
+            sweep(net, f_res / 10.0, f_res, _BLOCK + 2)
+
+    def test_singular_port_system_names_frequency(self):
+        # a transconductance of -2 S across the 1 S port-1 load: 1 + z1*Y11 = 0
+        net = Network(
+            3,
+            (Resistor(1, 0, 1.0), Vccs(1, 0, 1, 0, -2.0), Resistor(2, 0, 50.0)),
+            Port(1, 1.0),
+            Port(2),
+        )
+        with pytest.raises(SimulationError, match=r"port system at 1000000000\.0 Hz"):
+            s_parameters_at(net, 1e9)
+
+
+_LADDER_VALUES = {
+    Resistor: st.floats(1.0, 1e3),
+    Inductor: st.floats(0.1e-9, 10e-9),
+    Capacitor: st.floats(0.1e-12, 10e-12),
+}
+
+
+@st.composite
+def passive_ladders(draw) -> Network:
+    # a series and a shunt element per section, each an R, L or C, with
+    # resistive loads on both port nodes
+    sections = draw(st.integers(1, 6))
+    elements: list = []
+    for k in range(1, sections + 1):
+        for a, b in ((k, k + 1), (k + 1, 0)):
+            kind = draw(st.sampled_from(tuple(_LADDER_VALUES)))
+            elements.append(kind(a, b, draw(_LADDER_VALUES[kind])))
+    last = sections + 1
+    ohms = st.floats(10.0, 200.0)
+    elements += [Resistor(1, 0, draw(ohms)), Resistor(last, 0, draw(ohms))]
+    return Network(last + 1, tuple(elements), Port(1, draw(ohms)), Port(last, draw(ohms)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(passive_ladders())
+def test_passive_ladder_reciprocal_and_bounded(net):
+    swp = sweep(net, 10e6, 100e9, _BLOCK + 1, LOG)
+    for (s11, s12), (s21, s22) in swp.s_matrices:
+        assert abs(s12 - s21) <= 1e-12
+        largest = np.linalg.norm(np.array([[s11, s12], [s21, s22]]), 2)
+        assert largest <= 1.0 + 1e-12
 
 
 def synthetic_sweep(freqs, s21_mags, s11_mags):
