@@ -75,12 +75,13 @@ def write_csv(swp: mna.TwoPortSweep, destination) -> None:
 
     A zero magnitude renders as -inf rather than raising.
     """
+    db = mna._db
     lines = ["freq_hz,s11_db,s21_db,s12_db,s22_db,s21_phase_deg"]
     for f, ((s11, s12), (s21, s22)) in zip(swp.frequencies, swp.s_matrices):
         phase = math.degrees(math.atan2(s21.imag, s21.real))
         lines.append(
             _CSV_ROW
-            % (f, _db(abs(s11)), _db(abs(s21)), _db(abs(s12)), _db(abs(s22)), phase)
+            % (f, db(abs(s11)), db(abs(s21)), db(abs(s12)), db(abs(s22)), phase)
         )
     _write_text(destination, "\n".join(lines) + "\n")
 
@@ -315,12 +316,6 @@ class _Usage(Exception):
 
 def _fmt(value: float) -> str:
     return f"{value:.9e}"
-
-
-def _db(magnitude: float) -> float:
-    if magnitude == 0.0:
-        return -math.inf
-    return 20.0 * math.log10(magnitude)
 
 
 def _read_text(path: str) -> str:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import gain as gain_mod
 from . import ladder, microstrip, taper as taper_mod
 from .device import Substrate, TransistorModel, builtin_table1
-from .errors import DesignError
+from .errors import DakitError, DesignError
 from .gain import GainFigures
 from .ladder import LineCell
 from .microstrip import MicrostripLine
@@ -405,6 +405,8 @@ def report_from_json(text: str) -> DesignReport:
             n_recommended=gain_mod.recommended_n(n_opt),
         )
         stages = int(g["n"])
+        if stages < 1:
+            raise DesignError(f"report stage count must be >= 1, got {stages}")
         taper_report = None
         gate_profile = drain_profile = None
         gate_strips = drain_strips = None
@@ -456,7 +458,12 @@ def report_from_json(text: str) -> DesignReport:
             drain_section_lines=drain_strips,
             predicted_fc=float(doc["predicted_fc_Hz"]),
         )
-    except (KeyError, TypeError) as exc:
+    except DakitError:
+        # already a domain error with its own message (DakitError is a ValueError)
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # a missing field, a wrong JSON type, a string that is not a number,
+        # or an infinite count
         raise DesignError(f"malformed design_report_v1 document: {exc!r}") from exc
 
 

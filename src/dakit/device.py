@@ -31,15 +31,17 @@ class TransistorModel:
     def __post_init__(self) -> None:
         if not self.name:
             raise CatalogError("transistor name must be non-empty")
-        if self.gm <= 0:
-            raise CatalogError(f"{self.name}: gm must be positive, got {self.gm}")
-        if self.cgs <= 0:
-            raise CatalogError(f"{self.name}: cgs must be positive, got {self.cgs}")
-        if self.cds <= 0:
-            raise CatalogError(f"{self.name}: cds must be positive, got {self.cds}")
-        if self.ri < 0:
-            raise CatalogError(f"{self.name}: ri must be >= 0, got {self.ri}")
-        if self.rds <= 0:
+        # written as "not in range" so that NaN, which fails every
+        # comparison, is rejected too
+        if not 0 < self.gm < math.inf:
+            raise CatalogError(f"{self.name}: gm must be positive and finite, got {self.gm}")
+        if not 0 < self.cgs < math.inf:
+            raise CatalogError(f"{self.name}: cgs must be positive and finite, got {self.cgs}")
+        if not 0 < self.cds < math.inf:
+            raise CatalogError(f"{self.name}: cds must be positive and finite, got {self.cds}")
+        if not 0 <= self.ri < math.inf:
+            raise CatalogError(f"{self.name}: ri must be >= 0 and finite, got {self.ri}")
+        if not 0 < self.rds <= math.inf:
             raise CatalogError(f"{self.name}: rds must be positive, got {self.rds}")
 
 
@@ -52,12 +54,12 @@ class Substrate:
     t_mm: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.er < 1:
-            raise CatalogError(f"relative permittivity must be >= 1, got {self.er}")
-        if self.h_mm <= 0:
-            raise CatalogError(f"substrate height must be positive, got {self.h_mm}")
-        if self.t_mm < 0:
-            raise CatalogError(f"conductor thickness must be >= 0, got {self.t_mm}")
+        if not 1 <= self.er < math.inf:
+            raise CatalogError(f"relative permittivity must be >= 1 and finite, got {self.er}")
+        if not 0 < self.h_mm < math.inf:
+            raise CatalogError(f"substrate height must be positive and finite, got {self.h_mm}")
+        if not 0 <= self.t_mm < math.inf:
+            raise CatalogError(f"conductor thickness must be >= 0 and finite, got {self.t_mm}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,8 @@ def load_catalog(text: str, source: str = "") -> Catalog:
         if not isinstance(entry["name"], str):
             raise CatalogError(f"entry {i}: name must be a string")
         for key in ("gm_S", "cgs_F", "cds_F", "ri_ohm", "rds_ohm"):
-            if key in entry and not isinstance(entry[key], (int, float)):
+            # exact types: json gives bool for true/false, and bool is an int
+            if key in entry and type(entry[key]) not in (int, float):
                 raise CatalogError(f"entry {i}: {key} must be a number")
         if "reference" in entry and not isinstance(entry["reference"], str):
             raise CatalogError(f"entry {i}: reference must be a string")
@@ -169,12 +172,12 @@ def effective_gate_capacitance(cgs: float, cseries: float | None = None) -> floa
     series combination cseries*cgs/(cseries+cgs); with no series element
     the line sees cgs itself.
     """
-    if cgs <= 0:
-        raise CatalogError(f"cgs must be positive, got {cgs}")
+    if not 0 < cgs < math.inf:
+        raise CatalogError(f"cgs must be positive and finite, got {cgs}")
     if cseries is None:
         return cgs
-    if cseries <= 0:
-        raise CatalogError(f"series capacitance must be positive, got {cseries}")
+    if not 0 < cseries < math.inf:
+        raise CatalogError(f"series capacitance must be positive and finite, got {cseries}")
     return cseries * cgs / (cseries + cgs)
 
 

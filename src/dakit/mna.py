@@ -28,19 +28,26 @@ numpy.linalg.solve), one factorization per frequency, so a frequency's
 result does not depend on the block it was solved in: the same inputs
 give the same bytes, and a sweep entry equals s_parameters_at at that
 frequency bit for bit.
+
+numpy is imported inside the three functions that use it, on the first
+solve, not when this module loads. The package imports this module for
+its public names, and only a sweep needs numpy, so the CLI subcommands
+that never simulate do not pay numpy's import time (about half of their
+start-up).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .design import DesignReport
 from .device import TransistorModel
 from .errors import DesignError, SimulationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LINEAR = "linear"
 LOG = "log"
@@ -321,6 +328,8 @@ class _Compiled(NamedTuple):
 
 def _compile(net: Network) -> _Compiled:
     """Stamp every element once; Y(w) = G + jwC + Gamma/(jw)."""
+    import numpy as np
+
     p1, p2 = net.port1.node, net.port2.node
     size = net.node_count - 1
     # each node's row in the ports-first order; ground has none (-1)
@@ -358,6 +367,8 @@ def _compile(net: Network) -> _Compiled:
 
 def _solve_block(net: _Compiled, freqs: list[float]) -> list:
     """S-matrices at a block of frequencies, solved as one stack."""
+    import numpy as np
+
     count = len(freqs)
     w = 2.0 * math.pi * np.array(freqs)[:, None]
     y = np.zeros((count, net.size * net.size), dtype=complex)
@@ -390,6 +401,8 @@ def _solve_block(net: _Compiled, freqs: list[float]) -> list:
 
 def _first_singular(freqs: list[float], y_ii: np.ndarray) -> float:
     """First frequency whose internal block LU meets an exact zero pivot."""
+    import numpy as np
+
     for f, m in zip(freqs, y_ii):
         try:
             np.linalg.solve(m, m[:, :1])

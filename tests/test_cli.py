@@ -1,11 +1,14 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dakit
 from dakit import TwoPortSweep, report_from_json
 from dakit.cli import run, write_csv, write_touchstone
 
@@ -77,6 +80,14 @@ class TestBandwidth:
         out = capsys.readouterr().out
         assert "gamma_gate = 1.650793651e-01" in out
         assert "fc_total_hz" in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--cgs", "nan"], ["--cgs", "inf"], ["--cgs", "1.79e-12", "--cseries", "nan"]],
+    )
+    def test_non_finite_capacitance_is_domain_error(self, capsys, flags):
+        assert run(["bandwidth", *flags]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestScreen:
@@ -162,6 +173,16 @@ class TestDesign:
 
     def test_bad_series_flag(self, catalog_file):
         assert run(self.design_args(catalog_file, "--series", "match-gate")) == 2
+
+    def test_non_finite_catalog_is_domain_error(self, capsys, tmp_path):
+        # without the check this synthesized, printing av = nan and predicted_fc_hz = 0
+        path = tmp_path / "catalog.json"
+        path.write_text(
+            '{"transistors": [{"name": "GAN-1", "gm_S": NaN, "cgs_F": 1.79e-12,'
+            ' "cds_F": Infinity}]}'
+        )
+        assert run(self.design_args(str(path))) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestTaper:
@@ -267,6 +288,30 @@ class TestSimulate:
             paths.append(target.read_bytes())
         assert paths[0] == paths[1]
 
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("effective_cgs_F",), "abc"),
+            (("gains", "n"), "four"),
+            (("gains", "n"), math.inf),
+            (("gains", "n"), 0),
+            (("gains", "n"), -2),
+        ],
+    )
+    def test_bad_report_is_domain_error(self, capsys, design_json, tmp_path, keys, value):
+        doc = json.loads(Path(design_json).read_text())
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        args = ["simulate", "--design", str(bad), "--fstart", "1e7", "--fstop", "8e9"]
+        assert run([*args, "--points", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_bad_span_is_domain_error(self, capsys, design_json):
         code = run(
             [
@@ -344,3 +389,52 @@ class TestWriters:
         # column order is S11, S21, S12, S22 as re/im pairs
         assert float(fields[1]) == 0.1
         assert float(fields[3]) == 2.0
+
+
+# Runs in a fresh interpreter, because this test session has already loaded
+# numpy. Each command runs in turn, simulate last, and the probe records
+# whether numpy had been loaded after it.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import dakit
+from dakit import *
+from dakit import cli
+seen = {"import": "numpy" in sys.modules, "sweep": dakit.sweep is dakit.mna.sweep}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(argv)
+    seen[argv[0]] = [code, "numpy" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_only_simulate_loads_numpy(catalog_file, tmp_path):
+    report = str(tmp_path / "design.json")
+    device = ["--transistor", "GAN-1", "--er", "4.4", "--h", "1.6", "--t", "0.035"]
+    commands = [
+        ["bandwidth", "--cgs", "1.79e-12", "--cds", "2.98e-13"],
+        ["taper", "--n", "4"],
+        ["verify", "--table1"],
+        ["screen", "--catalog", catalog_file, "--target-fc", "10e9", "--allow-series"],
+        ["design", "--catalog", catalog_file, *device, "--out", report],
+        ["simulate", "--design", report, "--fstart", "1e7", "--fstop", "8e9", "--points", "5"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(dakit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import": False,
+        "sweep": True,
+        "bandwidth": [0, False],
+        "taper": [0, False],
+        "verify": [0, False],
+        "screen": [0, False],
+        "design": [0, False],
+        "simulate": [0, True],
+    }

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -39,6 +40,13 @@ def test_transistor_defaults():
         {"ri": -0.5},
         {"rds": 0.0},
         {"rds": -200.0},
+        {"gm": math.nan},
+        {"gm": math.inf},
+        {"cgs": math.nan},
+        {"cds": math.inf},
+        {"ri": math.nan},
+        {"ri": math.inf},
+        {"rds": math.nan},
     ],
 )
 def test_transistor_rejects_bad_values(kwargs):
@@ -56,6 +64,19 @@ def test_substrate_validation():
         Substrate(er=4.4, h_mm=0.0)
     with pytest.raises(CatalogError):
         Substrate(er=4.4, h_mm=1.6, t_mm=-0.01)
+    for bad in (
+        {"er": math.nan, "h_mm": 1.6},
+        {"er": math.inf, "h_mm": 1.6},
+        {"er": 4.4, "h_mm": math.nan},
+        {"er": 4.4, "h_mm": math.inf},
+        {"er": 4.4, "h_mm": 1.6, "t_mm": math.nan},
+    ):
+        with pytest.raises(CatalogError):
+            Substrate(**bad)
+
+
+def test_transistor_infinite_rds_is_valid():
+    assert math.isinf(TransistorModel("x", gm=0.01, cgs=1e-12, cds=1e-13, rds=math.inf).rds)
 
 
 def test_load_catalog_happy_path():
@@ -91,6 +112,25 @@ def test_load_catalog_rejects_missing_keys():
     text = '{"transistors": [{"name": "A", "gm_S": 0.05, "cgs_F": 1e-12}]}'
     with pytest.raises(CatalogError, match="missing"):
         load_catalog(text)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("gm_S", math.nan),
+        ("cgs_F", math.inf),
+        ("cds_F", -math.inf),
+        ("ri_ohm", math.nan),
+        ("gm_S", True),
+        ("cgs_F", False),
+        ("rds_ohm", True),
+    ],
+)
+def test_load_catalog_rejects_non_finite_and_boolean_numbers(key, value):
+    # json writes these as NaN, Infinity, -Infinity, true and false
+    entry = {"name": "A", "gm_S": 0.05, "cgs_F": 1e-12, "cds_F": 1e-13, key: value}
+    with pytest.raises(CatalogError):
+        load_catalog(json.dumps({"transistors": [entry]}))
 
 
 def test_load_catalog_rejects_duplicate_names():
@@ -139,6 +179,9 @@ def test_effective_capacitance_rejects_nonpositive():
         effective_gate_capacitance(0.0, 1e-13)
     with pytest.raises(CatalogError):
         effective_gate_capacitance(1e-12, 0.0)
+    for cgs, cseries in ((math.nan, None), (math.inf, None), (1e-12, math.nan), (1e-12, math.inf)):
+        with pytest.raises(CatalogError):
+            effective_gate_capacitance(cgs, cseries)
 
 
 def test_estimate_cgs_plate_formula():
