@@ -9,8 +9,12 @@ The flow mirrors how the amplifier is actually sized by hand:
 5. evaluate gain figures, velocity alignment and the predicted band,
 6. optionally step the line impedances and re-evaluate the band.
 
-Reports serialize to a stable JSON layout (design_report_v1) carrying
-everything needed to rebuild the simulation network from file.
+Reports serialize to design_report_v2: the inputs (transistor, substrate,
+options) and every derived figure. Loading one synthesizes it again from
+its inputs and refuses it, naming the field, if a stored float is more
+than a relative 1e-9 from the fresh one or any other field differs. A
+design_report_v1 holds no options and is refused too: re-run `dakit
+design ... --out` to write the report again.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from . import gain as gain_mod
-from . import ladder, microstrip, taper as taper_mod
+from . import device, gain as gain_mod, ladder, microstrip, taper as taper_mod
 from .device import Substrate, TransistorModel, builtin_table1
 from .errors import DakitError, DesignError
 from .gain import GainFigures
@@ -29,8 +32,10 @@ from .microstrip import MicrostripLine
 from .taper import TaperProfile, TaperReport
 
 MATCH_DRAIN = "match-drain"
+_SCHEMA = "design_report_v2"
 
 _DEFAULT_STAGES = 4
+_REL_TOL = 1e-9  # relative slack of a stored float against a fresh synthesis
 
 
 @dataclass(frozen=True)
@@ -52,18 +57,20 @@ class DesignOptions:
     design_frequency_hz: float | None = None
 
     def __post_init__(self) -> None:
-        if self.system_impedance <= 0:
-            raise DesignError("system impedance must be positive")
-        if self.stages is not None and (not isinstance(self.stages, int) or self.stages < 1):
-            raise DesignError(f"stages must be a positive integer, got {self.stages!r}")
-        if isinstance(self.taper, str) and self.taper != "ginzton":
-            raise DesignError(f"unknown taper policy {self.taper!r}")
-        if isinstance(self.series_cap, str) and self.series_cap != MATCH_DRAIN:
-            raise DesignError(f"unknown series capacitor policy {self.series_cap!r}")
-        if isinstance(self.series_cap, (int, float)) and self.series_cap <= 0:
-            raise DesignError("explicit series capacitance must be positive")
-        if self.design_frequency_hz is not None and self.design_frequency_hz <= 0:
-            raise DesignError("design frequency must be positive")
+        z0, n, pair, cap = self.system_impedance, self.stages, self.taper, self.series_cap
+        if not _is_positive_number(z0):
+            raise DesignError(f"system impedance must be positive and finite, got {z0!r}")
+        if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
+            raise DesignError(f"stages must be a positive integer, got {n!r}")
+        if not (pair in (None, "ginzton") or _is_profile_pair(pair)):
+            raise DesignError(f"taper must be None, 'ginzton' or a (gate, drain) pair: {pair!r}")
+        if not (cap in (None, MATCH_DRAIN) or _is_positive_number(cap)):
+            raise DesignError(f"series_cap must be None, {MATCH_DRAIN!r} or farads, got {cap!r}")
+        if not isinstance(self.include_microstrip_parasitics, bool):
+            raise DesignError("include_microstrip_parasitics must be True or False")
+        f = self.design_frequency_hz
+        if not (f is None or _is_positive_number(f)):
+            raise DesignError(f"design frequency must be positive and finite, got {f!r}")
 
 
 @dataclass(frozen=True)
@@ -95,9 +102,11 @@ class Table1Check:
 
 @dataclass(frozen=True)
 class DesignReport:
-    """Complete synthesis result for one device on one board."""
+    """Complete synthesis result for one device on one board, with the
+    options it was synthesized under."""
 
     transistor: TransistorModel
+    options: DesignOptions
     effective_cgs: float
     series_capacitor: float | None
     gain_penalty_factor: float
@@ -206,14 +215,10 @@ def predict_bandwidth(t: TransistorModel, options: DesignOptions | None = None) 
     """
     options = options or DesignOptions()
     z0 = options.system_impedance
-    c_eff, _, _ = _resolve_series(t, options)
-    if options.taper is None:
-        return min(
-            ladder.cutoff_frequency(z0, c_eff),
-            ladder.cutoff_frequency(z0, t.cds),
-        )
-    gate_p, drain_p = _resolve_taper(t, options, c_eff)
-    return taper_mod.analyze_taper(gate_p, drain_p, c_eff, t.cds).fc_total
+    c_eff, _, _, _, _, profiles = _resolve(t, options)
+    if profiles is None:
+        return min(ladder.cutoff_frequency(z0, c_eff), ladder.cutoff_frequency(z0, t.cds))
+    return taper_mod.analyze_taper(*profiles, c_eff, t.cds).fc_total
 
 
 def synthesize_design(
@@ -224,21 +229,14 @@ def synthesize_design(
     """Produce the full design report for one device on one board."""
     options = options or DesignOptions()
     z0 = options.system_impedance
-    c_eff, cseries, penalty = _resolve_series(t, options)
-    f_design = options.design_frequency_hz
-    if f_design is None:
-        f_design = 0.5 * ladder.cutoff_frequency(z0, c_eff)
-    n = _resolve_stages(t, options, c_eff, f_design, z0)
+    c_eff, cseries, penalty, f_design, n, profiles = _resolve(t, options)
 
     gate_cell, gate_line = _cell_and_strip(z0, substrate, c_eff, options)
     drain_cell, drain_line = _cell_and_strip(z0, substrate, t.cds, options)
 
-    taper_report = None
-    gate_profile = drain_profile = None
-    gate_strips = drain_strips = None
-    if options.taper is not None:
-        gate_profile, drain_profile = _resolve_taper(t, options, c_eff, n)
-        _check_profiles(gate_profile, drain_profile, n)
+    gate_profile, drain_profile = profiles or (None, None)
+    taper_report = gate_strips = drain_strips = None
+    if profiles is not None:
         taper_report = taper_mod.analyze_taper(gate_profile, drain_profile, c_eff, t.cds)
         gate_strips = tuple(
             _cell_and_strip(zk, substrate, c_eff, options)[1] for zk in gate_profile.sections
@@ -247,11 +245,9 @@ def synthesize_design(
             _cell_and_strip(zk, substrate, t.cds, options)[1] for zk in drain_profile.sections
         )
 
-    phase_g = microstrip.phase_shift(
-        gate_line.length_cm, f_design, gate_line.l_nh_per_cm, gate_line.c_pf_per_cm
-    )
-    phase_d = microstrip.phase_shift(
-        drain_line.length_cm, f_design, drain_line.l_nh_per_cm, drain_line.c_pf_per_cm
+    phase_g, phase_d = (
+        microstrip.phase_shift(line.length_cm, f_design, line.l_nh_per_cm, line.c_pf_per_cm)
+        for line in (gate_line, drain_line)
     )
 
     gm_eff = t.gm * penalty
@@ -273,6 +269,7 @@ def synthesize_design(
 
     return DesignReport(
         transistor=t,
+        options=options,
         effective_cgs=c_eff,
         series_capacitor=cseries,
         gain_penalty_factor=penalty,
@@ -314,22 +311,53 @@ def verify_table1(z0: float = 50.0) -> list[Table1Check]:
 
 
 def report_to_json(report: DesignReport) -> str:
-    """Serialize a report to the design_report_v1 layout.
+    """Serialize a report to the design_report_v2 layout.
 
     Infinities never reach the file: an infinite rds is omitted (catalog
     convention) and an unbounded n_opt becomes null.
     """
-    t = report.transistor
-    tr: dict = {"name": t.name, "gm_S": t.gm, "cgs_F": t.cgs, "cds_F": t.cds}
-    tr["ri_ohm"] = t.ri
-    if math.isfinite(t.rds):
-        tr["rds_ohm"] = t.rds
-    tr["reference"] = t.reference
+    return json.dumps(_report_doc(report), indent=2, allow_nan=False)
+
+
+def report_from_json(text: str) -> DesignReport:
+    """Synthesize a report again from its stored inputs and return it, after
+    checking the stored figures against it (see the module docstring)."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DesignError(f"report is not valid JSON: {exc}") from exc
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema == "design_report_v1":
+        raise DesignError("design_report_v1 is no longer read; re-run `dakit design ... --out`")
+    if schema != _SCHEMA:
+        raise DesignError(f'not a {_SCHEMA} document (missing/incorrect "schema")')
+    try:
+        sub = doc["substrate"]
+        substrate = Substrate(
+            *(device.json_number(sub[k], "substrate", k) for k in ("er", "h_mm", "t_mm"))
+        )
+        t = device.transistor_from_entry(doc["transistor"], "transistor")
+        report = synthesize_design(t, substrate, _options_from_doc(doc["options"]))
+    except DakitError:
+        # already a domain error with its own message (DakitError is a ValueError)
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # a missing field, a wrong JSON type, or an integer too large for a float
+        raise DesignError(f"malformed {_SCHEMA} document: {exc!r}") from exc
+    fresh = _report_doc(report)
+    if fresh != doc:
+        _check_same(doc, fresh, "")
+    return report
+
+
+def _report_doc(report: DesignReport) -> dict:
     sub = report.gate_line.substrate
+    gains = report.gains
     doc: dict = {
-        "schema": "design_report_v1",
-        "transistor": tr,
+        "schema": _SCHEMA,
+        "transistor": device.transistor_to_entry(report.transistor),
         "substrate": {"er": sub.er, "h_mm": sub.h_mm, "t_mm": sub.t_mm},
+        "options": _options_doc(report.options),
         "effective_cgs_F": report.effective_cgs,
         "series_capacitor_F": report.series_capacitor,
         "gain_penalty": report.gain_penalty_factor,
@@ -342,12 +370,10 @@ def report_to_json(report: DesignReport) -> str:
         "phase_per_cell_drain_rad": report.phase_per_cell_drain,
         "design_frequency_hz": report.design_frequency_hz,
         "gains": {
-            "av": report.gains.av,
-            "gp_lossless": report.gains.gp_lossless,
-            "gp_lossy": report.gains.gp_lossy,
-            "n_opt": report.gains.n_opt_continuous
-            if math.isfinite(report.gains.n_opt_continuous)
-            else None,
+            "av": gains.av,
+            "gp_lossless": gains.gp_lossless,
+            "gp_lossy": gains.gp_lossy,
+            "n_opt": gains.n_opt_continuous if math.isfinite(gains.n_opt_continuous) else None,
             "n": report.stages,
         },
         "taper": None,
@@ -364,207 +390,142 @@ def report_to_json(report: DesignReport) -> str:
             "sections_g_ohm": list(report.taper_gate_profile.sections),
             "sections_d_ohm": list(report.taper_drain_profile.sections),
         }
-    return json.dumps(doc, indent=2, allow_nan=False)
-
-
-def report_from_json(text: str) -> DesignReport:
-    """Rebuild a DesignReport from its design_report_v1 serialization."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DesignError(f"report is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != "design_report_v1":
-        raise DesignError('not a design_report_v1 document (missing/incorrect "schema")')
-    try:
-        tr = doc["transistor"]
-        t = TransistorModel(
-            name=tr["name"],
-            gm=float(tr["gm_S"]),
-            cgs=float(tr["cgs_F"]),
-            cds=float(tr["cds_F"]),
-            ri=float(tr.get("ri_ohm", 0.0)),
-            rds=float(tr.get("rds_ohm", math.inf)),
-            reference=tr.get("reference", ""),
-        )
-        sub = Substrate(
-            er=float(doc["substrate"]["er"]),
-            h_mm=float(doc["substrate"]["h_mm"]),
-            t_mm=float(doc["substrate"]["t_mm"]),
-        )
-        gate_cell = _cell_from_doc(doc["gate_cell"])
-        drain_cell = _cell_from_doc(doc["drain_cell"])
-        gate_line = _line_from_doc(doc["gate_line"], gate_cell.z0, sub)
-        drain_line = _line_from_doc(doc["drain_line"], drain_cell.z0, sub)
-        g = doc["gains"]
-        n_opt = math.inf if g["n_opt"] is None else float(g["n_opt"])
-        gains = GainFigures(
-            av=float(g["av"]),
-            gp_lossless=float(g["gp_lossless"]),
-            gp_lossy=float(g["gp_lossy"]),
-            n_opt_continuous=n_opt,
-            n_recommended=gain_mod.recommended_n(n_opt),
-        )
-        stages = int(g["n"])
-        if stages < 1:
-            raise DesignError(f"report stage count must be >= 1, got {stages}")
-        taper_report = None
-        gate_profile = drain_profile = None
-        gate_strips = drain_strips = None
-        if doc.get("taper") is not None:
-            tp = doc["taper"]
-            taper_report = TaperReport(
-                gamma_gate=float(tp["gamma_g"]),
-                gamma_drain=float(tp["gamma_d"]),
-                z_gate=float(tp["z_g_ohm"]),
-                z_drain=float(tp["z_d_ohm"]),
-                fc_gate=float(tp["fc_g_Hz"]),
-                fc_drain=float(tp["fc_d_Hz"]),
-                fc_total=min(float(tp["fc_g_Hz"]), float(tp["fc_d_Hz"])),
-            )
-            gate_profile = TaperProfile(
-                taper_mod.GATE, tuple(float(z) for z in tp["sections_g_ohm"]), gate_cell.z0
-            )
-            drain_profile = TaperProfile(
-                taper_mod.DRAIN, tuple(float(z) for z in tp["sections_d_ohm"]), drain_cell.z0
-            )
-            gate_strips = tuple(
-                microstrip.synthesize_strip(zk, sub, zk * zk * gate_cell.capacitance)
-                for zk in gate_profile.sections
-            )
-            drain_strips = tuple(
-                microstrip.synthesize_strip(zk, sub, zk * zk * drain_cell.capacitance)
-                for zk in drain_profile.sections
-            )
-        series = doc["series_capacitor_F"]
-        return DesignReport(
-            transistor=t,
-            effective_cgs=float(doc["effective_cgs_F"]),
-            series_capacitor=None if series is None else float(series),
-            gain_penalty_factor=float(doc["gain_penalty"]),
-            stages=stages,
-            gate_cell=gate_cell,
-            drain_cell=drain_cell,
-            gate_line=gate_line,
-            drain_line=drain_line,
-            velocity_mismatch=float(doc["velocity_mismatch"]),
-            phase_per_cell_gate=float(doc["phase_per_cell_gate_rad"]),
-            phase_per_cell_drain=float(doc["phase_per_cell_drain_rad"]),
-            design_frequency_hz=float(doc["design_frequency_hz"]),
-            gains=gains,
-            taper=taper_report,
-            taper_gate_profile=gate_profile,
-            taper_drain_profile=drain_profile,
-            gate_section_lines=gate_strips,
-            drain_section_lines=drain_strips,
-            predicted_fc=float(doc["predicted_fc_Hz"]),
-        )
-    except DakitError:
-        # already a domain error with its own message (DakitError is a ValueError)
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # a missing field, a wrong JSON type, a string that is not a number,
-        # or an infinite count
-        raise DesignError(f"malformed design_report_v1 document: {exc!r}") from exc
+    return doc
 
 
 def _cell_doc(cell: LineCell) -> dict:
+    return {"l_H": cell.inductance, "c_F": cell.capacitance, "z0_ohm": cell.z0, "fc_Hz": cell.fc}
+
+
+def _options_doc(options: DesignOptions) -> dict:
+    taper = options.taper
+    if isinstance(taper, tuple):
+        taper = {
+            p.side: {"sections_ohm": list(p.sections), "terminal_ohm": p.terminal_impedance}
+            for p in taper
+        }
     return {
-        "l_H": cell.inductance,
-        "c_F": cell.capacitance,
-        "z0_ohm": cell.z0,
-        "fc_Hz": cell.fc,
+        "system_impedance_ohm": options.system_impedance,
+        "stages": options.stages,
+        "series_cap": options.series_cap,
+        "taper": taper,
+        "include_microstrip_parasitics": options.include_microstrip_parasitics,
+        "design_frequency_hz": options.design_frequency_hz,
     }
 
 
-def _cell_from_doc(doc: dict) -> LineCell:
-    return LineCell(inductance=float(doc["l_H"]), capacitance=float(doc["c_F"]))
-
-
-def _line_from_doc(doc: dict, z0: float, sub: Substrate) -> MicrostripLine:
-    l_nh, c_pf = microstrip.line_constants(z0, sub.er)
-    return MicrostripLine(
-        width_mm=float(doc["w_mm"]),
-        length_cm=float(doc["len_cm"]),
-        substrate=sub,
-        z0=z0,
-        l_nh_per_cm=l_nh,
-        c_pf_per_cm=c_pf,
+def _options_from_doc(doc: dict) -> DesignOptions:
+    # DesignOptions checks every value; profile impedances are checked here
+    # because TaperProfile would take true for 1 ohm
+    taper = doc["taper"]
+    if isinstance(taper, dict):
+        num = device.json_number
+        taper = tuple(
+            TaperProfile(
+                side,
+                tuple(num(z, "options.taper", side) for z in taper[side]["sections_ohm"]),
+                num(taper[side]["terminal_ohm"], "options.taper", side),
+            )
+            for side in (taper_mod.GATE, taper_mod.DRAIN)
+        )
+    return DesignOptions(
+        system_impedance=doc["system_impedance_ohm"],
+        stages=doc["stages"],
+        taper=taper,
+        series_cap=doc["series_cap"],
+        include_microstrip_parasitics=doc["include_microstrip_parasitics"],
+        design_frequency_hz=doc["design_frequency_hz"],
     )
 
 
-def _resolve_series(t: TransistorModel, options: DesignOptions):
-    """Return (effective cgs, series capacitor or None, gain penalty)."""
+def _check_same(stored: object, fresh: object, path: str) -> None:
+    """Raise DesignError at the first field where a stored document departs
+    from the fresh one: floats by more than _REL_TOL, anything else at all.
+    Values compare as the fast path's == does, so 4.0 stands for 4."""
+    if isinstance(fresh, dict) and isinstance(stored, dict):
+        odd = stored.keys() ^ fresh.keys()
+        if odd:
+            raise DesignError(f"{path or 'report'} has unexpected or missing keys {sorted(odd)}")
+        for key, value in fresh.items():
+            _check_same(stored[key], value, f"{path}.{key}" if path else key)
+        return
+    if isinstance(fresh, list) and isinstance(stored, list) and len(stored) == len(fresh):
+        for i, (s, f) in enumerate(zip(stored, fresh)):
+            _check_same(s, f, f"{path}[{i}]")
+        return
+    if type(fresh) is float:
+        if isinstance(stored, (int, float)) and math.isclose(stored, fresh, rel_tol=_REL_TOL):
+            return
+    elif stored == fresh:
+        return
+    raise DesignError(
+        f"report field {path} is {stored!r}, but its inputs synthesize {fresh!r}; "
+        "the report was edited or written by another version"
+    )
+
+
+def _resolve(t: TransistorModel, options: DesignOptions):
+    """The option-dependent quantities synthesis and prediction share.
+
+    Returns (effective cgs, series capacitor or None, gain penalty, design
+    frequency, stage count, (gate, drain) taper profiles or None).
+    """
+    z0 = options.system_impedance
     policy = options.series_cap
     if policy is None:
-        return t.cgs, None, 1.0
-    if policy == MATCH_DRAIN:
+        c_eff, cseries, penalty = t.cgs, None, 1.0
+    elif policy == MATCH_DRAIN:
         if t.cds >= t.cgs:
             raise DesignError(
                 f"{t.name}: cds {t.cds} F is not below cgs {t.cgs} F; "
                 "the drain loading cannot be matched with a series capacitor"
             )
-        cs, penalty = series_cap_for_target(t.cgs, t.cds)
+        cseries, penalty = series_cap_for_target(t.cgs, t.cds)
         # effective load is the match target itself, kept exact so the two
         # lines come out identical
-        return t.cds, cs, penalty
-    cs = float(policy)
-    if cs <= 0:
-        raise DesignError("series capacitance must be positive")
-    c_eff = cs * t.cgs / (cs + t.cgs)
-    return c_eff, cs, c_eff / t.cgs
+        c_eff = t.cds
+    else:
+        cseries = float(policy)
+        c_eff = device.effective_gate_capacitance(t.cgs, cseries)
+        penalty = c_eff / t.cgs
 
+    f_design = options.design_frequency_hz
+    if f_design is None:
+        f_design = 0.5 * ladder.cutoff_frequency(z0, c_eff)
 
-def _resolve_stages(
-    t: TransistorModel,
-    options: DesignOptions,
-    c_eff: float,
-    f_design: float,
-    z0: float,
-) -> int:
     if options.stages is not None:
-        return options.stages
-    if t.ri > 0 and math.isfinite(t.rds):
-        n_opt = gain_mod.n_opt_from_params(f_design, t.ri, c_eff, t.rds, z0)
-        return gain_mod.recommended_n(n_opt)
-    return _DEFAULT_STAGES
+        n = options.stages
+    elif t.ri > 0 and math.isfinite(t.rds):
+        n = gain_mod.recommended_n(gain_mod.n_opt_from_params(f_design, t.ri, c_eff, t.rds, z0))
+    else:
+        n = _DEFAULT_STAGES
 
-
-def _resolve_taper(
-    t: TransistorModel,
-    options: DesignOptions,
-    c_eff: float,
-    n: int | None = None,
-) -> tuple[TaperProfile, TaperProfile]:
+    if options.taper is None:
+        return c_eff, cseries, penalty, f_design, n, None
     if options.taper == "ginzton":
-        if n is None:
-            f_design = options.design_frequency_hz
-            if f_design is None:
-                f_design = 0.5 * ladder.cutoff_frequency(options.system_impedance, c_eff)
-            n = _resolve_stages(t, options, c_eff, f_design, options.system_impedance)
-        return taper_mod.ginzton_profiles(n, options.system_impedance)
-    pair = options.taper
-    if (
+        gate, drain = taper_mod.ginzton_profiles(n, z0)
+    else:
+        gate, drain = options.taper
+    if len(drain.sections) != n or len(gate.sections) not in (n, n + 1):
+        raise DesignError(
+            f"taper profiles have {len(gate.sections)} gate and {len(drain.sections)} drain "
+            f"sections for {n} stages (expected n or n+1, and n)"
+        )
+    return c_eff, cseries, penalty, f_design, n, (gate, drain)
+
+
+def _is_profile_pair(pair: object) -> bool:
+    return (
         isinstance(pair, tuple)
         and len(pair) == 2
-        and isinstance(pair[0], TaperProfile)
-        and isinstance(pair[1], TaperProfile)
-    ):
-        return pair
-    raise DesignError("taper must be None, 'ginzton' or a (gate, drain) profile pair")
+        and all(isinstance(p, TaperProfile) for p in pair)
+        and (pair[0].side, pair[1].side) == (taper_mod.GATE, taper_mod.DRAIN)
+    )
 
 
-def _check_profiles(gate: TaperProfile, drain: TaperProfile, n: int) -> None:
-    if gate.side != taper_mod.GATE or drain.side != taper_mod.DRAIN:
-        raise DesignError("taper profiles must be a (gate, drain) pair")
-    if len(drain.sections) != n:
-        raise DesignError(
-            f"drain profile has {len(drain.sections)} sections for {n} stages"
-        )
-    if len(gate.sections) not in (n, n + 1):
-        raise DesignError(
-            f"gate profile has {len(gate.sections)} sections for {n} stages "
-            "(expected n or n+1)"
-        )
+def _is_positive_number(x: object) -> bool:
+    # bool is an int, but True is no impedance; NaN fails "0 < x < inf"
+    return not isinstance(x, bool) and isinstance(x, (int, float)) and 0 < x < math.inf
 
 
 def _cell_and_strip(
@@ -577,13 +538,12 @@ def _cell_and_strip(
     capacitance (a single correction pass; the updated strip is not
     re-corrected)."""
     cell = ladder.cell_for_impedance(z0, c_load)
-    strip = microstrip.synthesize_strip(z0, substrate, cell.inductance)
-    if not options.include_microstrip_parasitics:
-        return cell, strip
-    c_par = strip.c_pf_per_cm * 1e-12 * strip.length_cm
-    cell = ladder.cell_for_impedance(z0, c_load + c_par)
-    strip = microstrip.synthesize_strip(z0, substrate, cell.inductance)
-    return cell, strip
+    if options.include_microstrip_parasitics:
+        # the uncorrected strip's capacitance, from its constants and length
+        l_nh, c_pf = microstrip.line_constants(z0, substrate.er)
+        c_par = c_pf * 1e-12 * microstrip.segment_length(cell.inductance, l_nh)
+        cell = ladder.cell_for_impedance(z0, c_load + c_par)
+    return cell, microstrip.synthesize_strip(z0, substrate, cell.inductance)
 
 
 def _velocity_mismatch(gate_cell: LineCell, drain_cell: LineCell) -> float:

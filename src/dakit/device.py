@@ -116,53 +116,65 @@ def load_catalog(text: str, source: str = "") -> Catalog:
     entries = doc["transistors"]
     if not isinstance(entries, list):
         raise CatalogError('"transistors" must be an array')
-    models = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise CatalogError(f"entry {i} is not an object")
-        unknown = set(entry) - _ENTRY_KEYS
-        if unknown:
-            raise CatalogError(f"entry {i}: unknown keys {sorted(unknown)}")
-        missing = {"name", "gm_S", "cgs_F", "cds_F"} - set(entry)
-        if missing:
-            raise CatalogError(f"entry {i}: missing keys {sorted(missing)}")
-        if not isinstance(entry["name"], str):
-            raise CatalogError(f"entry {i}: name must be a string")
-        for key in ("gm_S", "cgs_F", "cds_F", "ri_ohm", "rds_ohm"):
-            # exact types: json gives bool for true/false, and bool is an int
-            if key in entry and type(entry[key]) not in (int, float):
-                raise CatalogError(f"entry {i}: {key} must be a number")
-        if "reference" in entry and not isinstance(entry["reference"], str):
-            raise CatalogError(f"entry {i}: reference must be a string")
-        models.append(
-            TransistorModel(
-                name=entry["name"],
-                gm=float(entry["gm_S"]),
-                cgs=float(entry["cgs_F"]),
-                cds=float(entry["cds_F"]),
-                ri=float(entry.get("ri_ohm", 0.0)),
-                rds=float(entry.get("rds_ohm", math.inf)),
-                reference=entry.get("reference", ""),
-            )
-        )
-    return Catalog(transistors=tuple(models), source=source)
+    models = tuple(transistor_from_entry(e, f"entry {i}") for i, e in enumerate(entries))
+    return Catalog(transistors=models, source=source)
 
 
 def serialize_catalog(catalog: Catalog) -> str:
     """Render a catalog back to its JSON form.
 
-    An infinite rds is expressed by omitting rds_ohm, matching the loader's
-    default, so load_catalog(serialize_catalog(c)) reproduces c exactly.
+    load_catalog(serialize_catalog(c)) reproduces c exactly.
     """
-    entries = []
-    for t in catalog.transistors:
-        entry: dict = {"name": t.name, "gm_S": t.gm, "cgs_F": t.cgs, "cds_F": t.cds}
-        entry["ri_ohm"] = t.ri
-        if math.isfinite(t.rds):
-            entry["rds_ohm"] = t.rds
-        entry["reference"] = t.reference
-        entries.append(entry)
+    entries = [transistor_to_entry(t) for t in catalog.transistors]
     return json.dumps({"transistors": entries}, indent=2)
+
+
+def transistor_from_entry(entry: object, where: str) -> TransistorModel:
+    """Validate one catalog entry (a decoded JSON object) into a model.
+
+    where names the entry in error messages. Catalogs and design reports
+    both read their transistors through here.
+    """
+    if not isinstance(entry, dict):
+        raise CatalogError(f"{where} is not an object")
+    unknown = set(entry) - _ENTRY_KEYS
+    if unknown:
+        raise CatalogError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = {"name", "gm_S", "cgs_F", "cds_F"} - set(entry)
+    if missing:
+        raise CatalogError(f"{where}: missing keys {sorted(missing)}")
+    if not isinstance(entry["name"], str):
+        raise CatalogError(f"{where}: name must be a string")
+    if not isinstance(entry.get("reference", ""), str):
+        raise CatalogError(f"{where}: reference must be a string")
+    return TransistorModel(
+        name=entry["name"],
+        gm=json_number(entry["gm_S"], where, "gm_S"),
+        cgs=json_number(entry["cgs_F"], where, "cgs_F"),
+        cds=json_number(entry["cds_F"], where, "cds_F"),
+        ri=json_number(entry.get("ri_ohm", 0.0), where, "ri_ohm"),
+        rds=json_number(entry.get("rds_ohm", math.inf), where, "rds_ohm"),
+        reference=entry.get("reference", ""),
+    )
+
+
+def transistor_to_entry(t: TransistorModel) -> dict:
+    """The catalog entry of a model; an infinite rds is expressed by
+    omitting rds_ohm, matching transistor_from_entry's default."""
+    entry: dict = {"name": t.name, "gm_S": t.gm, "cgs_F": t.cgs, "cds_F": t.cds}
+    entry["ri_ohm"] = t.ri
+    if math.isfinite(t.rds):
+        entry["rds_ohm"] = t.rds
+    entry["reference"] = t.reference
+    return entry
+
+
+def json_number(value: object, where: str, key: str) -> float:
+    """A decoded JSON number as a float; range checks are the caller's."""
+    # exact types: json gives bool for true/false, and bool is an int
+    if type(value) not in (int, float):
+        raise CatalogError(f"{where}: {key} must be a number, got {value!r}")
+    return float(value)
 
 
 def effective_gate_capacitance(cgs: float, cseries: float | None = None) -> float:

@@ -28,10 +28,16 @@ class LineCell:
     capacitance: float
 
     def __post_init__(self) -> None:
-        if self.inductance <= 0:
-            raise DesignError(f"cell inductance must be positive, got {self.inductance}")
-        if self.capacitance <= 0:
-            raise DesignError(f"cell capacitance must be positive, got {self.capacitance}")
+        # written as "not in range" so that NaN, which fails every
+        # comparison, is rejected too
+        if not 0 < self.inductance < math.inf:
+            raise DesignError(
+                f"cell inductance must be positive and finite, got {self.inductance}"
+            )
+        if not 0 < self.capacitance < math.inf:
+            raise DesignError(
+                f"cell capacitance must be positive and finite, got {self.capacitance}"
+            )
 
     @property
     def z0(self) -> float:
@@ -59,17 +65,19 @@ def char_impedance(inductance: float, capacitance: float) -> float:
 
 def cell_for_impedance(z0: float, capacitance: float) -> LineCell:
     """Size the cell inductance L = Z0^2*C that pairs with a given shunt C."""
-    if z0 <= 0:
-        raise DesignError(f"characteristic impedance must be positive, got {z0}")
-    if capacitance <= 0:
-        raise DesignError(f"capacitance must be positive, got {capacitance}")
+    if not 0 < z0 < math.inf:
+        raise DesignError(f"characteristic impedance must be positive and finite, got {z0}")
+    if not 0 < capacitance < math.inf:
+        raise DesignError(f"capacitance must be positive and finite, got {capacitance}")
     return LineCell(inductance=z0 * z0 * capacitance, capacitance=capacitance)
 
 
 def cutoff_frequency(z0: float, capacitance: float) -> float:
     """Bragg cutoff 1/(pi*Z0*C) of a constant-k line."""
-    if z0 <= 0 or capacitance <= 0:
-        raise DesignError("impedance and capacitance must be positive")
+    if not (0 < z0 < math.inf and 0 < capacitance < math.inf):
+        raise DesignError(
+            f"impedance and capacitance must be positive and finite, got {z0} and {capacitance}"
+        )
     return 1.0 / (math.pi * z0 * capacitance)
 
 

@@ -111,8 +111,11 @@ class Network:
         for port in (self.port1, self.port2):
             if not 0 < port.node < self.node_count:
                 raise DesignError(f"port node {port.node} out of range (and not ground)")
-            if port.z0 <= 0:
-                raise DesignError("port reference impedance must be positive")
+            # "not in range" rejects NaN too
+            if not 0 < port.z0 < math.inf:
+                raise DesignError(
+                    f"port reference impedance must be positive and finite, got {port.z0}"
+                )
         if self.port1.node == self.port2.node:
             raise DesignError("ports must sit on distinct nodes")
         for e in self.elements:
@@ -125,11 +128,13 @@ class Network:
             value = e.ohms if isinstance(e, Resistor) else (
                 e.farads if isinstance(e, Capacitor) else e.henries
             )
-            if value <= 0:
-                raise DesignError(f"element value must be positive: {e}")
+            if not 0 < value < math.inf:
+                raise DesignError(f"element value must be positive and finite: {e}")
             if e.a == e.b:
                 raise DesignError(f"element shorts a node to itself: {e}")
         elif isinstance(e, Vccs):
+            if not math.isfinite(e.gm):
+                raise DesignError(f"transconductance must be finite: {e}")
             nodes = (e.out_p, e.out_m, e.ctrl_p, e.ctrl_m)
         else:
             raise DesignError(f"unknown element type: {e!r}")
@@ -242,8 +247,8 @@ def build_network(report: DesignReport, t: TransistorModel | None = None) -> Net
 
 def s_parameters_at(net: Network, f: float):
     """S-matrix of the network at a single frequency, as a nested tuple."""
-    if f <= 0:
-        raise SimulationError(f"frequency must be positive, got {f}")
+    if not 0 < f < math.inf:
+        raise SimulationError(f"frequency must be positive and finite, got {f}")
     return _solve_block(_compile(net), [f])[0]
 
 
@@ -255,8 +260,8 @@ def sweep(
     spacing: str = LINEAR,
 ) -> TwoPortSweep:
     """Evaluate the network over a frequency grid, in grid order."""
-    if f_start <= 0 or f_stop <= f_start:
-        raise SimulationError("need 0 < f_start < f_stop")
+    if not 0 < f_start < f_stop < math.inf:
+        raise SimulationError(f"need 0 < f_start < f_stop < inf, got {f_start} and {f_stop}")
     if points < 2:
         raise SimulationError(f"need at least 2 points, got {points}")
     if spacing == LINEAR:

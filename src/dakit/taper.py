@@ -47,10 +47,16 @@ class TaperProfile:
             raise DesignError(f"side must be {GATE!r} or {DRAIN!r}, got {self.side!r}")
         if not self.sections:
             raise DesignError("profile needs at least one section")
-        if any(z <= 0 for z in self.sections):
-            raise DesignError("section impedances must be positive")
-        if self.terminal_impedance <= 0:
-            raise DesignError("terminal impedance must be positive")
+        # written as "not in range" so that NaN, which fails every
+        # comparison, is rejected too
+        if not all(0 < z < math.inf for z in self.sections):
+            raise DesignError(
+                f"section impedances must be positive and finite, got {self.sections}"
+            )
+        if not 0 < self.terminal_impedance < math.inf:
+            raise DesignError(
+                f"terminal impedance must be positive and finite, got {self.terminal_impedance}"
+            )
 
 
 @dataclass(frozen=True)
@@ -135,8 +141,8 @@ def analyze_taper(
     """
     if gate.side != GATE or drain.side != DRAIN:
         raise DesignError("profiles must be a (gate, drain) pair")
-    if cgs <= 0 or cds <= 0:
-        raise DesignError("cgs and cds must be positive")
+    if not (0 < cgs < math.inf and 0 < cds < math.inf):
+        raise DesignError(f"cgs and cds must be positive and finite, got {cgs} and {cds}")
     gamma_g = overall_gamma_quarterwave(junction_gammas(gate))
     gamma_d = overall_gamma_quarterwave(junction_gammas(drain))
     z_g = equivalent_impedance(gamma_g, GATE, gate.terminal_impedance)

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import math
@@ -83,10 +84,21 @@ class TestBandwidth:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--cgs", "nan"], ["--cgs", "inf"], ["--cgs", "1.79e-12", "--cseries", "nan"]],
+        [
+            ["--cgs", "nan"],
+            ["--cgs", "inf"],
+            ["--cgs", "1.79e-12", "--cseries", "nan"],
+            ["--cgs", "1e-12", "--cds", "nan"],
+            ["--cgs", "1e-12", "--cds", "nan", "--taper", "ginzton", "--n", "3"],
+        ],
     )
     def test_non_finite_capacitance_is_domain_error(self, capsys, flags):
         assert run(["bandwidth", *flags]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("z0", ["nan", "inf"])
+    def test_non_finite_impedance_is_domain_error(self, capsys, z0):
+        assert run(["bandwidth", "--cgs", "1e-12", "--cds", "1e-13", "--z0", z0]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
 
@@ -197,6 +209,13 @@ class TestTaper:
         assert "fc_drain_hz = 1.210283566e+10" in out
         assert "fc_total_hz = 2.548688599e+09" in out
 
+    @pytest.mark.parametrize(
+        "flags", [["--cgs", "nan"], ["--cds", "nan"], ["--z0", "nan"], ["--cds", "inf"]]
+    )
+    def test_non_finite_input_is_domain_error(self, capsys, flags):
+        assert run(["taper", "--n", "3", *flags]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_sections_listed(self, capsys):
         assert run(["taper", "--n", "2", "--z0", "60"]) == 0
         out = lines_of(capsys)
@@ -296,6 +315,10 @@ class TestSimulate:
             (("gains", "n"), math.inf),
             (("gains", "n"), 0),
             (("gains", "n"), -2),
+            (("gate_cell", "l_H"), math.nan),
+            (("gains", "n"), 2.5),
+            (("predicted_fc_Hz",), 3.5e9),
+            (("schema",), "design_report_v1"),
         ],
     )
     def test_bad_report_is_domain_error(self, capsys, design_json, tmp_path, keys, value):
@@ -438,3 +461,42 @@ def test_only_simulate_loads_numpy(catalog_file, tmp_path):
         "design": [0, False],
         "simulate": [0, True],
     }
+
+
+def _bench_constant(module: str, name: str):
+    """A literal assigned at the top level of a bench module, read without
+    importing it: importing the bench pins this process's CPU and threads."""
+    path = Path(__file__).resolve().parents[1] / "bench" / module
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            value = node.value
+            if isinstance(value, ast.Call):  # json.dumps({...})
+                return json.dumps(ast.literal_eval(value.args[0]))
+            return ast.literal_eval(value)
+    raise LookupError(f"{name} not found in bench/{module}")
+
+
+def test_readme_session_matches_bench_goldens(capsys, tmp_path, monkeypatch):
+    """The README session prints what bench/golden holds, byte for byte;
+    simulate's numbers may move within the benchmark's own tolerance."""
+    argvs = _bench_constant("cli_session.py", "ARGVS")
+    rel_tol = _bench_constant("cli_session.py", "NUMERIC_REL_TOL")
+    golden = Path(__file__).resolve().parents[1] / "bench" / "golden"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "catalog.json").write_text(_bench_constant("common.py", "README_CATALOG"))
+    # design first: simulate reads the report it writes
+    for name in sorted(argvs, key=lambda n: n != "design"):
+        assert run(argvs[name]) == 0, name
+        out, err = capsys.readouterr()
+        assert err == ""
+        want = (golden / f"{name}.txt").read_text()
+        if name != "simulate":
+            assert out == want, name
+            continue
+        assert out.endswith("\n") and len(out.splitlines()) == len(want.splitlines())
+        for got_line, want_line in zip(out.splitlines(), want.splitlines()):
+            got_key, _, got_value = got_line.partition(" = ")
+            want_key, _, want_value = want_line.partition(" = ")
+            assert got_key == want_key
+            if got_value != want_value:
+                assert math.isclose(float(got_value), float(want_value), rel_tol=rel_tol)

@@ -1,11 +1,21 @@
+import dataclasses
+import itertools
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dakit import (
+    DRAIN,
+    GATE,
     Catalog,
+    DakitError,
     DesignError,
     DesignOptions,
+    Substrate,
+    TaperProfile,
     TransistorModel,
     analyze_taper,
     cutoff_frequency,
@@ -46,6 +56,13 @@ class TestOptions:
             {"series_cap": "match-gate"},
             {"series_cap": -1e-12},
             {"design_frequency_hz": 0.0},
+            {"stages": True},
+            {"system_impedance": math.nan},
+            {"series_cap": math.nan},
+            {"series_cap": True},
+            {"design_frequency_hz": math.inf},
+            {"include_microstrip_parasitics": 1},
+            {"taper": ginzton_profiles(3, 50.0)[::-1]},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -135,6 +152,12 @@ class TestPredictBandwidth:
         gate, drain = ginzton_profiles(4, 50.0)
         expected = analyze_taper(gate, drain, gan.cgs, gan.cds).fc_total
         assert math.isclose(fc, expected, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("gate_n, drain_n", [(2, 4), (4, 3)])
+    def test_explicit_pair_is_checked_against_stages(self, gan, gate_n, drain_n):
+        pair = (ginzton_profiles(gate_n, 50.0)[0], ginzton_profiles(drain_n, 50.0)[1])
+        with pytest.raises(DesignError, match="sections for 4 stages"):
+            predict_bandwidth(gan, DesignOptions(stages=4, taper=pair))
 
 
 class TestSynthesize:
@@ -273,6 +296,85 @@ class TestJsonRoundTrip:
         assert "rds_ohm" not in text
         assert '"n_opt": null' in text
 
+    def test_report_keeps_its_options(self, gan, fr4):
+        options = DesignOptions(stages=4, taper="ginzton", series_cap="match-drain")
+        assert synthesize_design(gan, fr4, options).options == options
+
+    def test_tapered_report_with_parasitics_round_trips(self, gan, fr4):
+        # the case where rebuilding the taper strips by another order of
+        # operations than synthesis leaves a strip length a last bit off
+        options = DesignOptions(taper="ginzton", include_microstrip_parasitics=True)
+        report = synthesize_design(gan, fr4, options)
+        assert report_from_json(report_to_json(report)) == report
+
+    def test_options_block(self, gan, fr4):
+        pair = ginzton_profiles(4, 50.0)
+        report = synthesize_design(gan, fr4, DesignOptions(stages=4, taper=pair))
+        doc = json.loads(report_to_json(report))
+        assert doc["schema"] == "design_report_v2"
+        assert doc["options"] == {
+            "system_impedance_ohm": 50.0,
+            "stages": 4,
+            "series_cap": None,
+            "taper": {
+                "gate": {"sections_ohm": list(pair[0].sections), "terminal_ohm": 50.0},
+                "drain": {"sections_ohm": list(pair[1].sections), "terminal_ohm": 50.0},
+            },
+            "include_microstrip_parasitics": False,
+            "design_frequency_hz": None,
+        }
+
+    @staticmethod
+    def edited(report, keys, change):
+        doc = json.loads(report_to_json(report))
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = change(target.get(keys[-1]))
+        return json.dumps(doc)
+
+    def test_figures_within_tolerance_are_accepted(self, gan, fr4):
+        report = synthesize_design(gan, fr4)
+        text = self.edited(report, ("gate_cell", "l_H"), lambda v: v * (1 + 1e-12))
+        assert report_from_json(text) == report
+
+    @pytest.mark.parametrize(
+        "keys, change, field",
+        [
+            (("gate_cell", "l_H"), lambda v: v * (1 + 1e-6), r"gate_cell\.l_H"),
+            (("gate_line", "w_mm"), lambda v: math.nan, r"gate_line\.w_mm"),
+            (("gains", "n"), lambda v: 2.5, r"gains\.n"),
+            (("velocity_mismatch",), lambda v: str(v), "velocity_mismatch"),
+            (("gains", "extra"), lambda v: 1.0, r"gains has unexpected or missing keys \['extra'\]"),
+        ],
+    )
+    def test_edited_figure_is_refused_by_name(self, gan, fr4, keys, change, field):
+        text = self.edited(synthesize_design(gan, fr4), keys, change)
+        with pytest.raises(DesignError, match=field):
+            report_from_json(text)
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("substrate", "h_mm"), True),
+            (("transistor", "gm_S"), "0.05"),
+            (("transistor", "color"), "blue"),
+            (("options", "include_microstrip_parasitics"), 1),
+            (("options", "stages"), 4.0),
+            (("options", "series_cap"), "match-gate"),
+            (("options", "system_impedance_ohm"), None),
+        ],
+    )
+    def test_bad_inputs_rejected(self, gan, fr4, keys, value):
+        text = self.edited(synthesize_design(gan, fr4), keys, lambda v: value)
+        with pytest.raises(DakitError):
+            report_from_json(text)
+
+    def test_v1_document_is_refused(self, gan, fr4):
+        text = self.edited(synthesize_design(gan, fr4), ("schema",), lambda v: "design_report_v1")
+        with pytest.raises(DesignError, match="design_report_v1 is no longer read"):
+            report_from_json(text)
+
     def test_malformed_documents_rejected(self):
         with pytest.raises(DesignError):
             report_from_json("not json at all{")
@@ -280,6 +382,88 @@ class TestJsonRoundTrip:
             report_from_json('{"schema": "something_else"}')
         with pytest.raises(DesignError):
             report_from_json('{"schema": "design_report_v1"}')
+
+
+@st.composite
+def design_inputs(draw):
+    """A lossy or lossless device, a board, and options drawn from every
+    combination of series capacitor, taper, parasitics, stages and design
+    frequency."""
+    cgs = draw(st.floats(50e-15, 2e-12))
+    lossy = draw(st.booleans())
+    t = TransistorModel(
+        name="DUT",
+        gm=draw(st.floats(0.01, 0.2)),
+        cgs=cgs,
+        cds=cgs * draw(st.floats(0.1, 0.9)),
+        ri=draw(st.floats(0.5, 5.0)) if lossy else 0.0,
+        rds=draw(st.floats(50.0, 500.0)) if lossy else math.inf,
+    )
+    board = Substrate(
+        er=draw(st.sampled_from((2.2, 3.55, 4.4))),
+        h_mm=draw(st.sampled_from((0.25, 0.8, 1.6))),
+        t_mm=draw(st.sampled_from((0.0, 0.035))),
+    )
+    z0 = draw(st.floats(25.0, 75.0))
+    stages = draw(st.none() | st.integers(1, 8))
+    taper = draw(st.sampled_from((None, "ginzton", "pair")))
+    if taper == "pair":
+        # sized for the requested count, else for the default 4 of a lossless
+        # device or a guess for a lossy one; a wrong guess is refused and skipped
+        n = stages or (draw(st.integers(3, 6)) if lossy else 4)
+        z = st.floats(0.6 * z0, 1.4 * z0)
+        gate = draw(st.lists(z, min_size=n, max_size=n + 1))
+        drain = draw(st.lists(z, min_size=n, max_size=n))
+        taper = (TaperProfile(GATE, tuple(gate), z0), TaperProfile(DRAIN, tuple(drain), z0))
+    options = DesignOptions(
+        system_impedance=z0,
+        stages=stages,
+        taper=taper,
+        series_cap=draw(st.none() | st.just("match-drain") | st.floats(0.05e-12, 2e-12)),
+        include_microstrip_parasitics=draw(st.booleans()),
+        design_frequency_hz=draw(st.none() | st.floats(1e8, 2e10)),
+    )
+    return t, board, options
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(design_inputs())
+def test_report_round_trip_is_exact(inputs):
+    t, board, options = inputs
+    try:
+        report = synthesize_design(t, board, options)
+    except DakitError:
+        return
+    text = report_to_json(report)
+    assert report_from_json(text) == report
+    assert report_to_json(report_from_json(text)) == text
+    # prediction and synthesis share one resolver
+    if not options.include_microstrip_parasitics:
+        assert math.isclose(predict_bandwidth(t, options), report.predicted_fc, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("lossy", [False, True])
+def test_report_round_trip_covers_every_option_combination(gan, lossy):
+    # zero copper thickness keeps the high-impedance taper strips realizable
+    board = Substrate(er=4.4, h_mm=1.6, t_mm=0.0)
+    t = lossy_fet() if lossy else gan
+    for series, taper, parasitics, stages, f_design in itertools.product(
+        (None, "match-drain", 0.5e-12),
+        (None, "ginzton", "pair"),
+        (False, True),
+        (None, 5),
+        (None, 1e9),
+    ):
+        options = DesignOptions(
+            stages=stages,
+            series_cap=series,
+            include_microstrip_parasitics=parasitics,
+            design_frequency_hz=f_design,
+        )
+        if taper == "pair":
+            taper = ginzton_profiles(synthesize_design(t, board, options).stages, 50.0)
+        report = synthesize_design(t, board, dataclasses.replace(options, taper=taper))
+        assert report_from_json(report_to_json(report)) == report
 
 
 def test_verify_table1_all_within_two_percent():

@@ -57,6 +57,22 @@ def test_cell_rejects_nonpositive():
         LineCell(inductance=1e-9, capacitance=-1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_values_rejected(bad):
+    with pytest.raises(DesignError):
+        LineCell(inductance=bad, capacitance=1e-12)
+    with pytest.raises(DesignError):
+        LineCell(inductance=1e-9, capacitance=bad)
+    with pytest.raises(DesignError):
+        cell_for_impedance(bad, 1e-12)
+    with pytest.raises(DesignError):
+        cell_for_impedance(50.0, bad)
+    with pytest.raises(DesignError):
+        cutoff_frequency(bad, 1e-12)
+    with pytest.raises(DesignError):
+        cutoff_frequency(50.0, bad)
+
+
 def test_cutoff_frequency_values():
     assert math.isclose(cutoff_frequency(50.0, 1.79e-12), 3556535041.1596723, rel_tol=1e-12)
     assert math.isclose(cutoff_frequency(50.0, 1.79e-12), 3.557e9, rel_tol=1e-3)

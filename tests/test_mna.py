@@ -100,6 +100,17 @@ class TestNetworkValidation:
         with pytest.raises(DesignError):
             Network(3, (Capacitor(1, 0, 0.0), Resistor(2, 0, 50.0)), Port(1), Port(2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        load = Resistor(2, 0, 50.0)
+        for element in (Resistor(1, 0, bad), Capacitor(1, 0, bad), Inductor(1, 0, bad)):
+            with pytest.raises(DesignError):
+                Network(3, (element, load), Port(1), Port(2))
+        with pytest.raises(DesignError):
+            Network(3, (Resistor(1, 0, 50.0), load, Vccs(2, 0, 1, 0, bad)), Port(1), Port(2))
+        with pytest.raises(DesignError):
+            Network(3, (Resistor(1, 0, 50.0), load), Port(1, bad), Port(2))
+
     def test_self_loop_rejected(self):
         with pytest.raises(DesignError):
             Network(3, (Resistor(1, 1, 50.0), Resistor(2, 0, 50.0)), Port(1), Port(2))
@@ -245,6 +256,15 @@ class TestAmplifierResponse:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_frequencies_rejected(self, bad):
+        with pytest.raises(SimulationError):
+            sweep(pi_pad(), 1e6, bad, 11)
+        with pytest.raises(SimulationError):
+            sweep(pi_pad(), bad, 1e9, 11)
+        with pytest.raises(SimulationError):
+            s_parameters_at(pi_pad(), bad)
+
     def test_validation(self):
         net = pi_pad()
         with pytest.raises(SimulationError):

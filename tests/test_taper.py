@@ -118,6 +118,19 @@ def test_profile_validation():
         TaperProfile(GATE, (50.0,), terminal_impedance=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_values_rejected(bad):
+    with pytest.raises(DesignError):
+        TaperProfile(GATE, (50.0, bad))
+    with pytest.raises(DesignError):
+        TaperProfile(GATE, (50.0,), terminal_impedance=bad)
+    gate, drain = ginzton_profiles(3, 50.0)
+    with pytest.raises(DesignError):
+        analyze_taper(gate, drain, bad, 1e-12)
+    with pytest.raises(DesignError):
+        analyze_taper(gate, drain, 1e-12, bad)
+
+
 def test_analyze_taper_requires_gate_drain_pair():
     gate, drain = ginzton_profiles(3, 50.0)
     with pytest.raises(DesignError):
