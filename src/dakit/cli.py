@@ -153,22 +153,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bandwidth(args) -> int:
+    # every value is computed before anything is printed, so a failing
+    # command leaves stdout empty
     c_eff = device_mod.effective_gate_capacitance(args.cgs, args.cseries)
+    lines = []
     if args.cseries is not None:
-        print(f"effective_cgs_f = {_fmt(c_eff)}")
-        print(f"gain_penalty = {_fmt(c_eff / args.cgs)}")
+        lines.append(f"effective_cgs_f = {_fmt(c_eff)}")
+        lines.append(f"gain_penalty = {_fmt(c_eff / args.cgs)}")
     fc_gate = ladder.cutoff_frequency(args.z0, c_eff)
-    print(f"fc_gate_hz = {_fmt(fc_gate)}")
+    lines.append(f"fc_gate_hz = {_fmt(fc_gate)}")
     if args.cds is not None:
         fc_drain = ladder.cutoff_frequency(args.z0, args.cds)
-        print(f"fc_drain_hz = {_fmt(fc_drain)}")
-        print(f"fc_total_hz = {_fmt(min(fc_gate, fc_drain))}")
+        lines.append(f"fc_drain_hz = {_fmt(fc_drain)}")
+        lines.append(f"fc_total_hz = {_fmt(min(fc_gate, fc_drain))}")
     if args.taper is not None:
         if args.n is None or args.cds is None:
             _usage("--taper needs both --n and --cds")
         gate_p, drain_p = taper_mod.ginzton_profiles(args.n, args.z0)
         rep = taper_mod.analyze_taper(gate_p, drain_p, c_eff, args.cds)
-        _print_taper(rep)
+        lines += _taper_lines(rep)
+    print("\n".join(lines))
     return 0
 
 
@@ -212,10 +216,13 @@ def _cmd_design(args) -> int:
 def _cmd_taper(args) -> int:
     cds = args.cds if args.cds is not None else args.cgs / 6.0
     gate_p, drain_p = taper_mod.ginzton_profiles(args.n, args.z0)
-    print(f"gate_sections_ohm = {' '.join(_fmt(z) for z in gate_p.sections)}")
-    print(f"drain_sections_ohm = {' '.join(_fmt(z) for z in drain_p.sections)}")
     rep = taper_mod.analyze_taper(gate_p, drain_p, args.cgs, cds)
-    _print_taper(rep)
+    lines = [
+        f"gate_sections_ohm = {' '.join(_fmt(z) for z in gate_p.sections)}",
+        f"drain_sections_ohm = {' '.join(_fmt(z) for z in drain_p.sections)}",
+        *_taper_lines(rep),
+    ]
+    print("\n".join(lines))
     return 0
 
 
@@ -256,14 +263,16 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _print_taper(rep: taper_mod.TaperReport) -> None:
-    print(f"gamma_gate = {_fmt(rep.gamma_gate)}")
-    print(f"gamma_drain = {_fmt(rep.gamma_drain)}")
-    print(f"z_gate_ohm = {_fmt(rep.z_gate)}")
-    print(f"z_drain_ohm = {_fmt(rep.z_drain)}")
-    print(f"fc_gate_hz = {_fmt(rep.fc_gate)}")
-    print(f"fc_drain_hz = {_fmt(rep.fc_drain)}")
-    print(f"fc_total_hz = {_fmt(rep.fc_total)}")
+def _taper_lines(rep: taper_mod.TaperReport) -> list[str]:
+    return [
+        f"gamma_gate = {_fmt(rep.gamma_gate)}",
+        f"gamma_drain = {_fmt(rep.gamma_drain)}",
+        f"z_gate_ohm = {_fmt(rep.z_gate)}",
+        f"z_drain_ohm = {_fmt(rep.z_drain)}",
+        f"fc_gate_hz = {_fmt(rep.fc_gate)}",
+        f"fc_drain_hz = {_fmt(rep.fc_drain)}",
+        f"fc_total_hz = {_fmt(rep.fc_total)}",
+    ]
 
 
 def _print_report(report: design_mod.DesignReport) -> None:
@@ -296,7 +305,7 @@ def _print_report(report: design_mod.DesignReport) -> None:
         print("n_opt = inf")
     print(f"n_recommended = {report.gains.n_recommended}")
     if report.taper is not None:
-        _print_taper(report.taper)
+        print("\n".join(_taper_lines(report.taper)))
     print(f"predicted_fc_hz = {_fmt(report.predicted_fc)}")
 
 

@@ -5,39 +5,61 @@ integer node set with ground fixed at node 0. Line terminations are
 ordinary resistors inside the network; only the two port nodes are
 excited.
 
-Each network is compiled once into three real matrices, after Ho, Ruehli
-and Brennan's modified nodal approach: G (conductances and VCCS
-transconductances), C (capacitances) and Gamma (inverse inductances), so
-that the nodal admittance at angular frequency w is
+The nodal admittance follows Ho, Ruehli and Brennan's modified nodal
+approach: G (conductances and VCCS transconductances), C (capacitances)
+and Gamma (inverse inductances), so that at angular frequency w
 
     Y(w) = G + jwC + Gamma/(jw).
 
-Rows and columns are ordered port 1, port 2, then the internal nodes.
-A sweep assembles Y for a fixed-length block of frequencies at once and
-eliminates the internal nodes with one stacked solve, giving the 2x2 port
-admittance as the Schur complement Yp = Ypp - Ypi Yii^-1 Yip. With real
-reference impedances and y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
+A solve is split in two, after KLU (Davis and Palamadai Natarajan, ACM
+TOMS 2010). The symbolic analysis depends only on the topology: the node
+count, the port nodes and each element's kind and nodes. It fixes a slot
+for every entry of Y that is stamped or filled in, an elimination order
+and the update program y[ij] -= y[ik] * (y[kj] / y[kk]). It is cached per
+topology (a least-recently-used cache of 64), so the many networks of one
+amplifier structure share it. The numeric part stamps a network's element
+values into those slots, assembles Y for a block of _BLOCK frequencies as
+a (slots, frequencies) array, and runs the program on its rows. Internal
+nodes are eliminated and the ports are left, which gives the 2x2 port
+admittance Yp. With real reference impedances and y' = D Yp D,
+D = diag(sqrt(z1), sqrt(z2)),
 
     S = (I - y') (I + y')^-1,
 
-written out in closed form for the 2x2 case. s_parameters_at is the same
-kernel on a block of one frequency.
+written out in closed form for the 2x2 case.
 
-Solves are dense complex LU with partial pivoting (LAPACK gesv through
-numpy.linalg.solve), one factorization per frequency, so a frequency's
-result does not depend on the block it was solved in: the same inputs
-give the same bytes, and a sweep entry equals s_parameters_at at that
-frequency bit for bit.
+There is no pivoting. The order is the passive-branch (R, L or C)
+breadth-first distance from the two ports, farthest node first, ties by
+node number; a node with no passive path to a port goes first of all. In
+an amplifier network the ladders are then eliminated from their
+terminations toward the ports, so each line node's pivot is the
+driving-point admittance of a sub-network that already contains its
+termination resistor: its real part is positive, so it cannot vanish.
+The stage branches are leaves, eliminated before the line node they hang
+from; a branch pivot is the admittance of the branch's own elements, such
+as jw(Cs + Cgs) behind a series capacitor, which vanishes at no w > 0. An
+exact zero pivot, as at a node with nothing connected or an LC tank at
+its resonance, raises SimulationError("singular nodal system at f Hz")
+naming the first such frequency; each pivot is checked once, after the
+program has run, since no pivot is written after its own elimination. A
+zero determinant of I + y' raises "singular port system at f Hz".
 
-numpy is imported inside the three functions that use it, on the first
-solve, not when this module loads. The package imports this module for
-its public names, and only a sweep needs numpy, so the CLI subcommands
-that never simulate do not pay numpy's import time (about half of their
+Determinism: same inputs give the same bytes; a sweep entry equals
+s_parameters_at at that frequency bit for bit, because every operation
+acts on each frequency alone. Results are not bit-identical to the dense
+LU solver that came before; they agree within 1e-10 relative to
+max(1, max|S|).
+
+numpy is imported inside the functions that use it, on the first solve,
+not when this module loads. The package imports this module for its
+public names, and only a sweep needs numpy, so the CLI subcommands that
+never simulate do not pay numpy's import time (about half of their
 start-up).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
@@ -52,10 +74,11 @@ if TYPE_CHECKING:
 LINEAR = "linear"
 LOG = "log"
 
-# frequencies per stacked solve: longer blocks spend less on numpy call
-# overhead but hold more memory. On the 1001-point benchmark sweeps, 16 ran
-# 15% faster than 8 at the same peak RSS; 32 gained 5% more for 0.8 MB.
-_BLOCK = 16
+# frequencies per elimination pass: each step of the program is one numpy
+# call per row, so longer blocks spread the call overhead. On the 1001-point
+# benchmark sweeps, 128 ran 10% faster than 64 at no more peak RSS; 256 ran
+# 7% faster again for 0.8 MB.
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -249,7 +272,7 @@ def s_parameters_at(net: Network, f: float):
     """S-matrix of the network at a single frequency, as a nested tuple."""
     if not 0 < f < math.inf:
         raise SimulationError(f"frequency must be positive and finite, got {f}")
-    return _solve_block(_compile(net), [f])[0]
+    return _solve(_compile(net), [f])[0]
 
 
 def sweep(
@@ -274,13 +297,9 @@ def sweep(
         raise SimulationError(f"spacing must be {LINEAR!r} or {LOG!r}, got {spacing!r}")
     freqs[0] = f_start
     freqs[-1] = f_stop
-    compiled = _compile(net)
-    matrices: list = []
-    for k in range(0, points, _BLOCK):
-        matrices += _solve_block(compiled, freqs[k : k + _BLOCK])
     return TwoPortSweep(
         frequencies=tuple(freqs),
-        s_matrices=tuple(matrices),
+        s_matrices=tuple(_solve(_compile(net), freqs)),
         reference_impedance=net.port1.z0,
     )
 
@@ -316,104 +335,213 @@ def extract_metrics(swp: TwoPortSweep) -> SweepMetrics:
     return SweepMetrics(low_freq_gain_db=ref, cutoff_hz=cutoff, worst_s11_db=worst)
 
 
-class _Compiled(NamedTuple):
-    """A network's frequency-independent nodal matrices, ports first.
+class _Plan(NamedTuple):
+    """What a topology fixes about its solve: slots, stamps and the program.
 
-    G, C and Gamma are kept at the flat indices where any of them is
-    nonzero; every other entry of Y is zero at every frequency.
+    Every entry of Y that is ever nonzero, stamped or filled in, has a slot:
+    a row of the (slots, frequencies) array the solve works on. The first
+    `reactive` slots are those a capacitor or an inductor stamps.
     """
 
-    size: int
-    nonzero: np.ndarray
-    g: np.ndarray  # conductances and transconductances
-    c: np.ndarray  # capacitances
-    gamma: np.ndarray  # inverse inductances
-    scale: np.ndarray  # sqrt(z_j * z_k): port admittance to normalised form
+    slots: int
+    reactive: int
+    stamp_slot: np.ndarray  # kind * slots + slot, for each stamp
+    stamp_element: np.ndarray  # the element each stamp takes its value from
+    stamp_sign: np.ndarray
+    program: tuple  # (kk, (kj, ...), ((ij, ik, kj), ...)) per pivot, in order
+    pivots: np.ndarray
+    ports: tuple[int, int, int, int]  # slots of Y11, Y12, Y21, Y22
+
+
+class _Compiled(NamedTuple):
+    """A network's element values stamped into its topology's plan."""
+
+    plan: _Plan
+    g: np.ndarray  # conductances and transconductances, every slot
+    c: np.ndarray  # capacitances, reactive slots
+    gamma: np.ndarray  # inverse inductances, reactive slots
+    scale: tuple[float, float, float]  # z1, sqrt(z1 z2), z2
+
+
+# stamp kinds: which of G, C and Gamma an element's value goes to
+_G, _C, _GAMMA = 0, 1, 2
+
+
+@functools.lru_cache(maxsize=64)
+def _analyse(node_count: int, port1: int, port2: int, topology: tuple) -> _Plan:
+    """Slot layout, elimination order and update program of a topology.
+
+    topology holds (kind, a, b) for each two-terminal element and
+    (_G, out_p, out_m, ctrl_p, ctrl_m) for each VCCS, in element order.
+    Entries are keyed by (row node, column node) until slots are numbered.
+    """
+    import numpy as np
+
+    entries = dict.fromkeys((k, k) for k in range(1, node_count))
+    entries.update(dict.fromkeys(((port1, port1), (port1, port2), (port2, port1), (port2, port2))))
+    stamps = []  # (kind, entry, element, sign)
+    passive: list[list[int]] = [[] for _ in range(node_count)]
+    for element, (kind, *nodes) in enumerate(topology):
+        if len(nodes) == 4:
+            out_p, out_m, ctrl_p, ctrl_m = nodes
+            pairs = ((out_p, ctrl_p, 1.0), (out_p, ctrl_m, -1.0),
+                     (out_m, ctrl_p, -1.0), (out_m, ctrl_m, 1.0))
+        else:
+            a, b = nodes
+            passive[a].append(b)
+            passive[b].append(a)
+            pairs = ((a, a, 1.0), (b, b, 1.0), (a, b, -1.0), (b, a, -1.0))
+        stamps += [(kind, (i, j), element, sign) for i, j, sign in pairs if i and j]
+    entries.update(dict.fromkeys(entry for _, entry, _, _ in stamps))
+
+    # passive-branch distance from the ports, not through ground; nodes
+    # with no such path to a port go first
+    distance = [node_count] * node_count
+    distance[port1] = distance[port2] = 0
+    frontier = [port1, port2]
+    while frontier:
+        reached = []
+        for node in frontier:
+            for nxt in passive[node]:
+                if nxt and distance[nxt] == node_count:
+                    distance[nxt] = distance[node] + 1
+                    reached.append(nxt)
+        frontier = reached
+    order = sorted(
+        (k for k in range(1, node_count) if k not in (port1, port2)),
+        key=lambda k: (-distance[k], k),
+    )
+
+    # symbolic elimination over the off-diagonal pattern of rows and columns
+    row_cols: list[set[int]] = [set() for _ in range(node_count)]
+    col_rows: list[set[int]] = [set() for _ in range(node_count)]
+    for i, j in entries:
+        if i != j:
+            row_cols[i].add(j)
+            col_rows[j].add(i)
+    program = []
+    for k in order:
+        rows, cols = sorted(col_rows[k]), sorted(row_cols[k])
+        updates = []
+        for i in rows:
+            row_cols[i].discard(k)
+            for j in cols:
+                updates.append(((i, j), (i, k), (k, j)))
+                if i != j:
+                    row_cols[i].add(j)
+                    col_rows[j].add(i)
+        for j in cols:
+            col_rows[j].discard(k)
+        program.append(((k, k), [(k, j) for j in cols], updates))
+        entries.update(dict.fromkeys(ij for ij, _, _ in updates))
+
+    # number the slots, reactive ones first
+    reactive = dict.fromkeys(entry for kind, entry, _, _ in stamps if kind != _G)
+    slot = {entry: index for index, entry in enumerate({**reactive, **entries})}
+    count = len(slot)
+    kinds, stamped, elements, signs = zip(*stamps)
+    return _Plan(
+        slots=count,
+        reactive=len(reactive),
+        stamp_slot=np.array(kinds, dtype=np.intp) * count
+        + np.array([slot[e] for e in stamped], dtype=np.intp),
+        stamp_element=np.array(elements, dtype=np.intp),
+        stamp_sign=np.array(signs),
+        program=tuple(
+            (
+                slot[kk],
+                tuple(slot[kj] for kj in kjs),
+                tuple((slot[ij], slot[ik], slot[kj]) for ij, ik, kj in updates),
+            )
+            for kk, kjs, updates in program
+        ),
+        pivots=np.array([slot[k, k] for k in order], dtype=np.intp),
+        ports=(slot[port1, port1], slot[port1, port2], slot[port2, port1], slot[port2, port2]),
+    )
 
 
 def _compile(net: Network) -> _Compiled:
-    """Stamp every element once; Y(w) = G + jwC + Gamma/(jw)."""
+    """Stamp the element values into the plan of the network's topology."""
     import numpy as np
 
-    p1, p2 = net.port1.node, net.port2.node
-    size = net.node_count - 1
-    # each node's row in the ports-first order; ground has none (-1)
-    index = [k + 1 - (p1 < k) - (p2 < k) for k in range(net.node_count)]
-    index[0], index[p1], index[p2] = -1, 0, 1
-    stamps = np.zeros((3, size, size))
-    g, c, gamma = stamps
+    topology = []
+    values = []
     for e in net.elements:
-        if isinstance(e, Vccs):
-            for out, sign_out in ((e.out_p, 1.0), (e.out_m, -1.0)):
-                for ctrl, sign_ctrl in ((e.ctrl_p, 1.0), (e.ctrl_m, -1.0)):
-                    if out and ctrl:
-                        g[index[out], index[ctrl]] += sign_out * sign_ctrl * e.gm
-            continue
         if isinstance(e, Resistor):
-            target, value = g, 1.0 / e.ohms
+            topology.append((_G, e.a, e.b))
+            values.append(1.0 / e.ohms)
         elif isinstance(e, Capacitor):
-            target, value = c, e.farads
+            topology.append((_C, e.a, e.b))
+            values.append(e.farads)
+        elif isinstance(e, Inductor):
+            topology.append((_GAMMA, e.a, e.b))
+            values.append(1.0 / e.henries)
         else:
-            target, value = gamma, 1.0 / e.henries
-        a, b = index[e.a], index[e.b]
-        if a >= 0:
-            target[a, a] += value
-        if b >= 0:
-            target[b, b] += value
-        if a >= 0 and b >= 0:
-            target[a, b] -= value
-            target[b, a] -= value
-    nonzero = np.flatnonzero(stamps.any(axis=0))
-    g, c, gamma = stamps.reshape(3, -1)[:, nonzero]
+            topology.append((_G, e.out_p, e.out_m, e.ctrl_p, e.ctrl_m))
+            values.append(e.gm)
+    plan = _analyse(net.node_count, net.port1.node, net.port2.node, tuple(topology))
+    weights = np.array(values)[plan.stamp_element] * plan.stamp_sign
+    g, c, gamma = np.bincount(plan.stamp_slot, weights, 3 * plan.slots).reshape(3, -1)
     z1, z2 = net.port1.z0, net.port2.z0
-    cross = math.sqrt(z1 * z2)
-    return _Compiled(size, nonzero, g, c, gamma, np.array([[z1, cross], [cross, z2]]))
+    reactive = plan.reactive
+    return _Compiled(plan, g, c[:reactive], gamma[:reactive], (z1, math.sqrt(z1 * z2), z2))
 
 
-def _solve_block(net: _Compiled, freqs: list[float]) -> list:
-    """S-matrices at a block of frequencies, solved as one stack."""
+def _solve(net: _Compiled, freqs: list[float]) -> list:
+    """S-matrices at the frequencies, as nested tuples, _BLOCK at a time."""
     import numpy as np
 
-    count = len(freqs)
-    w = 2.0 * math.pi * np.array(freqs)[:, None]
-    y = np.zeros((count, net.size * net.size), dtype=complex)
-    y[:, net.nonzero] = net.g + 1j * (w * net.c - net.gamma / w)
-    y = y.reshape(count, net.size, net.size)
-    y_port = y[:, :2, :2]
-    if net.size > 2:
-        y_ii = y[:, 2:, 2:]
-        try:
-            v_int = np.linalg.solve(y_ii, y[:, 2:, :2])
-        except np.linalg.LinAlgError as exc:
-            f = _first_singular(freqs, y_ii)
-            raise SimulationError(f"singular nodal system at {f} Hz: {exc}") from exc
-        y_port = y_port - y[:, :2, 2:] @ v_int
-    # S = (I - y')(I + y')^-1 with y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
-    # written out for 2x2
-    yn = y_port * net.scale
-    a, b, c, d = yn[:, 0, 0], yn[:, 0, 1], yn[:, 1, 0], yn[:, 1, 1]
-    det = (1.0 + a) * (1.0 + d) - b * c
-    zero = np.flatnonzero(det == 0)
-    if zero.size:
-        raise SimulationError(f"singular port system at {freqs[zero[0]]} Hz")
-    s = np.empty((count, 2, 2), dtype=complex)
-    s[:, 0, 0] = ((1.0 - a) * (1.0 + d) + b * c) / det
-    s[:, 0, 1] = -2.0 * b / det
-    s[:, 1, 0] = -2.0 * c / det
-    s[:, 1, 1] = ((1.0 + a) * (1.0 - d) + b * c) / det
+    plan = net.plan
+    reactive = plan.reactive
+    w_all = 2.0 * math.pi * np.array(freqs)
+    width = min(len(freqs), _BLOCK)
+    work = np.empty((plan.slots, width), dtype=complex)
+    inductive = np.empty((reactive, width))
+    s = np.empty((len(freqs), 2, 2), dtype=complex)
+    divide, multiply, subtract = np.divide, np.multiply, np.subtract
+    z1, cross, z2 = net.scale
+    i11, i12, i21, i22 = plan.ports
+    for start in range(0, len(freqs), width):
+        w = w_all[start : start + width]
+        count = len(w)
+        y = work[:, :count]
+        # Y = G + jwC + Gamma/(jw), the imaginary part only where C or
+        # Gamma stamps
+        y.real = net.g[:, None]
+        y_reactive = y.imag[:reactive]
+        multiply.outer(net.c, w, out=y_reactive)
+        divide.outer(net.gamma, w, out=inductive[:, :count])
+        subtract(y_reactive, inductive[:, :count], out=y_reactive)
+        y.imag[reactive:] = 0.0
+        rows = list(y)
+        scratch = np.empty(count, dtype=complex)
+        # a zero pivot turns its frequency's entries into inf and nan;
+        # pivot slots are never written after their elimination, so they
+        # are checked once the program has run
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for kk, kjs, updates in plan.program:
+                pivot = rows[kk]
+                for kj in kjs:
+                    divide(rows[kj], pivot, rows[kj])
+                for ij, ik, kj in updates:
+                    multiply(rows[ik], rows[kj], scratch)
+                    subtract(rows[ij], scratch, rows[ij])
+        zero = np.flatnonzero((y[plan.pivots] == 0).any(axis=0))
+        if zero.size:
+            raise SimulationError(f"singular nodal system at {freqs[start + zero[0]]} Hz")
+        # S = (I - y')(I + y')^-1 with y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
+        # written out for 2x2
+        a, b, c, d = y[i11] * z1, y[i12] * cross, y[i21] * cross, y[i22] * z2
+        det = (1.0 + a) * (1.0 + d) - b * c
+        zero = np.flatnonzero(det == 0)
+        if zero.size:
+            raise SimulationError(f"singular port system at {freqs[start + zero[0]]} Hz")
+        block = s[start : start + count]
+        block[:, 0, 0] = ((1.0 - a) * (1.0 + d) + b * c) / det
+        block[:, 0, 1] = -2.0 * b / det
+        block[:, 1, 0] = -2.0 * c / det
+        block[:, 1, 1] = ((1.0 + a) * (1.0 - d) + b * c) / det
     return [(tuple(row1), tuple(row2)) for row1, row2 in s.tolist()]
-
-
-def _first_singular(freqs: list[float], y_ii: np.ndarray) -> float:
-    """First frequency whose internal block LU meets an exact zero pivot."""
-    import numpy as np
-
-    for f, m in zip(freqs, y_ii):
-        try:
-            np.linalg.solve(m, m[:, :1])
-        except np.linalg.LinAlgError:
-            return f
-    return freqs[0]
 
 
 def _db(magnitude: float) -> float:

@@ -102,6 +102,22 @@ class TestBandwidth:
         assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bandwidth", "--cgs", "1e-12", "--cds", "nan"], 1),
+        (["taper", "--n", "3", "--cgs", "1e-12", "--cds", "nan"], 1),
+        (["bandwidth", "--cgs", "1e-12", "--taper", "ginzton"], 2),
+    ],
+)
+def test_failing_command_prints_nothing_to_stdout(capsys, argv, code):
+    # every value is computed before the first line is printed
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:" if code == 1 else "usage error:")
+
+
 class TestScreen:
     def test_ranking(self, capsys, catalog_file):
         code = run(

@@ -25,7 +25,7 @@ from dakit import (
     sweep,
     synthesize_design,
 )
-from dakit.mna import _BLOCK
+from dakit.mna import _BLOCK, _analyse, _compile
 
 # matched symmetric pi attenuator, voltage ratio A: shunt z0(A+1)/(A-1),
 # series z0(A^2-1)/(2A); reflectionless with |S21| = 1/A by construction
@@ -341,7 +341,9 @@ class TestBatchedKernel:
             for f, s in zip(swp.frequencies, swp.s_matrices):
                 assert s == s_parameters_at(net, f)
 
-    @pytest.mark.parametrize("points", [2, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    # 16, 17 and 33 straddle a 16-wide block: they stay as grids that fill
+    # part of one block, beside the boundaries of the current _BLOCK
+    @pytest.mark.parametrize("points", [2, 16, 17, 33, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
     @pytest.mark.parametrize("spacing", [LINEAR, LOG])
     def test_grid_matches_dense_reference(self, points, spacing, fr4):
         nets = (build_network(proto_amp()), build_network(lossy_series_amp(fr4)), lc_ladder())
@@ -413,6 +415,93 @@ def test_passive_ladder_reciprocal_and_bounded(net):
         assert abs(s12 - s21) <= 1e-12
         largest = np.linalg.norm(np.array([[s11, s12], [s21, s22]]), 2)
         assert largest <= 1.0 + 1e-12
+
+
+def assert_matches_dense(net: Network, swp: TwoPortSweep) -> None:
+    for f, s in zip(swp.frequencies, swp.s_matrices):
+        want = dense_reference(net, f)
+        err = np.max(np.abs(np.array(s) - want))
+        assert err <= 1e-10 * max(1.0, np.max(np.abs(want))), f
+
+
+@st.composite
+def active_ladders(draw) -> Network:
+    # an RLC ladder whose shunts may be two-element leaves (series LC, RC
+    # or RL through a node of their own), plus random VCCS, some feeding
+    # back toward port 1
+    sections = draw(st.integers(1, 6))
+    last = sections + 1
+    nodes = last + 1
+    elements: list = []
+    for k in range(1, sections + 1):
+        kind = draw(st.sampled_from(tuple(_LADDER_VALUES)))
+        elements.append(kind(k, k + 1, draw(_LADDER_VALUES[kind])))
+        leaf = draw(st.sampled_from((None, (Inductor, Capacitor), (Resistor, Capacitor), (Resistor, Inductor))))
+        if leaf is None:
+            kind = draw(st.sampled_from(tuple(_LADDER_VALUES)))
+            elements.append(kind(k + 1, 0, draw(_LADDER_VALUES[kind])))
+        else:
+            first, second = draw(st.permutations(leaf))
+            elements.append(first(k + 1, nodes, draw(_LADDER_VALUES[first])))
+            elements.append(second(nodes, 0, draw(_LADDER_VALUES[second])))
+            nodes += 1
+    ohms = st.floats(10.0, 200.0)
+    elements += [Resistor(1, 0, draw(ohms)), Resistor(last, 0, draw(ohms))]
+    node = st.integers(0, nodes - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        # forward sources drive toward port 2, feedback ones toward port 1
+        lo, hi = sorted(draw(st.tuples(st.integers(1, nodes - 1), st.integers(1, nodes - 1))))
+        out, ctrl = (lo, hi) if draw(st.booleans()) else (hi, lo)
+        gm = draw(st.floats(-0.05, 0.05))
+        elements.append(Vccs(out, draw(node), ctrl, draw(node), gm))
+    return Network(nodes, tuple(elements), Port(1, draw(ohms)), Port(last, draw(ohms)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(active_ladders())
+def test_active_ladder_matches_dense_reference(net):
+    assert_matches_dense(net, sweep(net, 10e6, 100e9, 41, LOG))
+
+
+def test_series_lc_shunt_across_resonance():
+    # a series 2 nH + 0.5 pF leaf from the middle of a 50-ohm through path
+    # to ground: a notch at f0 = 1/(2 pi sqrt(LC)) = 5.03 GHz
+    henries, farads = 2e-9, 0.5e-12
+    net = Network(
+        5,
+        (
+            Resistor(1, 0, 50.0),
+            Inductor(1, 2, 1e-9),
+            Inductor(2, 3, 1e-9),
+            Inductor(2, 4, henries),
+            Capacitor(4, 0, farads),
+            Resistor(3, 0, 50.0),
+        ),
+        Port(1),
+        Port(3),
+    )
+    f0 = 1.0 / (2.0 * math.pi * math.sqrt(henries * farads))
+    swp = sweep(net, 0.9 * f0, 1.1 * f0, 2 * _BLOCK + 1)
+    assert_matches_dense(net, swp)
+    s21 = [abs(m[1][0]) for m in swp.s_matrices]
+    notch = min(range(len(s21)), key=s21.__getitem__)
+    assert abs(swp.frequencies[notch] - f0) <= 0.2 * f0 / (2 * _BLOCK)
+    assert s21[notch] < 1e-3 < s21[0]
+
+
+def test_same_topology_shares_one_analysis():
+    rep = proto_amp()
+    hot = TransistorModel(name="HOT", gm=0.1, cgs=0.8e-12, cds=0.3e-12)
+    base, other = build_network(rep), build_network(rep, hot)
+    assert base.elements != other.elements
+    _analyse.cache_clear()
+    assert _compile(base).plan is _compile(other).plan
+    assert _analyse.cache_info().misses == 1
+    cached = [sweep(net, 10e6, 15e9, _BLOCK + 1) for net in (base, other)]
+    _analyse.cache_clear()
+    fresh = [sweep(net, 10e6, 15e9, _BLOCK + 1) for net in (base, other)]
+    assert cached == fresh
+    assert cached[0] != cached[1]
 
 
 def synthetic_sweep(freqs, s21_mags, s11_mags):
