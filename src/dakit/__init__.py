@@ -28,7 +28,6 @@ from .device import (
     VerificationRow,
     builtin_table1,
     effective_gate_capacitance,
-    estimate_cgs,
     load_catalog,
     serialize_catalog,
 )
@@ -46,13 +45,11 @@ from .ladder import (
     LineCell,
     LineSection,
     cell_for_impedance,
-    char_impedance,
     cutoff_frequency,
     drain_loss_per_cell,
     drain_section,
     gate_loss_per_cell,
     gate_section,
-    phase_velocity,
     propagation_constant,
 )
 from .microstrip import (

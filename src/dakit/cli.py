@@ -206,9 +206,12 @@ def _cmd_design(args) -> int:
         design_frequency_hz=args.f_loss,
     )
     report = design_mod.synthesize_design(t, substrate, options)
+    # files are written before anything is printed, so a failed write
+    # leaves stdout empty
+    if args.out:
+        _write_text(args.out, design_mod.report_to_json(report))
     _print_report(report)
     if args.out:
-        Path(args.out).write_text(design_mod.report_to_json(report))
         print(f"report_written = {args.out}")
     return 0
 
@@ -231,6 +234,10 @@ def _cmd_simulate(args) -> int:
     net = mna.build_network(report)
     swp = mna.sweep(net, args.fstart, args.fstop, args.points, spacing=args.spacing)
     metrics = mna.extract_metrics(swp)
+    if args.out:
+        write_touchstone(swp, args.out)
+    if args.csv:
+        write_csv(swp, args.csv)
     print(f"low_freq_gain_db = {_fmt(metrics.low_freq_gain_db)}")
     if metrics.cutoff_hz is None:
         print("cutoff_hz = none")
@@ -238,10 +245,8 @@ def _cmd_simulate(args) -> int:
         print(f"cutoff_hz = {_fmt(metrics.cutoff_hz)}")
     print(f"worst_s11_db = {_fmt(metrics.worst_s11_db)}")
     if args.out:
-        write_touchstone(swp, args.out)
         print(f"touchstone_written = {args.out}")
     if args.csv:
-        write_csv(swp, args.csv)
         print(f"csv_written = {args.csv}")
     return 0
 
@@ -337,8 +342,11 @@ def _read_text(path: str) -> str:
 def _write_text(destination, text: str) -> None:
     if hasattr(destination, "write"):
         destination.write(text)
-    else:
+        return
+    try:
         Path(destination).write_text(text)
+    except OSError as exc:
+        raise DakitError(f"cannot write {destination}: {exc}") from exc
 
 
 if __name__ == "__main__":

@@ -134,8 +134,10 @@ class DesignReport:
 
 def max_capacitance_for_bandwidth(f: float, z0: float = 50.0) -> float:
     """Largest shunt capacitance per cell keeping the cutoff at or above f."""
-    if f <= 0 or z0 <= 0:
-        raise DesignError("frequency and impedance must be positive")
+    if not (0 < f < math.inf and 0 < z0 < math.inf):
+        raise DesignError(
+            f"frequency and impedance must be positive and finite, got {f} and {z0}"
+        )
     return 1.0 / (math.pi * z0 * f)
 
 
@@ -146,8 +148,10 @@ def series_cap_for_target(cgs: float, c_eff_target: float) -> tuple[float, float
     the voltage divider leaves a fraction target/cgs of the drive on the
     gate, which is the multiplicative gain penalty.
     """
-    if cgs <= 0 or c_eff_target <= 0:
-        raise DesignError("capacitances must be positive")
+    if not (0 < cgs < math.inf and 0 < c_eff_target < math.inf):
+        raise DesignError(
+            f"capacitances must be positive and finite, got {cgs} and {c_eff_target}"
+        )
     if c_eff_target >= cgs:
         raise DesignError(
             f"target {c_eff_target} F is not below cgs {cgs} F; "
@@ -171,8 +175,8 @@ def screen_catalog(
     devices that still miss the target are kept with a note rather than
     dropped, so the ranking shows the whole field.
     """
-    if f_target <= 0:
-        raise DesignError("target cutoff must be positive")
+    if not 0 < f_target < math.inf:
+        raise DesignError(f"target cutoff must be positive and finite, got {f_target}")
     results = []
     for t in catalog.transistors:
         fc = ladder.cutoff_frequency(z0, t.cgs)

@@ -193,16 +193,6 @@ def effective_gate_capacitance(cgs: float, cseries: float | None = None) -> floa
     return cseries * cgs / (cseries + cgs)
 
 
-def estimate_cgs(cox_per_area: float, width: float, length: float) -> float:
-    """Plate-capacitor estimate C = C_ox'' * W * L for a MOS input capacitance.
-
-    cox_per_area is in F/m^2, width and length in metres.
-    """
-    if cox_per_area < 0 or width < 0 or length < 0:
-        raise CatalogError("cox_per_area, width and length must all be >= 0")
-    return cox_per_area * width * length
-
-
 def builtin_table1() -> tuple[VerificationRow, ...]:
     """Survey of published distributed amplifiers with their input-capacitance
     bandwidth limits on 50 ohm lines.

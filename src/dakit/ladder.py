@@ -56,13 +56,6 @@ class LineSection:
     y_shunt: complex
 
 
-def char_impedance(inductance: float, capacitance: float) -> float:
-    """sqrt(L/C) for one cell."""
-    if inductance <= 0 or capacitance <= 0:
-        raise DesignError("inductance and capacitance must be positive")
-    return math.sqrt(inductance / capacitance)
-
-
 def cell_for_impedance(z0: float, capacitance: float) -> LineCell:
     """Size the cell inductance L = Z0^2*C that pairs with a given shunt C."""
     if not 0 < z0 < math.inf:
@@ -79,13 +72,6 @@ def cutoff_frequency(z0: float, capacitance: float) -> float:
             f"impedance and capacitance must be positive and finite, got {z0} and {capacitance}"
         )
     return 1.0 / (math.pi * z0 * capacitance)
-
-
-def phase_velocity(inductance: float, capacitance: float) -> float:
-    """Cells per second: 1/sqrt(L*C)."""
-    if inductance <= 0 or capacitance <= 0:
-        raise DesignError("inductance and capacitance must be positive")
-    return 1.0 / math.sqrt(inductance * capacitance)
 
 
 def gate_loss_per_cell(f: float, ri: float, cgs: float, z0: float) -> float:

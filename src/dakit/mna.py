@@ -17,12 +17,17 @@ count, the port nodes and each element's kind and nodes. It fixes a slot
 for every entry of Y that is stamped or filled in, an elimination order
 and the update program y[ij] -= y[ik] * (y[kj] / y[kk]). It is cached per
 topology (a least-recently-used cache of 64), so the many networks of one
-amplifier structure share it. The numeric part stamps a network's element
-values into those slots, assembles Y for a block of _BLOCK frequencies as
-a (slots, frequencies) array, and runs the program on its rows. Internal
-nodes are eliminated and the ports are left, which gives the 2x2 port
-admittance Yp. With real reference impedances and y' = D Yp D,
-D = diag(sqrt(z1), sqrt(z2)),
+amplifier structure share it. The checks that depend on the topology
+alone (node ranges, distinct ports, self-shorts, a passive path from each
+port to ground) live in that analysis too, so they run once per topology.
+A Network reads its elements once, at construction: it checks their
+values, records its topology and stamp values, and runs the analysis, so
+a bad network is still refused there with DesignError. The numeric part
+stamps the recorded values into the slots, assembles Y for a block of
+_BLOCK frequencies as a (slots, frequencies) array, and runs the program
+on its rows. Internal nodes are eliminated and the ports are left, which
+gives the 2x2 port admittance Yp. With real reference impedances and
+y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
 
     S = (I - y') (I + y')^-1,
 
@@ -50,11 +55,11 @@ acts on each frequency alone. Results are not bit-identical to the dense
 LU solver that came before; they agree within 1e-10 relative to
 max(1, max|S|).
 
-numpy is imported inside the functions that use it, on the first solve,
-not when this module loads. The package imports this module for its
-public names, and only a sweep needs numpy, so the CLI subcommands that
-never simulate do not pay numpy's import time (about half of their
-start-up).
+numpy is imported inside the functions that use it, not when this module
+loads: the analysis loads it, at the first Network construction. The
+package imports this module for its public names, and only simulate
+builds a network, so the CLI subcommands that never simulate do not pay
+numpy's import time (about half of their start-up).
 """
 
 from __future__ import annotations
@@ -79,6 +84,9 @@ LOG = "log"
 # benchmark sweeps, 128 ran 10% faster than 64 at no more peak RSS; 256 ran
 # 7% faster again for 0.8 MB.
 _BLOCK = 128
+
+# stamp kinds: which of G, C and Gamma an element's value goes to
+_G, _C, _GAMMA = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -129,63 +137,39 @@ class Network:
     port2: Port
 
     def __post_init__(self) -> None:
-        if self.node_count < 2:
-            raise DesignError("network needs at least ground and one more node")
         for port in (self.port1, self.port2):
-            if not 0 < port.node < self.node_count:
-                raise DesignError(f"port node {port.node} out of range (and not ground)")
             # "not in range" rejects NaN too
             if not 0 < port.z0 < math.inf:
                 raise DesignError(
                     f"port reference impedance must be positive and finite, got {port.z0}"
                 )
-        if self.port1.node == self.port2.node:
-            raise DesignError("ports must sit on distinct nodes")
+        # one pass over the elements checks each value and records the
+        # topology entry and stamp value that _compile needs
+        topology = []
+        values = []
         for e in self.elements:
-            self._check_element(e)
-        self._check_port_grounding()
-
-    def _check_element(self, e) -> None:
-        if isinstance(e, (Resistor, Capacitor, Inductor)):
-            nodes = (e.a, e.b)
-            value = e.ohms if isinstance(e, Resistor) else (
-                e.farads if isinstance(e, Capacitor) else e.henries
-            )
+            if isinstance(e, Vccs):
+                if not math.isfinite(e.gm):
+                    raise DesignError(f"transconductance must be finite: {e}")
+                topology.append((_G, e.out_p, e.out_m, e.ctrl_p, e.ctrl_m))
+                values.append(e.gm)
+                continue
+            if isinstance(e, Inductor):
+                kind, value = _GAMMA, e.henries
+            elif isinstance(e, Capacitor):
+                kind, value = _C, e.farads
+            elif isinstance(e, Resistor):
+                kind, value = _G, e.ohms
+            else:
+                raise DesignError(f"unknown element type: {e!r}")
             if not 0 < value < math.inf:
                 raise DesignError(f"element value must be positive and finite: {e}")
-            if e.a == e.b:
-                raise DesignError(f"element shorts a node to itself: {e}")
-        elif isinstance(e, Vccs):
-            if not math.isfinite(e.gm):
-                raise DesignError(f"transconductance must be finite: {e}")
-            nodes = (e.out_p, e.out_m, e.ctrl_p, e.ctrl_m)
-        else:
-            raise DesignError(f"unknown element type: {e!r}")
-        for n in nodes:
-            if not 0 <= n < self.node_count:
-                raise DesignError(f"node {n} out of range in {e}")
-
-    def _check_port_grounding(self) -> None:
-        # DC-wise floating ports make the port admittance meaningless, so
-        # require a passive path to ground before any solve is attempted
-        adj: dict[int, set[int]] = {}
-        for e in self.elements:
-            if isinstance(e, (Resistor, Capacitor, Inductor)):
-                adj.setdefault(e.a, set()).add(e.b)
-                adj.setdefault(e.b, set()).add(e.a)
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            node = frontier.pop()
-            for nxt in adj.get(node, ()):
-                if nxt not in reached:
-                    reached.add(nxt)
-                    frontier.append(nxt)
-        for port in (self.port1, self.port2):
-            if port.node not in reached:
-                raise DesignError(
-                    f"port node {port.node} has no passive path to ground"
-                )
+            topology.append((kind, e.a, e.b))
+            values.append(value if kind == _C else 1.0 / value)
+        object.__setattr__(self, "_topology", tuple(topology))
+        object.__setattr__(self, "_values", tuple(values))
+        # refuses a bad topology here; a cached topology was checked before
+        _analyse(self.node_count, self.port1.node, self.port2.node, self._topology)
 
 
 @dataclass(frozen=True)
@@ -363,10 +347,6 @@ class _Compiled(NamedTuple):
     scale: tuple[float, float, float]  # z1, sqrt(z1 z2), z2
 
 
-# stamp kinds: which of G, C and Gamma an element's value goes to
-_G, _C, _GAMMA = 0, 1, 2
-
-
 @functools.lru_cache(maxsize=64)
 def _analyse(node_count: int, port1: int, port2: int, topology: tuple) -> _Plan:
     """Slot layout, elimination order and update program of a topology.
@@ -374,25 +354,53 @@ def _analyse(node_count: int, port1: int, port2: int, topology: tuple) -> _Plan:
     topology holds (kind, a, b) for each two-terminal element and
     (_G, out_p, out_m, ctrl_p, ctrl_m) for each VCCS, in element order.
     Entries are keyed by (row node, column node) until slots are numbered.
+
+    It also refuses a bad topology with DesignError. Exceptions are not
+    cached, so the same topology is refused again the next time.
     """
     import numpy as np
 
+    if node_count < 2:
+        raise DesignError("network needs at least ground and one more node")
+    for port in (port1, port2):
+        if not 0 < port < node_count:
+            raise DesignError(f"port node {port} out of range (and not ground)")
+    if port1 == port2:
+        raise DesignError("ports must sit on distinct nodes")
     entries = dict.fromkeys((k, k) for k in range(1, node_count))
     entries.update(dict.fromkeys(((port1, port1), (port1, port2), (port2, port1), (port2, port2))))
     stamps = []  # (kind, entry, element, sign)
     passive: list[list[int]] = [[] for _ in range(node_count)]
     for element, (kind, *nodes) in enumerate(topology):
+        for n in nodes:
+            if not 0 <= n < node_count:
+                raise DesignError(f"node {n} out of range in element {element}")
         if len(nodes) == 4:
             out_p, out_m, ctrl_p, ctrl_m = nodes
             pairs = ((out_p, ctrl_p, 1.0), (out_p, ctrl_m, -1.0),
                      (out_m, ctrl_p, -1.0), (out_m, ctrl_m, 1.0))
         else:
             a, b = nodes
+            if a == b:
+                raise DesignError(f"element {element} shorts node {a} to itself")
             passive[a].append(b)
             passive[b].append(a)
             pairs = ((a, a, 1.0), (b, b, 1.0), (a, b, -1.0), (b, a, -1.0))
         stamps += [(kind, (i, j), element, sign) for i, j, sign in pairs if i and j]
     entries.update(dict.fromkeys(entry for _, entry, _, _ in stamps))
+
+    # DC-wise floating ports make the port admittance meaningless, so
+    # require a passive path to ground before any solve is attempted
+    grounded = {0}
+    frontier = [0]
+    while frontier:
+        for nxt in passive[frontier.pop()]:
+            if nxt not in grounded:
+                grounded.add(nxt)
+                frontier.append(nxt)
+    for port in (port1, port2):
+        if port not in grounded:
+            raise DesignError(f"port node {port} has no passive path to ground")
 
     # passive-branch distance from the ports, not through ground; nodes
     # with no such path to a port go first
@@ -461,26 +469,11 @@ def _analyse(node_count: int, port1: int, port2: int, topology: tuple) -> _Plan:
 
 
 def _compile(net: Network) -> _Compiled:
-    """Stamp the element values into the plan of the network's topology."""
+    """Stamp the network's recorded values into the plan of its topology."""
     import numpy as np
 
-    topology = []
-    values = []
-    for e in net.elements:
-        if isinstance(e, Resistor):
-            topology.append((_G, e.a, e.b))
-            values.append(1.0 / e.ohms)
-        elif isinstance(e, Capacitor):
-            topology.append((_C, e.a, e.b))
-            values.append(e.farads)
-        elif isinstance(e, Inductor):
-            topology.append((_GAMMA, e.a, e.b))
-            values.append(1.0 / e.henries)
-        else:
-            topology.append((_G, e.out_p, e.out_m, e.ctrl_p, e.ctrl_m))
-            values.append(e.gm)
-    plan = _analyse(net.node_count, net.port1.node, net.port2.node, tuple(topology))
-    weights = np.array(values)[plan.stamp_element] * plan.stamp_sign
+    plan = _analyse(net.node_count, net.port1.node, net.port2.node, net._topology)
+    weights = np.array(net._values)[plan.stamp_element] * plan.stamp_sign
     g, c, gamma = np.bincount(plan.stamp_slot, weights, 3 * plan.slots).reshape(3, -1)
     z1, z2 = net.port1.z0, net.port2.z0
     reactive = plan.reactive

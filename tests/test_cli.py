@@ -10,7 +10,14 @@ from pathlib import Path
 import pytest
 
 import dakit
-from dakit import TwoPortSweep, report_from_json
+from dakit import (
+    Substrate,
+    TwoPortSweep,
+    load_catalog,
+    report_from_json,
+    report_to_json,
+    synthesize_design,
+)
 from dakit.cli import run, write_csv, write_touchstone
 
 CATALOG = {
@@ -102,17 +109,33 @@ class TestBandwidth:
         assert capsys.readouterr().err.startswith("error:")
 
 
+_GAN_ON_FR4 = ["--transistor", "GAN-1", "--er", "4.4", "--h", "1.6", "--t", "0.035"]
+_SIMULATE = ["simulate", "--design", "{design}", "--fstart", "1e7", "--fstop", "8e9", "--points", "5"]
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
         (["bandwidth", "--cgs", "1e-12", "--cds", "nan"], 1),
         (["taper", "--n", "3", "--cgs", "1e-12", "--cds", "nan"], 1),
         (["bandwidth", "--cgs", "1e-12", "--taper", "ginzton"], 2),
+        (["design", "--catalog", "{catalog}", *_GAN_ON_FR4, "--out", "{missing}/x.json"], 1),
+        ([*_SIMULATE, "--csv", "{missing}/x.csv"], 1),
+        ([*_SIMULATE, "--out", "{missing}/x.s2p"], 1),
+        (["screen", "--catalog", "{catalog}", "--target-fc", "nan"], 1),
+        (["screen", "--catalog", "{catalog}", "--target-fc", "inf", "--allow-series"], 1),
     ],
 )
-def test_failing_command_prints_nothing_to_stdout(capsys, argv, code):
-    # every value is computed before the first line is printed
-    assert run(argv) == code
+def test_failing_command_prints_nothing_to_stdout(capsys, catalog_file, tmp_path, argv, code):
+    # every value is computed, and every file written, before the first
+    # line is printed
+    design = tmp_path / "design.json"
+    catalog = load_catalog(Path(catalog_file).read_text())
+    design.write_text(
+        report_to_json(synthesize_design(catalog.get("GAN-1"), Substrate(4.4, 1.6, 0.035)))
+    )
+    paths = {"catalog": catalog_file, "design": design, "missing": tmp_path / "missing"}
+    assert run([arg.format(**paths) for arg in argv]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:" if code == 1 else "usage error:")

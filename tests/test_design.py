@@ -86,6 +86,18 @@ def test_series_cap_for_target_values():
     assert math.isclose(penalty, 0.17782122905027933, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_bandwidth_helpers_reject_non_finite_inputs(bad):
+    with pytest.raises(DesignError):
+        max_capacitance_for_bandwidth(bad)
+    with pytest.raises(DesignError):
+        max_capacitance_for_bandwidth(10e9, bad)
+    with pytest.raises(DesignError):
+        series_cap_for_target(bad, 1e-12)
+    with pytest.raises(DesignError):
+        series_cap_for_target(1.79e-12, bad)
+
+
 def test_series_cap_for_target_rejects_unreachable():
     with pytest.raises(DesignError):
         series_cap_for_target(1.79e-12, 1.79e-12)
@@ -132,6 +144,12 @@ class TestScreening:
     def test_rejects_bad_target(self):
         with pytest.raises(DesignError):
             screen_catalog(self.catalog(), 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("allow_series", [False, True])
+    def test_rejects_non_finite_target(self, bad, allow_series):
+        with pytest.raises(DesignError, match="target cutoff"):
+            screen_catalog(self.catalog(), bad, allow_series=allow_series)
 
 
 class TestPredictBandwidth:

@@ -10,7 +10,6 @@ from dakit import (
     TransistorModel,
     builtin_table1,
     effective_gate_capacitance,
-    estimate_cgs,
     load_catalog,
     serialize_catalog,
 )
@@ -182,18 +181,6 @@ def test_effective_capacitance_rejects_nonpositive():
     for cgs, cseries in ((math.nan, None), (math.inf, None), (1e-12, math.nan), (1e-12, math.inf)):
         with pytest.raises(CatalogError):
             effective_gate_capacitance(cgs, cseries)
-
-
-def test_estimate_cgs_plate_formula():
-    c = estimate_cgs(3.44e-3, 200e-6, 0.18e-6)
-    assert math.isclose(c, 1.2384e-13, rel_tol=1e-12)
-    # lands on the 124 fF survey device within half a percent
-    assert math.isclose(c, 124e-15, rel_tol=5e-3)
-
-
-def test_estimate_cgs_rejects_negative():
-    with pytest.raises(CatalogError):
-        estimate_cgs(-1e-3, 1e-6, 1e-6)
 
 
 def test_builtin_table_shape_and_values():

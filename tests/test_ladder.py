@@ -8,19 +8,13 @@ from dakit import (
     DesignError,
     LineCell,
     cell_for_impedance,
-    char_impedance,
     cutoff_frequency,
     drain_loss_per_cell,
     drain_section,
     gate_loss_per_cell,
     gate_section,
-    phase_velocity,
     propagation_constant,
 )
-
-
-def test_char_impedance():
-    assert math.isclose(char_impedance(1e-9, 1e-12), math.sqrt(1000.0), rel_tol=1e-12)
 
 
 def test_cell_for_impedance_sizes_inductor():
@@ -76,10 +70,6 @@ def test_non_finite_values_rejected(bad):
 def test_cutoff_frequency_values():
     assert math.isclose(cutoff_frequency(50.0, 1.79e-12), 3556535041.1596723, rel_tol=1e-12)
     assert math.isclose(cutoff_frequency(50.0, 1.79e-12), 3.557e9, rel_tol=1e-3)
-
-
-def test_phase_velocity():
-    assert math.isclose(phase_velocity(2.5e-9, 1e-12), 2e10, rel_tol=1e-12)
 
 
 def test_gate_loss_per_cell_value():

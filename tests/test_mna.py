@@ -111,15 +111,24 @@ class TestNetworkValidation:
         with pytest.raises(DesignError):
             Network(3, (Resistor(1, 0, 50.0), load), Port(1, bad), Port(2))
 
+    # the topology checks run in the cached analysis; a refused topology is
+    # not cached, so building the same bad network again is refused again
+
     def test_self_loop_rejected(self):
-        with pytest.raises(DesignError):
-            Network(3, (Resistor(1, 1, 50.0), Resistor(2, 0, 50.0)), Port(1), Port(2))
+        for _ in range(2):
+            with pytest.raises(DesignError):
+                Network(3, (Resistor(1, 1, 50.0), Resistor(2, 0, 50.0)), Port(1), Port(2))
+            # both ports grounded, so only the self-short check refuses it
+            loads = (Resistor(1, 0, 50.0), Resistor(2, 0, 50.0))
+            with pytest.raises(DesignError, match="itself"):
+                Network(3, (*loads, Capacitor(2, 2, 1e-12)), Port(1), Port(2))
 
     def test_element_nodes_in_range(self):
-        with pytest.raises(DesignError):
-            Network(3, (Resistor(1, 7, 50.0),), Port(1), Port(2))
-        with pytest.raises(DesignError):
-            Network(3, (Vccs(1, 0, 9, 0, 0.01), Resistor(1, 0, 50.0), Resistor(2, 0, 50.0)), Port(1), Port(2))
+        for _ in range(2):
+            with pytest.raises(DesignError):
+                Network(3, (Resistor(1, 7, 50.0),), Port(1), Port(2))
+            with pytest.raises(DesignError):
+                Network(3, (Vccs(1, 0, 9, 0, 0.01), Resistor(1, 0, 50.0), Resistor(2, 0, 50.0)), Port(1), Port(2))
 
     def test_unknown_element_rejected(self):
         with pytest.raises(DesignError):
@@ -127,13 +136,14 @@ class TestNetworkValidation:
 
     def test_floating_port_rejected(self):
         # node 2 is only driven by the vccs; no passive path to ground
-        with pytest.raises(DesignError):
-            Network(
-                3,
-                (Resistor(1, 0, 50.0), Vccs(2, 0, 1, 0, 0.05)),
-                Port(1),
-                Port(2),
-            )
+        for _ in range(2):
+            with pytest.raises(DesignError):
+                Network(
+                    3,
+                    (Resistor(1, 0, 50.0), Vccs(2, 0, 1, 0, 0.05)),
+                    Port(1),
+                    Port(2),
+                )
 
 
 class TestSParameters:
@@ -502,6 +512,15 @@ def test_same_topology_shares_one_analysis():
     fresh = [sweep(net, 10e6, 15e9, _BLOCK + 1) for net in (base, other)]
     assert cached == fresh
     assert cached[0] != cached[1]
+
+
+def test_construction_analyses_each_topology_once():
+    rep = proto_amp()
+    hot = TransistorModel(name="HOT", gm=0.1, cgs=0.8e-12, cds=0.3e-12)
+    _analyse.cache_clear()
+    build_network(rep)
+    build_network(rep, hot)
+    assert _analyse.cache_info().misses == 1
 
 
 def synthetic_sweep(freqs, s21_mags, s11_mags):
