@@ -334,9 +334,11 @@ def _fmt(value: float) -> str:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DakitError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DakitError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
 
 
 def _write_text(destination, text: str) -> None:
@@ -344,7 +346,7 @@ def _write_text(destination, text: str) -> None:
         destination.write(text)
         return
     try:
-        Path(destination).write_text(text)
+        Path(destination).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise DakitError(f"cannot write {destination}: {exc}") from exc
 

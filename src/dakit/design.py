@@ -330,6 +330,8 @@ def report_from_json(text: str) -> DesignReport:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DesignError(f"report is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DesignError("report JSON is nested too deeply to read") from exc
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema == "design_report_v1":
         raise DesignError("design_report_v1 is no longer read; re-run `dakit design ... --out`")

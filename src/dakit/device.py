@@ -111,6 +111,8 @@ def load_catalog(text: str, source: str = "") -> Catalog:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CatalogError(f"catalog is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CatalogError("catalog JSON is nested too deeply to read") from exc
     if not isinstance(doc, dict) or set(doc) != {"transistors"}:
         raise CatalogError('catalog must be an object with a single "transistors" array')
     entries = doc["transistors"]

@@ -54,8 +54,7 @@ def power_gain_lossy(gm: float, z0g: float, z0d: float, ag: float, ad: float, n:
     figure at ag = ad = 0.
     """
     _check_common(gm, z0g, z0d, n)
-    if ag < 0 or ad < 0:
-        raise DesignError("per-cell attenuations must be >= 0")
+    _check_losses(ag, ad)
     base = gm * gm * z0g * z0d / 4.0
     if abs(ag - ad) < 1e-12:
         factor = n * math.exp(-(n - 1) * ag)
@@ -69,8 +68,7 @@ def n_opt_from_losses(ag: float, ad: float) -> float:
 
     Returns inf when either attenuation is zero (gain then grows with n).
     """
-    if ag < 0 or ad < 0:
-        raise DesignError("per-cell attenuations must be >= 0")
+    _check_losses(ag, ad)
     if ag == 0.0 or ad == 0.0:
         return math.inf
     if abs(ag - ad) < 1e-12:
@@ -85,9 +83,11 @@ def n_opt_from_params(f: float, ri: float, cgs: float, rds: float, z0: float) ->
     algebraically the same point as n_opt_from_losses applied to the
     small-loss per-cell attenuations. x -> 1 degenerates to 2*rds/z0.
     """
-    if f <= 0 or ri <= 0 or cgs <= 0 or z0 <= 0:
-        raise DesignError("f, ri, cgs and z0 must be positive")
-    if rds <= 0 or math.isinf(rds):
+    # written as "not in range" so that NaN, which fails every comparison,
+    # is rejected too
+    if not all(0 < x < math.inf for x in (f, ri, cgs, z0)):
+        raise DesignError("f, ri, cgs and z0 must be positive and finite")
+    if not 0 < rds < math.inf:
         raise DesignError("rds must be positive and finite")
     w = 2.0 * math.pi * f
     x = w * w * ri * cgs * cgs * rds
@@ -107,9 +107,14 @@ def recommended_n(n_opt: float) -> int:
 
 
 def _check_common(gm: float, z0g: float, z0d: float, n: int) -> None:
-    if gm <= 0:
-        raise DesignError(f"gm must be positive, got {gm}")
-    if z0g <= 0 or z0d <= 0:
-        raise DesignError("line impedances must be positive")
+    if not 0 < gm < math.inf:
+        raise DesignError(f"gm must be positive and finite, got {gm}")
+    if not (0 < z0g < math.inf and 0 < z0d < math.inf):
+        raise DesignError("line impedances must be positive and finite")
     if not isinstance(n, int) or n < 1:
         raise DesignError(f"stage count must be a positive integer, got {n!r}")
+
+
+def _check_losses(ag: float, ad: float) -> None:
+    if not (0 <= ag < math.inf and 0 <= ad < math.inf):
+        raise DesignError("per-cell attenuations must be >= 0 and finite")

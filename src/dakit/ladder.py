@@ -80,18 +80,18 @@ def gate_loss_per_cell(f: float, ri: float, cgs: float, z0: float) -> float:
     For a series-RC input branch with omega*ri*cgs << 1 the per-cell
     attenuation reduces to (2*pi*f)^2 * ri * cgs^2 * z0 / 2.
     """
-    if f <= 0:
-        raise DesignError(f"frequency must be positive, got {f}")
-    if ri < 0 or cgs <= 0 or z0 <= 0:
-        raise DesignError("ri must be >= 0; cgs and z0 must be positive")
+    _check_frequency(f)
+    if not (0 <= ri < math.inf and 0 < cgs < math.inf and 0 < z0 < math.inf):
+        raise DesignError("ri must be >= 0 and finite; cgs and z0 must be positive and finite")
     w = 2.0 * math.pi * f
     return w * w * ri * cgs * cgs * z0 / 2.0
 
 
 def drain_loss_per_cell(z0: float, rds: float) -> float:
     """Per-cell drain attenuation z0/(2*rds) in nepers; 0 for rds = inf."""
-    if z0 <= 0 or rds <= 0:
-        raise DesignError("z0 and rds must be positive")
+    # rds = inf is the lossless limit, so only z0 must be finite
+    if not (0 < z0 < math.inf and 0 < rds <= math.inf):
+        raise DesignError("z0 and rds must be positive, and z0 finite")
     return z0 / (2.0 * rds)
 
 
@@ -109,12 +109,10 @@ def gate_section(
     physical length. The segment's own distributed capacitance, taken as
     cell.capacitance/length, is normally neglected; the flag adds it back.
     """
-    if f <= 0:
-        raise DesignError(f"frequency must be positive, got {f}")
-    if length <= 0:
-        raise DesignError(f"length must be positive, got {length}")
-    if ri < 0 or cgs <= 0:
-        raise DesignError("ri must be >= 0 and cgs positive")
+    _check_frequency(f)
+    _check_length(length)
+    if not (0 <= ri < math.inf and 0 < cgs < math.inf):
+        raise DesignError("ri must be >= 0 and finite; cgs must be positive and finite")
     w = 2.0 * math.pi * f
     z = 1j * w * cell.inductance / length
     y = 1j * w * cgs / (length * (1.0 + 1j * w * ri * cgs))
@@ -136,12 +134,10 @@ def drain_section(
     The device output (cds shunted by rds) is spread over the cell's
     physical length; rds = inf drops the conductance term.
     """
-    if f <= 0:
-        raise DesignError(f"frequency must be positive, got {f}")
-    if length <= 0:
-        raise DesignError(f"length must be positive, got {length}")
-    if rds <= 0 or cds <= 0:
-        raise DesignError("rds and cds must be positive")
+    _check_frequency(f)
+    _check_length(length)
+    if not (0 < rds <= math.inf and 0 < cds < math.inf):
+        raise DesignError("rds and cds must be positive, and cds finite")
     w = 2.0 * math.pi * f
     g = 0.0 if math.isinf(rds) else 1.0 / (rds * length)
     y = g + 1j * w * cds / length
@@ -156,3 +152,13 @@ def propagation_constant(section: LineSection) -> complex:
     if g.real < 0:
         g = -g
     return g
+
+
+def _check_frequency(f: float) -> None:
+    if not 0 < f < math.inf:
+        raise DesignError(f"frequency must be positive and finite, got {f}")
+
+
+def _check_length(length: float) -> None:
+    if not 0 < length < math.inf:
+        raise DesignError(f"length must be positive and finite, got {length}")

@@ -41,8 +41,11 @@ class MicrostripLine:
     c_pf_per_cm: float
 
     def __post_init__(self) -> None:
-        if self.width_mm <= 0 or self.length_cm <= 0:
-            raise GeometryError("width and length must be positive")
+        # written as "not in range" so that NaN, which fails every
+        # comparison, is rejected too
+        figures = (self.width_mm, self.length_cm, self.z0, self.l_nh_per_cm, self.c_pf_per_cm)
+        if not all(0 < x < math.inf for x in figures):
+            raise GeometryError(f"strip figures must be positive and finite, got {figures}")
         expected_c = 1000.0 * self.l_nh_per_cm / (self.z0 * self.z0)
         if abs(expected_c - self.c_pf_per_cm) > 1e-9 * abs(expected_c):
             raise GeometryError("inconsistent distributed constants: c' != 1000*l'/z0^2")
@@ -50,8 +53,8 @@ class MicrostripLine:
 
 def z0_of(width_mm: float, substrate: Substrate) -> ImpedanceResult:
     """Characteristic impedance of a strip; valid flags the w/h fit window."""
-    if width_mm <= 0:
-        raise GeometryError(f"width must be positive, got {width_mm}")
+    if not 0 < width_mm < math.inf:
+        raise GeometryError(f"width must be positive and finite, got {width_mm}")
     arg = 5.98 * substrate.h_mm / (0.8 * width_mm + substrate.t_mm)
     if arg <= 0:
         raise GeometryError("non-positive log argument; check h, w, t")
@@ -66,8 +69,7 @@ def width_for(z0: float, substrate: Substrate) -> float:
     w = 7.475*h*exp(-z0*sqrt(er+1.41)/87) - 1.25*t, where 7.475 = 5.98/0.8
     and 1.25 = 1/0.8.
     """
-    if z0 <= 0:
-        raise GeometryError(f"impedance must be positive, got {z0}")
+    _check_impedance(z0)
     w = 7.475 * substrate.h_mm * math.exp(-z0 * math.sqrt(substrate.er + 1.41) / 87.0)
     w -= 1.25 * substrate.t_mm
     if w <= 0:
@@ -80,10 +82,9 @@ def width_for(z0: float, substrate: Substrate) -> float:
 
 def line_constants(z0: float, er: float) -> tuple[float, float]:
     """Distributed inductance (nH/cm) and capacitance (pF/cm) of the strip."""
-    if z0 <= 0:
-        raise GeometryError(f"impedance must be positive, got {z0}")
-    if er < 1:
-        raise GeometryError(f"relative permittivity must be >= 1, got {er}")
+    _check_impedance(z0)
+    if not 1 <= er < math.inf:
+        raise GeometryError(f"relative permittivity must be >= 1 and finite, got {er}")
     l_nh = 2.0 * z0 * math.sqrt(er + 1.41) / 87.0
     c_pf = 1000.0 * l_nh / (z0 * z0)
     return l_nh, c_pf
@@ -91,10 +92,10 @@ def line_constants(z0: float, er: float) -> tuple[float, float]:
 
 def segment_length(inductance: float, l_nh_per_cm: float) -> float:
     """Length in cm of strip needed to realize a cell inductance in henries."""
-    if inductance <= 0:
-        raise GeometryError(f"inductance must be positive, got {inductance}")
-    if l_nh_per_cm <= 0:
-        raise GeometryError(f"l' must be positive, got {l_nh_per_cm}")
+    if not 0 < inductance < math.inf:
+        raise GeometryError(f"inductance must be positive and finite, got {inductance}")
+    if not 0 < l_nh_per_cm < math.inf:
+        raise GeometryError(f"l' must be positive and finite, got {l_nh_per_cm}")
     return inductance * 1e9 / l_nh_per_cm
 
 
@@ -104,10 +105,10 @@ def phase_shift(length_cm: float, f: float, l_nh_per_cm: float, c_pf_per_cm: flo
     Uses the strip's own phase velocity 1/sqrt(l'*c'), so the result is
     2*pi*f*length*sqrt(l'*c') with the distributed constants in SI per cm.
     """
-    if length_cm <= 0 or f <= 0:
-        raise GeometryError("length and frequency must be positive")
-    if l_nh_per_cm <= 0 or c_pf_per_cm <= 0:
-        raise GeometryError("distributed constants must be positive")
+    if not (0 < length_cm < math.inf and 0 < f < math.inf):
+        raise GeometryError("length and frequency must be positive and finite")
+    if not (0 < l_nh_per_cm < math.inf and 0 < c_pf_per_cm < math.inf):
+        raise GeometryError("distributed constants must be positive and finite")
     delay_per_cm = math.sqrt(l_nh_per_cm * 1e-9 * c_pf_per_cm * 1e-12)
     return 2.0 * math.pi * f * length_cm * delay_per_cm
 
@@ -125,3 +126,8 @@ def synthesize_strip(z0: float, substrate: Substrate, inductance: float) -> Micr
         l_nh_per_cm=l_nh,
         c_pf_per_cm=c_pf,
     )
+
+
+def _check_impedance(z0: float) -> None:
+    if not 0 < z0 < math.inf:
+        raise GeometryError(f"impedance must be positive and finite, got {z0}")

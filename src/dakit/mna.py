@@ -20,12 +20,13 @@ topology (a least-recently-used cache of 64), so the many networks of one
 amplifier structure share it. The checks that depend on the topology
 alone (node ranges, distinct ports, self-shorts, a passive path from each
 port to ground) live in that analysis too, so they run once per topology.
-A Network reads its elements once, at construction: it checks their
-values, records its topology and stamp values, and runs the analysis, so
-a bad network is still refused there with DesignError. The numeric part
-stamps the recorded values into the slots, assembles Y for a block of
-_BLOCK frequencies as a (slots, frequencies) array, and runs the program
-on its rows. Internal nodes are eliminated and the ports are left, which
+A Network is stamped once, at construction: one pass over its elements
+checks their values and collects its topology, the analysis refuses a bad
+topology with DesignError or returns the plan, and the values are stamped
+into the plan's slots as G, C and Gamma, which the network keeps with its
+plan. A solve then only assembles Y for a block of _BLOCK frequencies as
+a (slots, frequencies) array from those arrays and runs the program on
+its rows. Internal nodes are eliminated and the ports are left, which
 gives the 2x2 port admittance Yp. With real reference impedances and
 y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
 
@@ -56,10 +57,10 @@ LU solver that came before; they agree within 1e-10 relative to
 max(1, max|S|).
 
 numpy is imported inside the functions that use it, not when this module
-loads: the analysis loads it, at the first Network construction. The
-package imports this module for its public names, and only simulate
-builds a network, so the CLI subcommands that never simulate do not pay
-numpy's import time (about half of their start-up).
+loads: the first Network construction loads it. The package imports this
+module for its public names, and only simulate builds a network, so the
+CLI subcommands that never simulate do not pay numpy's import time (about
+half of their start-up).
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .design import DesignReport
-from .device import TransistorModel
 from .errors import DesignError, SimulationError
 
 if TYPE_CHECKING:
@@ -143,8 +143,8 @@ class Network:
                 raise DesignError(
                     f"port reference impedance must be positive and finite, got {port.z0}"
                 )
-        # one pass over the elements checks each value and records the
-        # topology entry and stamp value that _compile needs
+        # one pass over the elements checks each value and collects the
+        # topology entry and stamp value of each
         topology = []
         values = []
         for e in self.elements:
@@ -166,10 +166,16 @@ class Network:
                 raise DesignError(f"element value must be positive and finite: {e}")
             topology.append((kind, e.a, e.b))
             values.append(value if kind == _C else 1.0 / value)
-        object.__setattr__(self, "_topology", tuple(topology))
-        object.__setattr__(self, "_values", tuple(values))
+        import numpy as np
+
         # refuses a bad topology here; a cached topology was checked before
-        _analyse(self.node_count, self.port1.node, self.port2.node, self._topology)
+        plan = _analyse(self.node_count, self.port1.node, self.port2.node, tuple(topology))
+        weights = np.array(values)[plan.stamp_element] * plan.stamp_sign
+        g, c, gamma = np.bincount(plan.stamp_slot, weights, 3 * plan.slots).reshape(3, -1)
+        object.__setattr__(self, "_plan", plan)
+        object.__setattr__(self, "_g", g)
+        object.__setattr__(self, "_c", c[: plan.reactive])
+        object.__setattr__(self, "_gamma", gamma[: plan.reactive])
 
 
 @dataclass(frozen=True)
@@ -188,7 +194,7 @@ class SweepMetrics:
     worst_s11_db: float
 
 
-def build_network(report: DesignReport, t: TransistorModel | None = None) -> Network:
+def build_network(report: DesignReport) -> Network:
     """Amplifier network from a design report.
 
     Both lines are chains of T-sections with adjacent half-inductors
@@ -200,8 +206,7 @@ def build_network(report: DesignReport, t: TransistorModel | None = None) -> Net
     node. Tapered reports size each stage's inductance from its profile
     section.
     """
-    if t is None:
-        t = report.transistor
+    t = report.transistor
     n = report.stages
     z0 = report.system_impedance
     l_gate = _cell_inductances(report, gate=True)
@@ -256,7 +261,7 @@ def s_parameters_at(net: Network, f: float):
     """S-matrix of the network at a single frequency, as a nested tuple."""
     if not 0 < f < math.inf:
         raise SimulationError(f"frequency must be positive and finite, got {f}")
-    return _solve(_compile(net), [f])[0]
+    return _solve(net, [f])[0]
 
 
 def sweep(
@@ -283,7 +288,7 @@ def sweep(
     freqs[-1] = f_stop
     return TwoPortSweep(
         frequencies=tuple(freqs),
-        s_matrices=tuple(_solve(_compile(net), freqs)),
+        s_matrices=tuple(_solve(net, freqs)),
         reference_impedance=net.port1.z0,
     )
 
@@ -335,16 +340,6 @@ class _Plan(NamedTuple):
     program: tuple  # (kk, (kj, ...), ((ij, ik, kj), ...)) per pivot, in order
     pivots: np.ndarray
     ports: tuple[int, int, int, int]  # slots of Y11, Y12, Y21, Y22
-
-
-class _Compiled(NamedTuple):
-    """A network's element values stamped into its topology's plan."""
-
-    plan: _Plan
-    g: np.ndarray  # conductances and transconductances, every slot
-    c: np.ndarray  # capacitances, reactive slots
-    gamma: np.ndarray  # inverse inductances, reactive slots
-    scale: tuple[float, float, float]  # z1, sqrt(z1 z2), z2
 
 
 @functools.lru_cache(maxsize=64)
@@ -468,23 +463,11 @@ def _analyse(node_count: int, port1: int, port2: int, topology: tuple) -> _Plan:
     )
 
 
-def _compile(net: Network) -> _Compiled:
-    """Stamp the network's recorded values into the plan of its topology."""
-    import numpy as np
-
-    plan = _analyse(net.node_count, net.port1.node, net.port2.node, net._topology)
-    weights = np.array(net._values)[plan.stamp_element] * plan.stamp_sign
-    g, c, gamma = np.bincount(plan.stamp_slot, weights, 3 * plan.slots).reshape(3, -1)
-    z1, z2 = net.port1.z0, net.port2.z0
-    reactive = plan.reactive
-    return _Compiled(plan, g, c[:reactive], gamma[:reactive], (z1, math.sqrt(z1 * z2), z2))
-
-
-def _solve(net: _Compiled, freqs: list[float]) -> list:
+def _solve(net: Network, freqs: list[float]) -> list:
     """S-matrices at the frequencies, as nested tuples, _BLOCK at a time."""
     import numpy as np
 
-    plan = net.plan
+    plan = net._plan
     reactive = plan.reactive
     w_all = 2.0 * math.pi * np.array(freqs)
     width = min(len(freqs), _BLOCK)
@@ -492,7 +475,8 @@ def _solve(net: _Compiled, freqs: list[float]) -> list:
     inductive = np.empty((reactive, width))
     s = np.empty((len(freqs), 2, 2), dtype=complex)
     divide, multiply, subtract = np.divide, np.multiply, np.subtract
-    z1, cross, z2 = net.scale
+    z1, z2 = net.port1.z0, net.port2.z0
+    cross = math.sqrt(z1 * z2)
     i11, i12, i21, i22 = plan.ports
     for start in range(0, len(freqs), width):
         w = w_all[start : start + width]
@@ -500,10 +484,10 @@ def _solve(net: _Compiled, freqs: list[float]) -> list:
         y = work[:, :count]
         # Y = G + jwC + Gamma/(jw), the imaginary part only where C or
         # Gamma stamps
-        y.real = net.g[:, None]
+        y.real = net._g[:, None]
         y_reactive = y.imag[:reactive]
-        multiply.outer(net.c, w, out=y_reactive)
-        divide.outer(net.gamma, w, out=inductive[:, :count])
+        multiply.outer(net._c, w, out=y_reactive)
+        divide.outer(net._gamma, w, out=inductive[:, :count])
         subtract(y_reactive, inductive[:, :count], out=y_reactive)
         y.imag[reactive:] = 0.0
         rows = list(y)

@@ -106,8 +106,8 @@ def ginzton_profiles(n: int, z0: float) -> tuple[TaperProfile, TaperProfile]:
     """
     if n < 1:
         raise DesignError(f"stage count must be >= 1, got {n}")
-    if z0 <= 0:
-        raise DesignError(f"system impedance must be positive, got {z0}")
+    if not 0 < z0 < math.inf:
+        raise DesignError(f"system impedance must be positive and finite, got {z0}")
     gate = TaperProfile(GATE, tuple(z0 / k for k in range(1, n + 2)), z0)
     drain = TaperProfile(DRAIN, tuple(n * z0 / k for k in range(1, n + 1)), z0)
     return gate, drain
@@ -119,8 +119,12 @@ def equivalent_impedance(gamma: float, side: str, z_ref: float = 50.0) -> float:
     A gate line reflecting gamma looks like z_ref*(1+gamma)/(1-gamma); the
     drain side is driven from the line, so the mapping inverts.
     """
-    if abs(gamma) >= 1:
+    # written as "not below" so that NaN, which fails every comparison, is
+    # rejected too
+    if not abs(gamma) < 1:
         raise DesignError(f"|gamma| must be < 1, got {gamma}")
+    if not 0 < z_ref < math.inf:
+        raise DesignError(f"reference impedance must be positive and finite, got {z_ref}")
     if side == GATE:
         return z_ref * (1.0 + gamma) / (1.0 - gamma)
     if side == DRAIN:

@@ -110,7 +110,8 @@ class TestBandwidth:
 
 
 _GAN_ON_FR4 = ["--transistor", "GAN-1", "--er", "4.4", "--h", "1.6", "--t", "0.035"]
-_SIMULATE = ["simulate", "--design", "{design}", "--fstart", "1e7", "--fstop", "8e9", "--points", "5"]
+_SWEEP = ["--fstart", "1e7", "--fstop", "8e9", "--points", "5"]
+_SIMULATE = ["simulate", "--design", "{design}", *_SWEEP]
 
 
 @pytest.mark.parametrize(
@@ -124,6 +125,11 @@ _SIMULATE = ["simulate", "--design", "{design}", "--fstart", "1e7", "--fstop", "
         ([*_SIMULATE, "--out", "{missing}/x.s2p"], 1),
         (["screen", "--catalog", "{catalog}", "--target-fc", "nan"], 1),
         (["screen", "--catalog", "{catalog}", "--target-fc", "inf", "--allow-series"], 1),
+        (["screen", "--catalog", "{not_utf8}", "--target-fc", "1e9"], 1),
+        (["simulate", "--design", "{not_utf8}", *_SWEEP], 1),
+        (["screen", "--catalog", "{deep}", "--target-fc", "1e9"], 1),
+        (["design", "--catalog", "{deep}", *_GAN_ON_FR4], 1),
+        (["simulate", "--design", "{deep}", *_SWEEP], 1),
     ],
 )
 def test_failing_command_prints_nothing_to_stdout(capsys, catalog_file, tmp_path, argv, code):
@@ -134,7 +140,17 @@ def test_failing_command_prints_nothing_to_stdout(capsys, catalog_file, tmp_path
     design.write_text(
         report_to_json(synthesize_design(catalog.get("GAN-1"), Substrate(4.4, 1.6, 0.035)))
     )
-    paths = {"catalog": catalog_file, "design": design, "missing": tmp_path / "missing"}
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    paths = {
+        "catalog": catalog_file,
+        "design": design,
+        "missing": tmp_path / "missing",
+        "not_utf8": not_utf8,
+        "deep": deep,
+    }
     assert run([arg.format(**paths) for arg in argv]) == code
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -138,3 +138,24 @@ def test_argument_validation():
         n_opt_from_params(2e9, 1.0, 1.79e-12, math.inf, 50.0)
     with pytest.raises(DesignError):
         recommended_n(0.0)
+    with pytest.raises(DesignError):
+        n_opt_from_params(2e9, 1.0, 1.79e-12, math.nan, 50.0)
+    for bad in (math.nan, math.inf):
+        calls = [
+            (voltage_gain, (bad, 50.0, 4)),
+            (voltage_gain, (0.05, bad, 4)),
+            (power_gain_lossless, (bad, 50.0, 50.0, 4)),
+            (power_gain_lossless, (0.05, 50.0, bad, 4)),
+            (power_gain_lossy, (0.05, bad, 50.0, 0.1, 0.05, 4)),
+            (power_gain_lossy, (0.05, 50.0, 50.0, bad, 0.05, 4)),
+            (power_gain_lossy, (0.05, 50.0, 50.0, 0.1, bad, 4)),
+            (n_opt_from_losses, (bad, 0.05)),
+            (n_opt_from_losses, (0.1, bad)),
+            (n_opt_from_params, (bad, 1.0, 1.79e-12, 200.0, 50.0)),
+            (n_opt_from_params, (2e9, bad, 1.79e-12, 200.0, 50.0)),
+            (n_opt_from_params, (2e9, 1.0, bad, 200.0, 50.0)),
+            (n_opt_from_params, (2e9, 1.0, 1.79e-12, 200.0, bad)),
+        ]
+        for func, args in calls:
+            with pytest.raises(DesignError):
+                func(*args)

@@ -65,6 +65,24 @@ def test_non_finite_values_rejected(bad):
         cutoff_frequency(bad, 1e-12)
     with pytest.raises(DesignError):
         cutoff_frequency(50.0, bad)
+    cell = cell_for_impedance(50.0, 1e-12)
+    calls = [
+        (gate_loss_per_cell, (bad, 1.0, 1e-12, 50.0)),
+        (gate_loss_per_cell, (2e9, bad, 1e-12, 50.0)),
+        (gate_loss_per_cell, (2e9, 1.0, bad, 50.0)),
+        (gate_loss_per_cell, (2e9, 1.0, 1e-12, bad)),
+        (drain_loss_per_cell, (bad, 200.0)),
+        (gate_section, (bad, cell, 1.0, 1.0, 1e-12)),
+        (gate_section, (1e9, cell, bad, 1.0, 1e-12)),
+        (gate_section, (1e9, cell, 1.0, bad, 1e-12)),
+        (gate_section, (1e9, cell, 1.0, 1.0, bad)),
+        (drain_section, (bad, cell, 1.0, 200.0, 1e-12)),
+        (drain_section, (1e9, cell, bad, 200.0, 1e-12)),
+        (drain_section, (1e9, cell, 1.0, 200.0, bad)),
+    ]
+    for func, args in calls:
+        with pytest.raises(DesignError):
+            func(*args)
 
 
 def test_cutoff_frequency_values():
@@ -91,6 +109,11 @@ def test_loss_preconditions():
         gate_loss_per_cell(0.0, 1.0, 1e-12, 50.0)
     with pytest.raises(DesignError):
         drain_loss_per_cell(-50.0, 200.0)
+    # rds = inf is the lossless limit; only NaN is refused
+    with pytest.raises(DesignError):
+        drain_loss_per_cell(50.0, math.nan)
+    with pytest.raises(DesignError):
+        drain_section(1e9, cell_for_impedance(50.0, 1e-12), 1.0, math.nan, 1e-12)
 
 
 def test_gate_section_immittances():

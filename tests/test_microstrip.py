@@ -116,3 +116,29 @@ def test_argument_validation(fr4):
         width_for(0.0, fr4)
     with pytest.raises(GeometryError):
         segment_length(1e-9, 0.0)
+    for bad in (math.nan, math.inf):
+        calls = [
+            (z0_of, (bad, fr4)),
+            (width_for, (bad, fr4)),
+            (line_constants, (bad, 4.4)),
+            (line_constants, (50.0, bad)),
+            (segment_length, (bad, 2.77)),
+            (segment_length, (1e-9, bad)),
+            (phase_shift, (bad, 1e9, 2.77, 1.1)),
+            (phase_shift, (1.0, bad, 2.77, 1.1)),
+            (phase_shift, (1.0, 1e9, bad, 1.1)),
+            (phase_shift, (1.0, 1e9, 2.77, bad)),
+            (synthesize_strip, (50.0, fr4, bad)),
+        ]
+        for func, args in calls:
+            with pytest.raises(GeometryError):
+                func(*args)
+        with pytest.raises(GeometryError):
+            MicrostripLine(
+                width_mm=bad,
+                length_cm=1.6,
+                substrate=fr4,
+                z0=50.0,
+                l_nh_per_cm=2.77,
+                c_pf_per_cm=1.108,
+            )

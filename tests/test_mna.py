@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from dakit import (
     sweep,
     synthesize_design,
 )
-from dakit.mna import _BLOCK, _analyse, _compile
+from dakit.mna import _BLOCK, _analyse
 
 # matched symmetric pi attenuator, voltage ratio A: shunt z0(A+1)/(A-1),
 # series z0(A^2-1)/(2A); reflectionless with |S21| = 1/A by construction
@@ -232,7 +233,7 @@ class TestBuildNetwork:
         rep = proto_amp()
         hot = TransistorModel(name="HOT", gm=0.1, cgs=1e-12, cds=1e-12)
         s_base = s_parameters_at(build_network(rep), 10e6)
-        s_hot = s_parameters_at(build_network(rep, hot), 10e6)
+        s_hot = s_parameters_at(build_network(dataclasses.replace(rep, transistor=hot)), 10e6)
         assert math.isclose(abs(s_hot[1][0]) / abs(s_base[1][0]), 2.0, rel_tol=1e-4)
 
 
@@ -501,15 +502,20 @@ def test_series_lc_shunt_across_resonance():
 
 def test_same_topology_shares_one_analysis():
     rep = proto_amp()
-    hot = TransistorModel(name="HOT", gm=0.1, cgs=0.8e-12, cds=0.3e-12)
-    base, other = build_network(rep), build_network(rep, hot)
+    hot_rep = dataclasses.replace(
+        rep, transistor=TransistorModel(name="HOT", gm=0.1, cgs=0.8e-12, cds=0.3e-12)
+    )
+    _analyse.cache_clear()
+    base, other = build_network(rep), build_network(hot_rep)
     assert base.elements != other.elements
-    _analyse.cache_clear()
-    assert _compile(base).plan is _compile(other).plan
     assert _analyse.cache_info().misses == 1
+    assert base._plan is other._plan
     cached = [sweep(net, 10e6, 15e9, _BLOCK + 1) for net in (base, other)]
+    # networks rebuilt after a clear get a freshly analysed plan
     _analyse.cache_clear()
-    fresh = [sweep(net, 10e6, 15e9, _BLOCK + 1) for net in (base, other)]
+    rebuilt = (build_network(rep), build_network(hot_rep))
+    assert rebuilt[0]._plan is not base._plan
+    fresh = [sweep(net, 10e6, 15e9, _BLOCK + 1) for net in rebuilt]
     assert cached == fresh
     assert cached[0] != cached[1]
 
@@ -519,8 +525,16 @@ def test_construction_analyses_each_topology_once():
     hot = TransistorModel(name="HOT", gm=0.1, cgs=0.8e-12, cds=0.3e-12)
     _analyse.cache_clear()
     build_network(rep)
-    build_network(rep, hot)
+    build_network(dataclasses.replace(rep, transistor=hot))
     assert _analyse.cache_info().misses == 1
+
+
+def test_solve_looks_up_no_plan():
+    net = build_network(proto_amp())
+    before = _analyse.cache_info()
+    sweep(net, 10e6, 15e9, _BLOCK + 1)
+    s_parameters_at(net, 10e6)
+    assert _analyse.cache_info() == before
 
 
 def synthetic_sweep(freqs, s21_mags, s11_mags):

@@ -129,6 +129,12 @@ def test_non_finite_values_rejected(bad):
         analyze_taper(gate, drain, bad, 1e-12)
     with pytest.raises(DesignError):
         analyze_taper(gate, drain, 1e-12, bad)
+    with pytest.raises(DesignError):
+        equivalent_impedance(bad, GATE)
+    with pytest.raises(DesignError):
+        equivalent_impedance(0.1, DRAIN, bad)
+    with pytest.raises(DesignError, match="system impedance"):
+        ginzton_profiles(3, bad)
 
 
 def test_analyze_taper_requires_gate_drain_pair():
