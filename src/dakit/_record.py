@@ -1,0 +1,44 @@
+"""Frozen value records, written out by hand instead of generated.
+
+A record class lists its fields in __slots__, in constructor order. Its
+__init__ checks the arguments and stores each one with set_field, the
+only way to write a field. The base then gives what a frozen dataclass
+gives: equality within one class, a hash of the field values, the
+dataclass repr, and AttributeError on assignment or deletion.
+"""
+
+from operator import attrgetter
+
+set_field = object.__setattr__
+
+
+class Record:
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # _values(r) is the tuple of r's field values, read in C; every
+        # record has at least two fields, so it is always a tuple
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through its checking __init__
+        return self.__class__, self._values(self)

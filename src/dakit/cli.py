@@ -16,12 +16,18 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import design as design_mod
 from . import device as device_mod
-from . import ladder, mna
+from . import ladder
 from . import taper as taper_mod
 from .errors import DakitError
+
+if TYPE_CHECKING:
+    # the simulator is imported by the code that uses it, so that the
+    # subcommands that never simulate do not load it
+    from . import mna
 
 # one %-format per row; "%.9e" renders every float exactly as _fmt does
 _TOUCHSTONE_ROW = " ".join(["%.9e"] * 9)
@@ -75,7 +81,8 @@ def write_csv(swp: mna.TwoPortSweep, destination) -> None:
 
     A zero magnitude renders as -inf rather than raising.
     """
-    db = mna._db
+    from .mna import _db as db
+
     lines = ["freq_hz,s11_db,s21_db,s12_db,s22_db,s21_phase_deg"]
     for f, ((s11, s12), (s21, s22)) in zip(swp.frequencies, swp.s_matrices):
         phase = math.degrees(math.atan2(s21.imag, s21.real))
@@ -140,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fstart", type=float, required=True)
     p.add_argument("--fstop", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--spacing", choices=[mna.LINEAR, mna.LOG], default=mna.LINEAR)
+    p.add_argument("--spacing", choices=["linear", "log"], default="linear")
     p.add_argument("--out", help="write a Touchstone .s2p here")
     p.add_argument("--csv", help="write dB/phase CSV here")
     p.set_defaults(handler=_cmd_simulate)
@@ -230,6 +237,8 @@ def _cmd_taper(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import mna
+
     report = design_mod.report_from_json(_read_text(args.design))
     net = mna.build_network(report)
     swp = mna.sweep(net, args.fstart, args.fstop, args.points, spacing=args.spacing)

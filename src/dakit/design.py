@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 from . import device, gain as gain_mod, ladder, microstrip, taper as taper_mod
+from ._record import Record, set_field
 from .device import Substrate, TransistorModel, builtin_table1
 from .errors import DakitError, DesignError
 from .gain import GainFigures
@@ -38,8 +38,7 @@ _DEFAULT_STAGES = 4
 _REL_TOL = 1e-9  # relative slack of a stored float against a fresh synthesis
 
 
-@dataclass(frozen=True)
-class DesignOptions:
+class DesignOptions(Record):
     """Knobs for synthesize_design and predict_bandwidth.
 
     series_cap is None (no series capacitor), a capacitance in farads, or
@@ -49,15 +48,25 @@ class DesignOptions:
     the uniform gate cutoff and only matters when the device has losses.
     """
 
-    system_impedance: float = 50.0
-    stages: int | None = None
-    taper: object = None
-    series_cap: object = None
-    include_microstrip_parasitics: bool = False
-    design_frequency_hz: float | None = None
+    __slots__ = (
+        "system_impedance",
+        "stages",
+        "taper",
+        "series_cap",
+        "include_microstrip_parasitics",
+        "design_frequency_hz",
+    )
 
-    def __post_init__(self) -> None:
-        z0, n, pair, cap = self.system_impedance, self.stages, self.taper, self.series_cap
+    def __init__(
+        self,
+        system_impedance: float = 50.0,
+        stages: int | None = None,
+        taper: object = None,
+        series_cap: object = None,
+        include_microstrip_parasitics: bool = False,
+        design_frequency_hz: float | None = None,
+    ) -> None:
+        z0, n, pair, cap = system_impedance, stages, taper, series_cap
         if not _is_positive_number(z0):
             raise DesignError(f"system impedance must be positive and finite, got {z0!r}")
         if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
@@ -66,66 +75,151 @@ class DesignOptions:
             raise DesignError(f"taper must be None, 'ginzton' or a (gate, drain) pair: {pair!r}")
         if not (cap in (None, MATCH_DRAIN) or _is_positive_number(cap)):
             raise DesignError(f"series_cap must be None, {MATCH_DRAIN!r} or farads, got {cap!r}")
-        if not isinstance(self.include_microstrip_parasitics, bool):
+        if not isinstance(include_microstrip_parasitics, bool):
             raise DesignError("include_microstrip_parasitics must be True or False")
-        f = self.design_frequency_hz
+        f = design_frequency_hz
         if not (f is None or _is_positive_number(f)):
             raise DesignError(f"design frequency must be positive and finite, got {f!r}")
+        set_field(self, "system_impedance", system_impedance)
+        set_field(self, "stages", stages)
+        set_field(self, "taper", taper)
+        set_field(self, "series_cap", series_cap)
+        set_field(self, "include_microstrip_parasitics", include_microstrip_parasitics)
+        set_field(self, "design_frequency_hz", design_frequency_hz)
 
 
-@dataclass(frozen=True)
-class ScreeningResult:
+class ScreeningResult(Record):
     """Outcome of screening one transistor against a target bandwidth."""
 
-    name: str
-    direct_pass: bool
-    required_series_cap: float | None
-    resulting_fc: float
-    gain_penalty_factor: float
-    note: str = ""
+    __slots__ = (
+        "name",
+        "direct_pass",
+        "required_series_cap",
+        "resulting_fc",
+        "gain_penalty_factor",
+        "note",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        direct_pass: bool,
+        required_series_cap: float | None,
+        resulting_fc: float,
+        gain_penalty_factor: float,
+        note: str = "",
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "direct_pass", direct_pass)
+        set_field(self, "required_series_cap", required_series_cap)
+        set_field(self, "resulting_fc", resulting_fc)
+        set_field(self, "gain_penalty_factor", gain_penalty_factor)
+        set_field(self, "note", note)
 
 
-@dataclass(frozen=True)
-class Table1Check:
+class Table1Check(Record):
     """Recomputed bandwidth limit for one survey row."""
 
-    tag: str
-    effective_capacitance: float
-    claimed_limit_hz: float
-    computed_limit_hz: float
-    rel_error: float
+    __slots__ = (
+        "tag",
+        "effective_capacitance",
+        "claimed_limit_hz",
+        "computed_limit_hz",
+        "rel_error",
+    )
+
+    def __init__(
+        self,
+        tag: str,
+        effective_capacitance: float,
+        claimed_limit_hz: float,
+        computed_limit_hz: float,
+        rel_error: float,
+    ) -> None:
+        set_field(self, "tag", tag)
+        set_field(self, "effective_capacitance", effective_capacitance)
+        set_field(self, "claimed_limit_hz", claimed_limit_hz)
+        set_field(self, "computed_limit_hz", computed_limit_hz)
+        set_field(self, "rel_error", rel_error)
 
     @property
     def passed(self) -> bool:
         return self.rel_error <= 0.02
 
 
-@dataclass(frozen=True)
-class DesignReport:
+class DesignReport(Record):
     """Complete synthesis result for one device on one board, with the
     options it was synthesized under."""
 
-    transistor: TransistorModel
-    options: DesignOptions
-    effective_cgs: float
-    series_capacitor: float | None
-    gain_penalty_factor: float
-    stages: int
-    gate_cell: LineCell
-    drain_cell: LineCell
-    gate_line: MicrostripLine
-    drain_line: MicrostripLine
-    velocity_mismatch: float
-    phase_per_cell_gate: float
-    phase_per_cell_drain: float
-    design_frequency_hz: float
-    gains: GainFigures
-    taper: TaperReport | None
-    taper_gate_profile: TaperProfile | None
-    taper_drain_profile: TaperProfile | None
-    gate_section_lines: tuple[MicrostripLine, ...] | None
-    drain_section_lines: tuple[MicrostripLine, ...] | None
-    predicted_fc: float
+    __slots__ = (
+        "transistor",
+        "options",
+        "effective_cgs",
+        "series_capacitor",
+        "gain_penalty_factor",
+        "stages",
+        "gate_cell",
+        "drain_cell",
+        "gate_line",
+        "drain_line",
+        "velocity_mismatch",
+        "phase_per_cell_gate",
+        "phase_per_cell_drain",
+        "design_frequency_hz",
+        "gains",
+        "taper",
+        "taper_gate_profile",
+        "taper_drain_profile",
+        "gate_section_lines",
+        "drain_section_lines",
+        "predicted_fc",
+    )
+
+    def __init__(
+        self,
+        transistor: TransistorModel,
+        options: DesignOptions,
+        effective_cgs: float,
+        series_capacitor: float | None,
+        gain_penalty_factor: float,
+        stages: int,
+        gate_cell: LineCell,
+        drain_cell: LineCell,
+        gate_line: MicrostripLine,
+        drain_line: MicrostripLine,
+        velocity_mismatch: float,
+        phase_per_cell_gate: float,
+        phase_per_cell_drain: float,
+        design_frequency_hz: float,
+        gains: GainFigures,
+        taper: TaperReport | None,
+        taper_gate_profile: TaperProfile | None,
+        taper_drain_profile: TaperProfile | None,
+        gate_section_lines: tuple[MicrostripLine, ...] | None,
+        drain_section_lines: tuple[MicrostripLine, ...] | None,
+        predicted_fc: float,
+    ) -> None:
+        set_field(self, "transistor", transistor)
+        set_field(self, "options", options)
+        set_field(self, "effective_cgs", effective_cgs)
+        set_field(self, "series_capacitor", series_capacitor)
+        set_field(self, "gain_penalty_factor", gain_penalty_factor)
+        set_field(self, "stages", stages)
+        set_field(self, "gate_cell", gate_cell)
+        set_field(self, "drain_cell", drain_cell)
+        set_field(self, "gate_line", gate_line)
+        set_field(self, "drain_line", drain_line)
+        set_field(self, "velocity_mismatch", velocity_mismatch)
+        set_field(self, "phase_per_cell_gate", phase_per_cell_gate)
+        set_field(self, "phase_per_cell_drain", phase_per_cell_drain)
+        set_field(self, "design_frequency_hz", design_frequency_hz)
+        set_field(self, "gains", gains)
+        set_field(self, "taper", taper)
+        set_field(self, "taper_gate_profile", taper_gate_profile)
+        set_field(self, "taper_drain_profile", taper_drain_profile)
+        set_field(self, "gate_section_lines", gate_section_lines)
+        set_field(self, "drain_section_lines", drain_section_lines)
+        set_field(self, "predicted_fc", predicted_fc)
 
     @property
     def system_impedance(self) -> float:

@@ -9,72 +9,81 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
+from ._record import Record, set_field
 from .errors import CatalogError
 
 _ENTRY_KEYS = {"name", "gm_S", "cgs_F", "cds_F", "ri_ohm", "rds_ohm", "reference"}
 
 
-@dataclass(frozen=True)
-class TransistorModel:
+class TransistorModel(Record):
     """Unilateral FET small-signal model used throughout the toolkit."""
 
-    name: str
-    gm: float
-    cgs: float
-    cds: float
-    ri: float = 0.0
-    rds: float = math.inf
-    reference: str = ""
+    __slots__ = ("name", "gm", "cgs", "cds", "ri", "rds", "reference")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(
+        self,
+        name: str,
+        gm: float,
+        cgs: float,
+        cds: float,
+        ri: float = 0.0,
+        rds: float = math.inf,
+        reference: str = "",
+    ) -> None:
+        if not name:
             raise CatalogError("transistor name must be non-empty")
         # written as "not in range" so that NaN, which fails every
         # comparison, is rejected too
-        if not 0 < self.gm < math.inf:
-            raise CatalogError(f"{self.name}: gm must be positive and finite, got {self.gm}")
-        if not 0 < self.cgs < math.inf:
-            raise CatalogError(f"{self.name}: cgs must be positive and finite, got {self.cgs}")
-        if not 0 < self.cds < math.inf:
-            raise CatalogError(f"{self.name}: cds must be positive and finite, got {self.cds}")
-        if not 0 <= self.ri < math.inf:
-            raise CatalogError(f"{self.name}: ri must be >= 0 and finite, got {self.ri}")
-        if not 0 < self.rds <= math.inf:
-            raise CatalogError(f"{self.name}: rds must be positive, got {self.rds}")
+        if not 0 < gm < math.inf:
+            raise CatalogError(f"{name}: gm must be positive and finite, got {gm}")
+        if not 0 < cgs < math.inf:
+            raise CatalogError(f"{name}: cgs must be positive and finite, got {cgs}")
+        if not 0 < cds < math.inf:
+            raise CatalogError(f"{name}: cds must be positive and finite, got {cds}")
+        if not 0 <= ri < math.inf:
+            raise CatalogError(f"{name}: ri must be >= 0 and finite, got {ri}")
+        if not 0 < rds <= math.inf:
+            raise CatalogError(f"{name}: rds must be positive, got {rds}")
+        set_field(self, "name", name)
+        set_field(self, "gm", gm)
+        set_field(self, "cgs", cgs)
+        set_field(self, "cds", cds)
+        set_field(self, "ri", ri)
+        set_field(self, "rds", rds)
+        set_field(self, "reference", reference)
 
 
-@dataclass(frozen=True)
-class Substrate:
+class Substrate(Record):
     """Board stackup: relative permittivity, height and copper thickness in mm."""
 
-    er: float
-    h_mm: float
-    t_mm: float = 0.0
+    __slots__ = ("er", "h_mm", "t_mm")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.er < math.inf:
-            raise CatalogError(f"relative permittivity must be >= 1 and finite, got {self.er}")
-        if not 0 < self.h_mm < math.inf:
-            raise CatalogError(f"substrate height must be positive and finite, got {self.h_mm}")
-        if not 0 <= self.t_mm < math.inf:
-            raise CatalogError(f"conductor thickness must be >= 0 and finite, got {self.t_mm}")
+    def __init__(self, er: float, h_mm: float, t_mm: float = 0.0) -> None:
+        if not 1 <= er < math.inf:
+            raise CatalogError(f"relative permittivity must be >= 1 and finite, got {er}")
+        if not 0 < h_mm < math.inf:
+            raise CatalogError(f"substrate height must be positive and finite, got {h_mm}")
+        if not 0 <= t_mm < math.inf:
+            raise CatalogError(f"conductor thickness must be >= 0 and finite, got {t_mm}")
+        set_field(self, "er", er)
+        set_field(self, "h_mm", h_mm)
+        set_field(self, "t_mm", t_mm)
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(Record):
     """Named collection of transistor models loaded from one source."""
 
-    transistors: tuple[TransistorModel, ...]
-    source: str = ""
+    __slots__ = ("transistors", "source")
 
-    def __post_init__(self) -> None:
+    def __init__(self, transistors: tuple[TransistorModel, ...], source: str = "") -> None:
         seen = set()
-        for t in self.transistors:
+        for t in transistors:
             if t.name in seen:
                 raise CatalogError(f"duplicate transistor name: {t.name!r}")
             seen.add(t.name)
+        set_field(self, "transistors", transistors)
+        set_field(self, "source", source)
 
     def get(self, name: str) -> TransistorModel:
         for t in self.transistors:
@@ -83,21 +92,40 @@ class Catalog:
         raise CatalogError(f"no transistor named {name!r} in catalog")
 
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(Record):
     """One row of the published-amplifier survey.
 
     effective_capacitance and claimed_limit_hz are numeric; the remaining
     columns are reference metadata kept as printed, not recomputed.
     """
 
-    reference_tag: str
-    effective_capacitance: float
-    claimed_limit_hz: float
-    pout_w: str = ""
-    pae_pct: str = ""
-    gain_db: str = ""
-    achieved_band_ghz: str = ""
+    __slots__ = (
+        "reference_tag",
+        "effective_capacitance",
+        "claimed_limit_hz",
+        "pout_w",
+        "pae_pct",
+        "gain_db",
+        "achieved_band_ghz",
+    )
+
+    def __init__(
+        self,
+        reference_tag: str,
+        effective_capacitance: float,
+        claimed_limit_hz: float,
+        pout_w: str = "",
+        pae_pct: str = "",
+        gain_db: str = "",
+        achieved_band_ghz: str = "",
+    ) -> None:
+        set_field(self, "reference_tag", reference_tag)
+        set_field(self, "effective_capacitance", effective_capacitance)
+        set_field(self, "claimed_limit_hz", claimed_limit_hz)
+        set_field(self, "pout_w", pout_w)
+        set_field(self, "pae_pct", pae_pct)
+        set_field(self, "gain_db", gain_db)
+        set_field(self, "achieved_band_ghz", achieved_band_ghz)
 
 
 def load_catalog(text: str, source: str = "") -> Catalog:

@@ -15,23 +15,32 @@ extra line loss they bring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record, set_field
 from .errors import DesignError
 
 _STAGE_MIN = 3
 _STAGE_MAX = 6
 
 
-@dataclass(frozen=True)
-class GainFigures:
+class GainFigures(Record):
     """Gain summary attached to a synthesized design."""
 
-    av: float
-    gp_lossless: float
-    gp_lossy: float
-    n_opt_continuous: float
-    n_recommended: int
+    __slots__ = ("av", "gp_lossless", "gp_lossy", "n_opt_continuous", "n_recommended")
+
+    def __init__(
+        self,
+        av: float,
+        gp_lossless: float,
+        gp_lossy: float,
+        n_opt_continuous: float,
+        n_recommended: int,
+    ) -> None:
+        set_field(self, "av", av)
+        set_field(self, "gp_lossless", gp_lossless)
+        set_field(self, "gp_lossy", gp_lossy)
+        set_field(self, "n_opt_continuous", n_opt_continuous)
+        set_field(self, "n_recommended", n_recommended)
 
 
 def voltage_gain(gm: float, z0d: float, n: int) -> float:
@@ -111,7 +120,8 @@ def _check_common(gm: float, z0g: float, z0d: float, n: int) -> None:
         raise DesignError(f"gm must be positive and finite, got {gm}")
     if not (0 < z0g < math.inf and 0 < z0d < math.inf):
         raise DesignError("line impedances must be positive and finite")
-    if not isinstance(n, int) or n < 1:
+    # bool is an int, but True is no stage count
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DesignError(f"stage count must be a positive integer, got {n!r}")
 
 

@@ -15,29 +15,25 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
+from ._record import Record, set_field
 from .errors import DesignError
 
 
-@dataclass(frozen=True)
-class LineCell:
+class LineCell(Record):
     """One section of an artificial line: series inductance, shunt capacitance."""
 
-    inductance: float
-    capacitance: float
+    __slots__ = ("inductance", "capacitance")
 
-    def __post_init__(self) -> None:
+    def __init__(self, inductance: float, capacitance: float) -> None:
         # written as "not in range" so that NaN, which fails every
         # comparison, is rejected too
-        if not 0 < self.inductance < math.inf:
-            raise DesignError(
-                f"cell inductance must be positive and finite, got {self.inductance}"
-            )
-        if not 0 < self.capacitance < math.inf:
-            raise DesignError(
-                f"cell capacitance must be positive and finite, got {self.capacitance}"
-            )
+        if not 0 < inductance < math.inf:
+            raise DesignError(f"cell inductance must be positive and finite, got {inductance}")
+        if not 0 < capacitance < math.inf:
+            raise DesignError(f"cell capacitance must be positive and finite, got {capacitance}")
+        set_field(self, "inductance", inductance)
+        set_field(self, "capacitance", capacitance)
 
     @property
     def z0(self) -> float:
@@ -48,12 +44,16 @@ class LineCell:
         return 1.0 / (math.pi * math.sqrt(self.inductance * self.capacitance))
 
 
-@dataclass(frozen=True)
-class LineSection:
+class LineSection(Record):
     """Per-unit-length immittances of a (possibly lossy) line segment."""
 
-    z_series: complex
-    y_shunt: complex
+    __slots__ = ("z_series", "y_shunt")
+
+    def __init__(self, z_series: complex, y_shunt: complex) -> None:
+        if not (cmath.isfinite(z_series) and cmath.isfinite(y_shunt)):
+            raise DesignError(f"immittances must be finite, got {z_series} and {y_shunt}")
+        set_field(self, "z_series", z_series)
+        set_field(self, "y_shunt", y_shunt)
 
 
 def cell_for_impedance(z0: float, capacitance: float) -> LineCell:

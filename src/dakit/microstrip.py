@@ -14,9 +14,9 @@ of the package stays SI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from ._record import Record, set_field
 from .device import Substrate
 from .errors import GeometryError
 
@@ -29,26 +29,34 @@ class ImpedanceResult(NamedTuple):
     valid: bool
 
 
-@dataclass(frozen=True)
-class MicrostripLine:
+class MicrostripLine(Record):
     """Synthesized strip: width/length plus its distributed constants."""
 
-    width_mm: float
-    length_cm: float
-    substrate: Substrate
-    z0: float
-    l_nh_per_cm: float
-    c_pf_per_cm: float
+    __slots__ = ("width_mm", "length_cm", "substrate", "z0", "l_nh_per_cm", "c_pf_per_cm")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        width_mm: float,
+        length_cm: float,
+        substrate: Substrate,
+        z0: float,
+        l_nh_per_cm: float,
+        c_pf_per_cm: float,
+    ) -> None:
         # written as "not in range" so that NaN, which fails every
         # comparison, is rejected too
-        figures = (self.width_mm, self.length_cm, self.z0, self.l_nh_per_cm, self.c_pf_per_cm)
+        figures = (width_mm, length_cm, z0, l_nh_per_cm, c_pf_per_cm)
         if not all(0 < x < math.inf for x in figures):
             raise GeometryError(f"strip figures must be positive and finite, got {figures}")
-        expected_c = 1000.0 * self.l_nh_per_cm / (self.z0 * self.z0)
-        if abs(expected_c - self.c_pf_per_cm) > 1e-9 * abs(expected_c):
+        expected_c = 1000.0 * l_nh_per_cm / (z0 * z0)
+        if abs(expected_c - c_pf_per_cm) > 1e-9 * abs(expected_c):
             raise GeometryError("inconsistent distributed constants: c' != 1000*l'/z0^2")
+        set_field(self, "width_mm", width_mm)
+        set_field(self, "length_cm", length_cm)
+        set_field(self, "substrate", substrate)
+        set_field(self, "z0", z0)
+        set_field(self, "l_nh_per_cm", l_nh_per_cm)
+        set_field(self, "c_pf_per_cm", c_pf_per_cm)
 
 
 def z0_of(width_mm: float, substrate: Substrate) -> ImpedanceResult:

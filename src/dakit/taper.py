@@ -21,16 +21,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
+from ._record import Record, set_field
 from .errors import DesignError
 
 GATE = "gate"
 DRAIN = "drain"
 
 
-@dataclass(frozen=True)
-class TaperProfile:
+class TaperProfile(Record):
     """Ordered section impedances of one tapered line.
 
     Gate profiles run from the source end to the last stage; drain profiles
@@ -38,38 +37,58 @@ class TaperProfile:
     impedance the line faces (source for gate, load for drain).
     """
 
-    side: str
-    sections: tuple[float, ...]
-    terminal_impedance: float = 50.0
+    __slots__ = ("side", "sections", "terminal_impedance")
 
-    def __post_init__(self) -> None:
-        if self.side not in (GATE, DRAIN):
-            raise DesignError(f"side must be {GATE!r} or {DRAIN!r}, got {self.side!r}")
-        if not self.sections:
+    def __init__(
+        self, side: str, sections: tuple[float, ...], terminal_impedance: float = 50.0
+    ) -> None:
+        if side not in (GATE, DRAIN):
+            raise DesignError(f"side must be {GATE!r} or {DRAIN!r}, got {side!r}")
+        if not sections:
             raise DesignError("profile needs at least one section")
         # written as "not in range" so that NaN, which fails every
         # comparison, is rejected too
-        if not all(0 < z < math.inf for z in self.sections):
+        if not all(0 < z < math.inf for z in sections):
+            raise DesignError(f"section impedances must be positive and finite, got {sections}")
+        if not 0 < terminal_impedance < math.inf:
             raise DesignError(
-                f"section impedances must be positive and finite, got {self.sections}"
+                f"terminal impedance must be positive and finite, got {terminal_impedance}"
             )
-        if not 0 < self.terminal_impedance < math.inf:
-            raise DesignError(
-                f"terminal impedance must be positive and finite, got {self.terminal_impedance}"
-            )
+        set_field(self, "side", side)
+        set_field(self, "sections", sections)
+        set_field(self, "terminal_impedance", terminal_impedance)
 
 
-@dataclass(frozen=True)
-class TaperReport:
+class TaperReport(Record):
     """Overall reflection, equivalent impedances and resulting cutoffs."""
 
-    gamma_gate: float
-    gamma_drain: float
-    z_gate: float
-    z_drain: float
-    fc_gate: float
-    fc_drain: float
-    fc_total: float
+    __slots__ = (
+        "gamma_gate",
+        "gamma_drain",
+        "z_gate",
+        "z_drain",
+        "fc_gate",
+        "fc_drain",
+        "fc_total",
+    )
+
+    def __init__(
+        self,
+        gamma_gate: float,
+        gamma_drain: float,
+        z_gate: float,
+        z_drain: float,
+        fc_gate: float,
+        fc_drain: float,
+        fc_total: float,
+    ) -> None:
+        set_field(self, "gamma_gate", gamma_gate)
+        set_field(self, "gamma_drain", gamma_drain)
+        set_field(self, "z_gate", z_gate)
+        set_field(self, "z_drain", z_drain)
+        set_field(self, "fc_gate", fc_gate)
+        set_field(self, "fc_drain", fc_drain)
+        set_field(self, "fc_total", fc_total)
 
 
 def junction_gammas(profile: TaperProfile) -> tuple[float, ...]:
@@ -90,6 +109,8 @@ def junction_gammas(profile: TaperProfile) -> tuple[float, ...]:
 
 def overall_gamma(gammas: tuple[float, ...], theta: float) -> complex:
     """Phased small-reflection sum at electrical section length theta."""
+    if not (math.isfinite(theta) and all(math.isfinite(g) for g in gammas)):
+        raise DesignError(f"theta and every gamma must be finite, got {theta} and {gammas}")
     return sum(g * cmath.exp(-2j * k * theta) for k, g in enumerate(gammas))
 
 
@@ -104,8 +125,9 @@ def ginzton_profiles(n: int, z0: float) -> tuple[TaperProfile, TaperProfile]:
     Gate: z0/1 ... z0/(n+1), one extra section carrying the line past the
     last stage. Drain: n*z0/1 ... n*z0/n, matched to z0 at the output.
     """
-    if n < 1:
-        raise DesignError(f"stage count must be >= 1, got {n}")
+    # bool is an int, but True is no stage count
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise DesignError(f"stage count must be a positive integer, got {n!r}")
     if not 0 < z0 < math.inf:
         raise DesignError(f"system impedance must be positive and finite, got {z0}")
     gate = TaperProfile(GATE, tuple(z0 / k for k in range(1, n + 2)), z0)

@@ -486,10 +486,11 @@ print(json.dumps(seen))
 """
 
 
-def test_only_simulate_loads_numpy(catalog_file, tmp_path):
+def _probe_commands(catalog_file, tmp_path):
+    """The README session's six commands, simulate last."""
     report = str(tmp_path / "design.json")
     device = ["--transistor", "GAN-1", "--er", "4.4", "--h", "1.6", "--t", "0.035"]
-    commands = [
+    return [
         ["bandwidth", "--cgs", "1.79e-12", "--cds", "2.98e-13"],
         ["taper", "--n", "4"],
         ["verify", "--table1"],
@@ -497,16 +498,23 @@ def test_only_simulate_loads_numpy(catalog_file, tmp_path):
         ["design", "--catalog", catalog_file, *device, "--out", report],
         ["simulate", "--design", report, "--fstart", "1e7", "--fstop", "8e9", "--points", "5"],
     ]
+
+
+def _run_probe(probe: str, commands) -> dict:
     env = dict(os.environ, PYTHONPATH=str(Path(dakit.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+        [sys.executable, "-c", probe, json.dumps(commands)],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {
+    return json.loads(proc.stdout)
+
+
+def test_only_simulate_loads_numpy(catalog_file, tmp_path):
+    assert _run_probe(_IMPORT_PROBE, _probe_commands(catalog_file, tmp_path)) == {
         "import": False,
         "sweep": True,
         "bandwidth": [0, False],
@@ -516,6 +524,52 @@ def test_only_simulate_loads_numpy(catalog_file, tmp_path):
         "design": [0, False],
         "simulate": [0, True],
     }
+
+
+# as a user runs the CLI: no star import, which would load the simulator
+_LAZY_PROBE = """
+import contextlib, io, json, sys
+import dakit
+from dakit import cli
+def loaded():
+    return sorted(m for m in ("dataclasses", "dakit.mna", "numpy") if m in sys.modules)
+seen = {"import": loaded()}
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv)
+    seen[argv[0]] = [code, loaded(), out.getvalue()]
+print(json.dumps(seen))
+"""
+
+
+def test_only_simulate_loads_the_simulator_and_dataclasses(catalog_file, tmp_path, capsys):
+    commands = _probe_commands(catalog_file, tmp_path)
+    seen = _run_probe(_LAZY_PROBE, commands)
+    assert seen.pop("import") == []
+    code, modules, stdout = seen.pop("simulate")
+    assert {name: entry[:2] for name, entry in seen.items()} == {
+        name: [0, []] for name in ("bandwidth", "taper", "verify", "screen", "design")
+    }
+    assert (code, modules) == (0, ["dakit.mna", "dataclasses", "numpy"])
+    capsys.readouterr()
+    assert run(commands[-1]) == 0
+    assert stdout == capsys.readouterr().out
+
+
+def test_star_import_binds_every_name_in_all():
+    namespace: dict = {}
+    exec("from dakit import *", namespace)
+    assert [name for name in dakit.__all__ if name not in namespace] == []
+    assert len(set(dakit.__all__)) == len(dakit.__all__)
+    # every public name the package binds, other than its modules, is listed
+    public = {
+        name
+        for name, value in vars(dakit).items()
+        if not name.startswith("_") and not isinstance(value, type(dakit))
+    }
+    assert public <= set(dakit.__all__)
+    assert all(getattr(dakit, name) is getattr(dakit.mna, name) for name in dakit._MNA_NAMES)
 
 
 def _bench_constant(module: str, name: str):

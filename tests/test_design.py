@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -29,6 +28,7 @@ from dakit import (
     synthesize_design,
     verify_table1,
 )
+from records import replace
 
 
 def lossy_fet():
@@ -480,7 +480,7 @@ def test_report_round_trip_covers_every_option_combination(gan, lossy):
         )
         if taper == "pair":
             taper = ginzton_profiles(synthesize_design(t, board, options).stages, 50.0)
-        report = synthesize_design(t, board, dataclasses.replace(options, taper=taper))
+        report = synthesize_design(t, board, replace(options, taper=taper))
         assert report_from_json(report_to_json(report)) == report
 
 

@@ -130,6 +130,8 @@ def test_argument_validation():
         voltage_gain(0.05, 50.0, 0)
     with pytest.raises(DesignError):
         power_gain_lossless(0.05, 50.0, 50.0, 2.5)  # type: ignore[arg-type]
+    with pytest.raises(DesignError, match="stage count"):
+        voltage_gain(0.05, 50.0, True)
     with pytest.raises(DesignError):
         power_gain_lossy(0.05, 50.0, 50.0, -0.1, 0.05, 4)
     with pytest.raises(DesignError):

@@ -7,6 +7,7 @@ import pytest
 from dakit import (
     DesignError,
     LineCell,
+    LineSection,
     cell_for_impedance,
     cutoff_frequency,
     drain_loss_per_cell,
@@ -65,6 +66,9 @@ def test_non_finite_values_rejected(bad):
         cutoff_frequency(bad, 1e-12)
     with pytest.raises(DesignError):
         cutoff_frequency(50.0, bad)
+    for z, y in ((bad, 1j), (1j, bad), (complex(1.0, bad), 1j), (1j, complex(bad, 1.0))):
+        with pytest.raises(DesignError, match="immittances must be finite"):
+            LineSection(z_series=z, y_shunt=y)
     cell = cell_for_impedance(50.0, 1e-12)
     calls = [
         (gate_loss_per_cell, (bad, 1.0, 1e-12, 50.0)),

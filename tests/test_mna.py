@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +26,7 @@ from dakit import (
     synthesize_design,
 )
 from dakit.mna import _BLOCK, _analyse
+from records import replace
 
 # matched symmetric pi attenuator, voltage ratio A: shunt z0(A+1)/(A-1),
 # series z0(A^2-1)/(2A); reflectionless with |S21| = 1/A by construction
@@ -233,7 +233,7 @@ class TestBuildNetwork:
         rep = proto_amp()
         hot = TransistorModel(name="HOT", gm=0.1, cgs=1e-12, cds=1e-12)
         s_base = s_parameters_at(build_network(rep), 10e6)
-        s_hot = s_parameters_at(build_network(dataclasses.replace(rep, transistor=hot)), 10e6)
+        s_hot = s_parameters_at(build_network(replace(rep, transistor=hot)), 10e6)
         assert math.isclose(abs(s_hot[1][0]) / abs(s_base[1][0]), 2.0, rel_tol=1e-4)
 
 
@@ -502,7 +502,7 @@ def test_series_lc_shunt_across_resonance():
 
 def test_same_topology_shares_one_analysis():
     rep = proto_amp()
-    hot_rep = dataclasses.replace(
+    hot_rep = replace(
         rep, transistor=TransistorModel(name="HOT", gm=0.1, cgs=0.8e-12, cds=0.3e-12)
     )
     _analyse.cache_clear()
@@ -525,7 +525,7 @@ def test_construction_analyses_each_topology_once():
     hot = TransistorModel(name="HOT", gm=0.1, cgs=0.8e-12, cds=0.3e-12)
     _analyse.cache_clear()
     build_network(rep)
-    build_network(dataclasses.replace(rep, transistor=hot))
+    build_network(replace(rep, transistor=hot))
     assert _analyse.cache_info().misses == 1
 
 

@@ -1,0 +1,270 @@
+"""The package's records behave as the frozen dataclasses they replace:
+construction, equality, hashing, repr, immutability, copy and pickle."""
+
+import copy
+import math
+import pickle
+
+import pytest
+
+from dakit import (
+    Catalog,
+    DesignOptions,
+    DesignReport,
+    GainFigures,
+    LineCell,
+    LineSection,
+    MicrostripLine,
+    ScreeningResult,
+    Substrate,
+    Table1Check,
+    TaperProfile,
+    TaperReport,
+    TransistorModel,
+    VerificationRow,
+)
+
+_GAN = dict(
+    name="GAN-1", gm=0.05, cgs=1.79e-12, cds=2.983e-13, ri=0.0, rds=math.inf, reference=""
+)
+_GAN_REPR = (
+    "TransistorModel(name='GAN-1', gm=0.05, cgs=1.79e-12, cds=2.983e-13, ri=0.0, rds=inf, "
+    "reference='')"
+)
+
+# (class, every field by name in constructor order, a shorter call that
+# leaves the defaults out as (args, kwargs), the dataclass repr)
+CASES = [
+    (TransistorModel, _GAN, (("GAN-1", 0.05, 1.79e-12, 2.983e-13), {}), _GAN_REPR),
+    (
+        Substrate,
+        dict(er=4.4, h_mm=1.6, t_mm=0.0),
+        ((4.4, 1.6), {}),
+        "Substrate(er=4.4, h_mm=1.6, t_mm=0.0)",
+    ),
+    (
+        Catalog,
+        dict(transistors=(TransistorModel(**_GAN),), source=""),
+        (((TransistorModel(**_GAN),),), {}),
+        f"Catalog(transistors=({_GAN_REPR},), source='')",
+    ),
+    (
+        VerificationRow,
+        dict(
+            reference_tag="[15]",
+            effective_capacitance=1.79e-12,
+            claimed_limit_hz=3.55e9,
+            pout_w="",
+            pae_pct="",
+            gain_db="",
+            achieved_band_ghz="",
+        ),
+        (("[15]", 1.79e-12, 3.55e9), {}),
+        "VerificationRow(reference_tag='[15]', effective_capacitance=1.79e-12, "
+        "claimed_limit_hz=3550000000.0, pout_w='', pae_pct='', gain_db='', achieved_band_ghz='')",
+    ),
+    (
+        DesignOptions,
+        dict(
+            system_impedance=50.0,
+            stages=3,
+            taper=None,
+            series_cap=None,
+            include_microstrip_parasitics=False,
+            design_frequency_hz=None,
+        ),
+        ((), {"stages": 3}),
+        "DesignOptions(system_impedance=50.0, stages=3, taper=None, series_cap=None, "
+        "include_microstrip_parasitics=False, design_frequency_hz=None)",
+    ),
+    (
+        ScreeningResult,
+        dict(
+            name="GAN-1",
+            direct_pass=True,
+            required_series_cap=None,
+            resulting_fc=1e10,
+            gain_penalty_factor=1.0,
+            note="",
+        ),
+        (("GAN-1", True, None, 1e10, 1.0), {}),
+        "ScreeningResult(name='GAN-1', direct_pass=True, required_series_cap=None, "
+        "resulting_fc=10000000000.0, gain_penalty_factor=1.0, note='')",
+    ),
+    (
+        Table1Check,
+        dict(
+            tag="[4]",
+            effective_capacitance=2e-14,
+            claimed_limit_hz=3.18e11,
+            computed_limit_hz=3.183e11,
+            rel_error=0.001,
+        ),
+        None,
+        "Table1Check(tag='[4]', effective_capacitance=2e-14, claimed_limit_hz=318000000000.0, "
+        "computed_limit_hz=318300000000.0, rel_error=0.001)",
+    ),
+    (
+        DesignReport,
+        {
+            name: k
+            for k, name in enumerate(
+                (
+                    "transistor",
+                    "options",
+                    "effective_cgs",
+                    "series_capacitor",
+                    "gain_penalty_factor",
+                    "stages",
+                    "gate_cell",
+                    "drain_cell",
+                    "gate_line",
+                    "drain_line",
+                    "velocity_mismatch",
+                    "phase_per_cell_gate",
+                    "phase_per_cell_drain",
+                    "design_frequency_hz",
+                    "gains",
+                    "taper",
+                    "taper_gate_profile",
+                    "taper_drain_profile",
+                    "gate_section_lines",
+                    "drain_section_lines",
+                    "predicted_fc",
+                )
+            )
+        },
+        None,
+        "DesignReport(transistor=0, options=1, effective_cgs=2, series_capacitor=3, "
+        "gain_penalty_factor=4, stages=5, gate_cell=6, drain_cell=7, gate_line=8, "
+        "drain_line=9, velocity_mismatch=10, phase_per_cell_gate=11, phase_per_cell_drain=12, "
+        "design_frequency_hz=13, gains=14, taper=15, taper_gate_profile=16, "
+        "taper_drain_profile=17, gate_section_lines=18, drain_section_lines=19, "
+        "predicted_fc=20)",
+    ),
+    (
+        LineCell,
+        dict(inductance=1e-9, capacitance=4e-13),
+        None,
+        "LineCell(inductance=1e-09, capacitance=4e-13)",
+    ),
+    (
+        LineSection,
+        dict(z_series=2j, y_shunt=0.5 + 3j),
+        None,
+        "LineSection(z_series=2j, y_shunt=(0.5+3j))",
+    ),
+    (
+        TaperProfile,
+        dict(side="gate", sections=(50.0, 25.0), terminal_impedance=50.0),
+        (("gate", (50.0, 25.0)), {}),
+        "TaperProfile(side='gate', sections=(50.0, 25.0), terminal_impedance=50.0)",
+    ),
+    (
+        TaperReport,
+        dict(
+            gamma_gate=0.1,
+            gamma_drain=-0.2,
+            z_gate=60.0,
+            z_drain=40.0,
+            fc_gate=3e9,
+            fc_drain=4e9,
+            fc_total=3e9,
+        ),
+        None,
+        "TaperReport(gamma_gate=0.1, gamma_drain=-0.2, z_gate=60.0, z_drain=40.0, "
+        "fc_gate=3000000000.0, fc_drain=4000000000.0, fc_total=3000000000.0)",
+    ),
+    (
+        GainFigures,
+        dict(av=2.5, gp_lossless=6.25, gp_lossy=5.0, n_opt_continuous=math.inf, n_recommended=6),
+        None,
+        "GainFigures(av=2.5, gp_lossless=6.25, gp_lossy=5.0, n_opt_continuous=inf, "
+        "n_recommended=6)",
+    ),
+    (
+        MicrostripLine,
+        dict(
+            width_mm=3.0,
+            length_cm=0.5,
+            substrate=Substrate(4.4, 1.6, 0.035),
+            z0=50.0,
+            l_nh_per_cm=5.0,
+            c_pf_per_cm=2.0,
+        ),
+        None,
+        "MicrostripLine(width_mm=3.0, length_cm=0.5, "
+        "substrate=Substrate(er=4.4, h_mm=1.6, t_mm=0.035), z0=50.0, l_nh_per_cm=5.0, "
+        "c_pf_per_cm=2.0)",
+    ),
+]
+_IDS = [case[0].__name__ for case in CASES]
+
+
+@pytest.fixture(params=CASES, ids=_IDS)
+def case(request):
+    return request.param
+
+
+def test_positional_keyword_and_default_construction_agree(case):
+    cls, fields, short, _ = case
+    record = cls(*fields.values())
+    assert cls(**fields) == record
+    for name, value in fields.items():
+        assert getattr(record, name) is value
+    if short is not None:
+        args, kwargs = short
+        assert cls(*args, **kwargs) == record
+
+
+def test_equal_fields_give_equal_records_and_hashes(case):
+    cls, fields, _, _ = case
+    a, b = cls(**fields), cls(**fields)
+    assert a is not b
+    assert a == b and not a != b
+    # a frozen dataclass hashes the tuple of its fields
+    assert hash(a) == hash(b) == hash(tuple(fields.values()))
+
+
+def test_records_of_another_class_never_compare_equal(case):
+    cls, fields, _, _ = case
+    other_cls = type(f"Other{cls.__name__}", (cls,), {})
+    record, other = cls(**fields), other_cls(**fields)
+    assert record != other and other != record
+    assert record != tuple(fields.values())
+
+
+def test_two_classes_holding_the_same_values_differ():
+    assert LineCell(1e-9, 4e-13) != LineSection(1e-9, 4e-13)
+    assert Substrate(4.4, 1.6, 0.035) != TaperReport(4.4, 1.6, 0.035, 1, 2, 3, 4)
+
+
+def test_a_changed_field_breaks_equality():
+    assert Substrate(4.4, 1.6) != Substrate(4.4, 1.6, 0.035)
+    assert LineCell(1e-9, 4e-13) != LineCell(1e-9, 5e-13)
+    assert DesignOptions(stages=3) != DesignOptions(stages=4)
+    assert TransistorModel(**_GAN) != TransistorModel(**{**_GAN, "rds": 200.0})
+
+
+def test_repr_is_the_dataclass_form(case):
+    cls, fields, _, text = case
+    assert repr(cls(**fields)) == text
+
+
+def test_assignment_and_deletion_raise(case):
+    cls, fields, _, _ = case
+    record = cls(**fields)
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record == cls(**fields)
+
+
+def test_copy_and_pickle_give_equal_records(case):
+    cls, fields, _, _ = case
+    record = cls(**fields)
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls
+        assert clone == record

@@ -135,6 +135,10 @@ def test_non_finite_values_rejected(bad):
         equivalent_impedance(0.1, DRAIN, bad)
     with pytest.raises(DesignError, match="system impedance"):
         ginzton_profiles(3, bad)
+    with pytest.raises(DesignError, match="theta"):
+        overall_gamma((0.1, -0.05), bad)
+    with pytest.raises(DesignError, match="gamma"):
+        overall_gamma((0.1, bad), math.pi / 2)
 
 
 def test_analyze_taper_requires_gate_drain_pair():
@@ -152,3 +156,9 @@ def test_ginzton_validation():
         ginzton_profiles(0, 50.0)
     with pytest.raises(DesignError):
         ginzton_profiles(4, -50.0)
+
+
+@pytest.mark.parametrize("n", [2.5, True, 0])
+def test_ginzton_stage_count_must_be_a_positive_integer(n):
+    with pytest.raises(DesignError, match="stage count must be a positive integer"):
+        ginzton_profiles(n, 50.0)
