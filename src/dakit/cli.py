@@ -7,7 +7,10 @@ message goes to stderr), 2 on a usage error.
 
 Output is plain "name = value" text with 10 significant digits, so a run
 with the same arguments is byte-identical and the printed values are
-machine-readable as-is.
+machine-readable as-is. A command writes its files and then its stdout:
+each handler returns its exit code and lines, and run prints them once it
+has returned. A failing command prints only its "error:" or "usage
+error:" line, on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import design as design_mod
 from . import device as device_mod
@@ -24,9 +26,10 @@ from . import ladder
 from . import taper as taper_mod
 from .errors import DakitError
 
+# the simulator is imported where it is used, so the other subcommands
+# load neither it nor typing; type checkers take any TYPE_CHECKING as true
+TYPE_CHECKING = False
 if TYPE_CHECKING:
-    # the simulator is imported by the code that uses it, so that the
-    # subcommands that never simulate do not load it
     from . import mna
 
 # one %-format per row; "%.9e" renders every float exactly as _fmt does
@@ -46,13 +49,16 @@ def run(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.handler(args)
+        code, lines = args.handler(args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DakitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if lines:
+        print("\n".join(lines))
+    return code
 
 
 def write_touchstone(swp: mna.TwoPortSweep, destination) -> None:
@@ -159,9 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_bandwidth(args) -> int:
-    # every value is computed before anything is printed, so a failing
-    # command leaves stdout empty
+def _cmd_bandwidth(args) -> tuple[int, list[str]]:
     c_eff = device_mod.effective_gate_capacitance(args.cgs, args.cseries)
     lines = []
     if args.cseries is not None:
@@ -175,19 +179,19 @@ def _cmd_bandwidth(args) -> int:
         lines.append(f"fc_total_hz = {_fmt(min(fc_gate, fc_drain))}")
     if args.taper is not None:
         if args.n is None or args.cds is None:
-            _usage("--taper needs both --n and --cds")
+            raise _Usage("--taper needs both --n and --cds")
         gate_p, drain_p = taper_mod.ginzton_profiles(args.n, args.z0)
         rep = taper_mod.analyze_taper(gate_p, drain_p, c_eff, args.cds)
         lines += _taper_lines(rep)
-    print("\n".join(lines))
-    return 0
+    return 0, lines
 
 
-def _cmd_screen(args) -> int:
+def _cmd_screen(args) -> tuple[int, list[str]]:
     catalog = device_mod.load_catalog(_read_text(args.catalog), source=args.catalog)
     results = design_mod.screen_catalog(
         catalog, args.target_fc, z0=args.z0, allow_series=args.allow_series
     )
+    lines = []
     for r in results:
         status = "pass" if r.direct_pass else ("series" if r.required_series_cap else "fail")
         line = f"{r.name} {status} resulting_fc_hz={_fmt(r.resulting_fc)}"
@@ -196,11 +200,11 @@ def _cmd_screen(args) -> int:
             line += f" gain_penalty={_fmt(r.gain_penalty_factor)}"
         if r.note:
             line += f" note={r.note!r}"
-        print(line)
-    return 0
+        lines.append(line)
+    return 0, lines
 
 
-def _cmd_design(args) -> int:
+def _cmd_design(args) -> tuple[int, list[str]]:
     catalog = device_mod.load_catalog(_read_text(args.catalog), source=args.catalog)
     t = catalog.get(args.transistor)
     substrate = device_mod.Substrate(er=args.er, h_mm=args.h, t_mm=args.t)
@@ -213,68 +217,58 @@ def _cmd_design(args) -> int:
         design_frequency_hz=args.f_loss,
     )
     report = design_mod.synthesize_design(t, substrate, options)
-    # files are written before anything is printed, so a failed write
-    # leaves stdout empty
+    lines = _report_lines(report)
     if args.out:
         _write_text(args.out, design_mod.report_to_json(report))
-    _print_report(report)
-    if args.out:
-        print(f"report_written = {args.out}")
-    return 0
+        lines.append(f"report_written = {args.out}")
+    return 0, lines
 
 
-def _cmd_taper(args) -> int:
+def _cmd_taper(args) -> tuple[int, list[str]]:
     cds = args.cds if args.cds is not None else args.cgs / 6.0
     gate_p, drain_p = taper_mod.ginzton_profiles(args.n, args.z0)
     rep = taper_mod.analyze_taper(gate_p, drain_p, args.cgs, cds)
-    lines = [
+    return 0, [
         f"gate_sections_ohm = {' '.join(_fmt(z) for z in gate_p.sections)}",
         f"drain_sections_ohm = {' '.join(_fmt(z) for z in drain_p.sections)}",
         *_taper_lines(rep),
     ]
-    print("\n".join(lines))
-    return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[int, list[str]]:
     from . import mna
 
     report = design_mod.report_from_json(_read_text(args.design))
     net = mna.build_network(report)
     swp = mna.sweep(net, args.fstart, args.fstop, args.points, spacing=args.spacing)
     metrics = mna.extract_metrics(swp)
+    cutoff = "none" if metrics.cutoff_hz is None else _fmt(metrics.cutoff_hz)
+    lines = [
+        f"low_freq_gain_db = {_fmt(metrics.low_freq_gain_db)}",
+        f"cutoff_hz = {cutoff}",
+        f"worst_s11_db = {_fmt(metrics.worst_s11_db)}",
+    ]
     if args.out:
         write_touchstone(swp, args.out)
+        lines.append(f"touchstone_written = {args.out}")
     if args.csv:
         write_csv(swp, args.csv)
-    print(f"low_freq_gain_db = {_fmt(metrics.low_freq_gain_db)}")
-    if metrics.cutoff_hz is None:
-        print("cutoff_hz = none")
-    else:
-        print(f"cutoff_hz = {_fmt(metrics.cutoff_hz)}")
-    print(f"worst_s11_db = {_fmt(metrics.worst_s11_db)}")
-    if args.out:
-        print(f"touchstone_written = {args.out}")
-    if args.csv:
-        print(f"csv_written = {args.csv}")
-    return 0
+        lines.append(f"csv_written = {args.csv}")
+    return 0, lines
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, list[str]]:
     checks = design_mod.verify_table1()
-    failed = 0
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        print(
-            f"{c.tag} c_f={_fmt(c.effective_capacitance)} "
-            f"claimed_hz={_fmt(c.claimed_limit_hz)} "
-            f"computed_hz={_fmt(c.computed_limit_hz)} "
-            f"rel_error={_fmt(c.rel_error)} {status}"
-        )
-        if not c.passed:
-            failed += 1
-    print(f"rows_failed = {failed}")
-    return 1 if failed else 0
+    lines = [
+        f"{c.tag} c_f={_fmt(c.effective_capacitance)} "
+        f"claimed_hz={_fmt(c.claimed_limit_hz)} "
+        f"computed_hz={_fmt(c.computed_limit_hz)} "
+        f"rel_error={_fmt(c.rel_error)} {'PASS' if c.passed else 'FAIL'}"
+        for c in checks
+    ]
+    failed = sum(not c.passed for c in checks)
+    lines.append(f"rows_failed = {failed}")
+    return (1 if failed else 0), lines
 
 
 def _taper_lines(rep: taper_mod.TaperReport) -> list[str]:
@@ -289,48 +283,49 @@ def _taper_lines(rep: taper_mod.TaperReport) -> list[str]:
     ]
 
 
-def _print_report(report: design_mod.DesignReport) -> None:
-    print(f"transistor = {report.transistor.name}")
-    print(f"stages = {report.stages}")
-    print(f"effective_cgs_f = {_fmt(report.effective_cgs)}")
+def _report_lines(report: design_mod.DesignReport) -> list[str]:
+    lines = [
+        f"transistor = {report.transistor.name}",
+        f"stages = {report.stages}",
+        f"effective_cgs_f = {_fmt(report.effective_cgs)}",
+    ]
     if report.series_capacitor is not None:
-        print(f"series_capacitor_f = {_fmt(report.series_capacitor)}")
-        print(f"gain_penalty = {_fmt(report.gain_penalty_factor)}")
+        lines.append(f"series_capacitor_f = {_fmt(report.series_capacitor)}")
+        lines.append(f"gain_penalty = {_fmt(report.gain_penalty_factor)}")
     for label, cell, line in (
         ("gate", report.gate_cell, report.gate_line),
         ("drain", report.drain_cell, report.drain_line),
     ):
-        print(f"{label}_cell_l_h = {_fmt(cell.inductance)}")
-        print(f"{label}_cell_c_f = {_fmt(cell.capacitance)}")
-        print(f"{label}_cell_z0_ohm = {_fmt(cell.z0)}")
-        print(f"{label}_cell_fc_hz = {_fmt(cell.fc)}")
-        print(f"{label}_line_w_mm = {_fmt(line.width_mm)}")
-        print(f"{label}_line_len_cm = {_fmt(line.length_cm)}")
-    print(f"velocity_mismatch = {_fmt(report.velocity_mismatch)}")
-    print(f"phase_per_cell_gate_rad = {_fmt(report.phase_per_cell_gate)}")
-    print(f"phase_per_cell_drain_rad = {_fmt(report.phase_per_cell_drain)}")
-    print(f"design_frequency_hz = {_fmt(report.design_frequency_hz)}")
-    print(f"av = {_fmt(report.gains.av)}")
-    print(f"gp_lossless = {_fmt(report.gains.gp_lossless)}")
-    print(f"gp_lossy = {_fmt(report.gains.gp_lossy)}")
-    if math.isfinite(report.gains.n_opt_continuous):
-        print(f"n_opt = {_fmt(report.gains.n_opt_continuous)}")
-    else:
-        print("n_opt = inf")
-    print(f"n_recommended = {report.gains.n_recommended}")
+        lines += [
+            f"{label}_cell_l_h = {_fmt(cell.inductance)}",
+            f"{label}_cell_c_f = {_fmt(cell.capacitance)}",
+            f"{label}_cell_z0_ohm = {_fmt(cell.z0)}",
+            f"{label}_cell_fc_hz = {_fmt(cell.fc)}",
+            f"{label}_line_w_mm = {_fmt(line.width_mm)}",
+            f"{label}_line_len_cm = {_fmt(line.length_cm)}",
+        ]
+    gains = report.gains
+    lines += [
+        f"velocity_mismatch = {_fmt(report.velocity_mismatch)}",
+        f"phase_per_cell_gate_rad = {_fmt(report.phase_per_cell_gate)}",
+        f"phase_per_cell_drain_rad = {_fmt(report.phase_per_cell_drain)}",
+        f"design_frequency_hz = {_fmt(report.design_frequency_hz)}",
+        f"av = {_fmt(gains.av)}",
+        f"gp_lossless = {_fmt(gains.gp_lossless)}",
+        f"gp_lossy = {_fmt(gains.gp_lossy)}",
+        f"n_opt = {_fmt(gains.n_opt_continuous)}",
+        f"n_recommended = {gains.n_recommended}",
+    ]
     if report.taper is not None:
-        print("\n".join(_taper_lines(report.taper)))
-    print(f"predicted_fc_hz = {_fmt(report.predicted_fc)}")
+        lines += _taper_lines(report.taper)
+    lines.append(f"predicted_fc_hz = {_fmt(report.predicted_fc)}")
+    return lines
 
 
 def _series_value(text: str):
     if text == design_mod.MATCH_DRAIN:
         return text
     return float(text)
-
-
-def _usage(message: str) -> None:
-    raise _Usage(message)
 
 
 class _Usage(Exception):

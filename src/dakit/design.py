@@ -313,7 +313,7 @@ def predict_bandwidth(t: TransistorModel, options: DesignOptions | None = None) 
     """
     options = options or DesignOptions()
     z0 = options.system_impedance
-    c_eff, _, _, _, _, profiles = _resolve(t, options)
+    c_eff, *_, profiles = _resolve(t, options)
     if profiles is None:
         return min(ladder.cutoff_frequency(z0, c_eff), ladder.cutoff_frequency(z0, t.cds))
     return taper_mod.analyze_taper(*profiles, c_eff, t.cds).fc_total
@@ -327,7 +327,7 @@ def synthesize_design(
     """Produce the full design report for one device on one board."""
     options = options or DesignOptions()
     z0 = options.system_impedance
-    c_eff, cseries, penalty, f_design, n, profiles = _resolve(t, options)
+    c_eff, cseries, penalty, f_design, ag, ad, n_opt, n, profiles = _resolve(t, options)
 
     gate_cell, gate_line = _cell_and_strip(z0, substrate, c_eff, options)
     drain_cell, drain_line = _cell_and_strip(z0, substrate, t.cds, options)
@@ -349,9 +349,6 @@ def synthesize_design(
     )
 
     gm_eff = t.gm * penalty
-    ag = ladder.gate_loss_per_cell(f_design, t.ri, c_eff, z0)
-    ad = ladder.drain_loss_per_cell(z0, t.rds)
-    n_opt = gain_mod.n_opt_from_losses(ag, ad)
     gains = GainFigures(
         av=gain_mod.voltage_gain(gm_eff, z0, n),
         gp_lossless=gain_mod.power_gain_lossless(gm_eff, z0, z0, n),
@@ -568,7 +565,8 @@ def _resolve(t: TransistorModel, options: DesignOptions):
     """The option-dependent quantities synthesis and prediction share.
 
     Returns (effective cgs, series capacitor or None, gain penalty, design
-    frequency, stage count, (gate, drain) taper profiles or None).
+    frequency, gate and drain loss per cell, continuous optimum stage count,
+    stage count, (gate, drain) taper profiles or None).
     """
     z0 = options.system_impedance
     policy = options.series_cap
@@ -593,15 +591,18 @@ def _resolve(t: TransistorModel, options: DesignOptions):
     if f_design is None:
         f_design = 0.5 * ladder.cutoff_frequency(z0, c_eff)
 
+    ag = ladder.gate_loss_per_cell(f_design, t.ri, c_eff, z0)
+    ad = ladder.drain_loss_per_cell(z0, t.rds)
+    n_opt = gain_mod.n_opt_from_losses(ag, ad)
     if options.stages is not None:
         n = options.stages
-    elif t.ri > 0 and math.isfinite(t.rds):
-        n = gain_mod.recommended_n(gain_mod.n_opt_from_params(f_design, t.ri, c_eff, t.rds, z0))
+    elif math.isfinite(n_opt):
+        n = gain_mod.recommended_n(n_opt)
     else:
         n = _DEFAULT_STAGES
 
     if options.taper is None:
-        return c_eff, cseries, penalty, f_design, n, None
+        return c_eff, cseries, penalty, f_design, ag, ad, n_opt, n, None
     if options.taper == "ginzton":
         gate, drain = taper_mod.ginzton_profiles(n, z0)
     else:
@@ -611,7 +612,7 @@ def _resolve(t: TransistorModel, options: DesignOptions):
             f"taper profiles have {len(gate.sections)} gate and {len(drain.sections)} drain "
             f"sections for {n} stages (expected n or n+1, and n)"
         )
-    return c_eff, cseries, penalty, f_design, n, (gate, drain)
+    return c_eff, cseries, penalty, f_design, ag, ad, n_opt, n, (gate, drain)
 
 
 def _is_profile_pair(pair: object) -> bool:

@@ -32,6 +32,11 @@ class LineCell(Record):
             raise DesignError(f"cell inductance must be positive and finite, got {inductance}")
         if not 0 < capacitance < math.inf:
             raise DesignError(f"cell capacitance must be positive and finite, got {capacitance}")
+        # z0 and fc need L/C and L*C as positive finite floats, which
+        # extreme values underflow or overflow
+        ratio, product = inductance / capacitance, inductance * capacitance
+        if not (0 < ratio < math.inf and 0 < product < math.inf):
+            raise DesignError(f"cell L = {inductance} H and C = {capacitance} F are out of range")
         set_field(self, "inductance", inductance)
         set_field(self, "capacitance", capacitance)
 
@@ -71,7 +76,11 @@ def cutoff_frequency(z0: float, capacitance: float) -> float:
         raise DesignError(
             f"impedance and capacitance must be positive and finite, got {z0} and {capacitance}"
         )
-    return 1.0 / (math.pi * z0 * capacitance)
+    product = math.pi * z0 * capacitance
+    # extreme values underflow the product to 0 or overflow it to inf
+    if not 0 < product < math.inf:
+        raise DesignError(f"cutoff of {z0} ohm and {capacitance} F is out of range")
+    return 1.0 / product
 
 
 def gate_loss_per_cell(f: float, ri: float, cgs: float, z0: float) -> float:

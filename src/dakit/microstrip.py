@@ -14,7 +14,7 @@ of the package stays SI.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from ._record import Record, set_field
 from .device import Substrate
@@ -24,9 +24,8 @@ _WH_MIN = 0.1
 _WH_MAX = 3.0
 
 
-class ImpedanceResult(NamedTuple):
-    z0: float
-    valid: bool
+# a plain namedtuple: typing.NamedTuple would load typing at every start
+ImpedanceResult = namedtuple("ImpedanceResult", ["z0", "valid"])
 
 
 class MicrostripLine(Record):

@@ -48,7 +48,9 @@ exact zero pivot, as at a node with nothing connected or an LC tank at
 its resonance, raises SimulationError("singular nodal system at f Hz")
 naming the first such frequency; each pivot is checked once, after the
 program has run, since no pivot is written after its own elimination. A
-zero determinant of I + y' raises "singular port system at f Hz".
+zero determinant of I + y' raises "singular port system at f Hz". An
+entry of S that is still not finite, as when w is so small that Gamma/(jw)
+overflows, raises "non-finite S-parameters at f Hz".
 
 Determinism: same inputs give the same bytes; a sweep entry equals
 s_parameters_at at that frequency bit for bit, because every operation
@@ -275,8 +277,9 @@ def sweep(
     """Evaluate the network over a frequency grid, in grid order."""
     if not 0 < f_start < f_stop < math.inf:
         raise SimulationError(f"need 0 < f_start < f_stop < inf, got {f_start} and {f_stop}")
-    if points < 2:
-        raise SimulationError(f"need at least 2 points, got {points}")
+    # bool is an int, but True is no point count
+    if isinstance(points, bool) or not isinstance(points, int) or points < 2:
+        raise SimulationError(f"need at least 2 points, got {points!r}")
     if spacing == LINEAR:
         step = (f_stop - f_start) / (points - 1)
         freqs = [f_start + k * step for k in range(points)]
@@ -470,7 +473,6 @@ def _solve(net: Network, freqs: list[float]) -> list:
 
     plan = net._plan
     reactive = plan.reactive
-    w_all = 2.0 * math.pi * np.array(freqs)
     width = min(len(freqs), _BLOCK)
     work = np.empty((plan.slots, width), dtype=complex)
     inductive = np.empty((reactive, width))
@@ -479,24 +481,26 @@ def _solve(net: Network, freqs: list[float]) -> list:
     z1, z2 = net.port1.z0, net.port2.z0
     cross = math.sqrt(z1 * z2)
     i11, i12, i21, i22 = plan.ports
-    for start in range(0, len(freqs), width):
-        w = w_all[start : start + width]
-        count = len(w)
-        y = work[:, :count]
-        # Y = G + jwC + Gamma/(jw), the imaginary part only where C or
-        # Gamma stamps
-        y.real = net._g[:, None]
-        y_reactive = y.imag[:reactive]
-        multiply.outer(net._c, w, out=y_reactive)
-        divide.outer(net._gamma, w, out=inductive[:, :count])
-        subtract(y_reactive, inductive[:, :count], out=y_reactive)
-        y.imag[reactive:] = 0.0
-        rows = list(y)
-        scratch = np.empty(count, dtype=complex)
-        # a zero pivot turns its frequency's entries into inf and nan;
-        # pivot slots are never written after their elimination, so they
-        # are checked once the program has run
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # a zero pivot turns its frequency's entries into inf and nan, and so
+    # does a frequency so low that Gamma/(jw) overflows, or so high that w
+    # does; pivot slots are never written after their elimination, so they
+    # are checked once the program has run, and S is checked last
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w_all = 2.0 * math.pi * np.array(freqs)
+        for start in range(0, len(freqs), width):
+            w = w_all[start : start + width]
+            count = len(w)
+            y = work[:, :count]
+            # Y = G + jwC + Gamma/(jw), the imaginary part only where C or
+            # Gamma stamps
+            y.real = net._g[:, None]
+            y_reactive = y.imag[:reactive]
+            multiply.outer(net._c, w, out=y_reactive)
+            divide.outer(net._gamma, w, out=inductive[:, :count])
+            subtract(y_reactive, inductive[:, :count], out=y_reactive)
+            y.imag[reactive:] = 0.0
+            rows = list(y)
+            scratch = np.empty(count, dtype=complex)
             for kk, kjs, updates in plan.program:
                 pivot = rows[kk]
                 for kj in kjs:
@@ -504,21 +508,24 @@ def _solve(net: Network, freqs: list[float]) -> list:
                 for ij, ik, kj in updates:
                     multiply(rows[ik], rows[kj], scratch)
                     subtract(rows[ij], scratch, rows[ij])
-        zero = np.flatnonzero((y[plan.pivots] == 0).any(axis=0))
-        if zero.size:
-            raise SimulationError(f"singular nodal system at {freqs[start + zero[0]]} Hz")
-        # S = (I - y')(I + y')^-1 with y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
-        # written out for 2x2
-        a, b, c, d = y[i11] * z1, y[i12] * cross, y[i21] * cross, y[i22] * z2
-        det = (1.0 + a) * (1.0 + d) - b * c
-        zero = np.flatnonzero(det == 0)
-        if zero.size:
-            raise SimulationError(f"singular port system at {freqs[start + zero[0]]} Hz")
-        block = s[start : start + count]
-        block[:, 0, 0] = ((1.0 - a) * (1.0 + d) + b * c) / det
-        block[:, 0, 1] = -2.0 * b / det
-        block[:, 1, 0] = -2.0 * c / det
-        block[:, 1, 1] = ((1.0 + a) * (1.0 - d) + b * c) / det
+            zero = np.flatnonzero((y[plan.pivots] == 0).any(axis=0))
+            if zero.size:
+                raise SimulationError(f"singular nodal system at {freqs[start + zero[0]]} Hz")
+            # S = (I - y')(I + y')^-1 with y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
+            # written out for 2x2
+            a, b, c, d = y[i11] * z1, y[i12] * cross, y[i21] * cross, y[i22] * z2
+            det = (1.0 + a) * (1.0 + d) - b * c
+            zero = np.flatnonzero(det == 0)
+            if zero.size:
+                raise SimulationError(f"singular port system at {freqs[start + zero[0]]} Hz")
+            block = s[start : start + count]
+            block[:, 0, 0] = ((1.0 - a) * (1.0 + d) + b * c) / det
+            block[:, 0, 1] = -2.0 * b / det
+            block[:, 1, 0] = -2.0 * c / det
+            block[:, 1, 1] = ((1.0 + a) * (1.0 - d) + b * c) / det
+            if not np.isfinite(block).all():
+                bad = np.flatnonzero(~np.isfinite(block).all(axis=(1, 2)))[0]
+                raise SimulationError(f"non-finite S-parameters at {freqs[start + bad]} Hz")
     return [(tuple(row1), tuple(row2)) for row1, row2 in s.tolist()]
 
 

@@ -24,6 +24,7 @@ import math
 
 from ._record import Record, set_field
 from .errors import DesignError
+from .ladder import cutoff_frequency
 
 GATE = "gate"
 DRAIN = "drain"
@@ -44,6 +45,9 @@ class TaperProfile(Record):
     ) -> None:
         if side not in (GATE, DRAIN):
             raise DesignError(f"side must be {GATE!r} or {DRAIN!r}, got {side!r}")
+        # a tuple, so that the profile hashes and junction_gammas can extend it
+        if not isinstance(sections, tuple):
+            raise DesignError(f"sections must be a tuple, got {type(sections).__name__}")
         if not sections:
             raise DesignError("profile needs at least one section")
         # written as "not in range" so that NaN, which fails every
@@ -173,8 +177,8 @@ def analyze_taper(
     gamma_d = overall_gamma_quarterwave(junction_gammas(drain))
     z_g = equivalent_impedance(gamma_g, GATE, gate.terminal_impedance)
     z_d = equivalent_impedance(gamma_d, DRAIN, drain.terminal_impedance)
-    fc_g = 1.0 / (math.pi * z_g * cgs)
-    fc_d = 1.0 / (math.pi * z_d * cds)
+    fc_g = cutoff_frequency(z_g, cgs)
+    fc_d = cutoff_frequency(z_d, cds)
     return TaperReport(
         gamma_gate=gamma_g,
         gamma_drain=gamma_d,

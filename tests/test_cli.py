@@ -1,16 +1,22 @@
 import ast
+import contextlib
+import functools
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dakit
 from dakit import (
+    DesignOptions,
     Substrate,
     TwoPortSweep,
     load_catalog,
@@ -130,6 +136,10 @@ _SIMULATE = ["simulate", "--design", "{design}", *_SWEEP]
         (["screen", "--catalog", "{deep}", "--target-fc", "1e9"], 1),
         (["design", "--catalog", "{deep}", *_GAN_ON_FR4], 1),
         (["simulate", "--design", "{deep}", *_SWEEP], 1),
+        # Gamma/(jw) overflows: no numpy warning, no NaN metrics with exit 0
+        (["simulate", "--design", "{design}", "--fstart", "1e-300", *_SWEEP[2:]], 1),
+        # pi*z0*C underflows to 0: a ZeroDivisionError traceback before
+        (["taper", "--n", "1", "--z0", "1e-300", "--cgs", "1e-300"], 1),
     ],
 )
 def test_failing_command_prints_nothing_to_stdout(capsys, catalog_file, tmp_path, argv, code):
@@ -155,6 +165,183 @@ def test_failing_command_prints_nothing_to_stdout(capsys, catalog_file, tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:" if code == 1 else "usage error:")
+
+
+# Fuzzed command lines for every subcommand. The files they name are written
+# into a fresh directory per example: catalogs as random or damaged JSON,
+# reports as damaged copies of real `design --out` files. Stage and point
+# counts stay small, so no example builds a large network.
+_ODD = st.sampled_from(["0", "-1", "1e-300", "1e300", "nan", "inf", "abc"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 16) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _number(*typical: str):
+    """A flag value: one of the flag's typical values, an odd one, or any
+    float but NaN."""
+    return st.sampled_from(typical) | _ODD | st.floats(allow_nan=False).map(repr)
+
+
+def _count(high: int):
+    return st.sampled_from([*map(str, range(-2, high + 1)), "2.5", "x"])
+
+
+@functools.cache
+def _base_reports() -> tuple[str, ...]:
+    catalog = load_catalog(json.dumps(CATALOG))
+    board = Substrate(4.4, 1.6, 0.035)
+    return tuple(
+        report_to_json(synthesize_design(catalog.get(name), board, DesignOptions(**options)))
+        for name, options in (
+            ("GAN-1", {"series_cap": "match-drain"}),
+            ("GAN-1", {"taper": "ginzton", "include_microstrip_parasitics": True}),
+            ("PHEMT-1", {}),
+        )
+    )
+
+
+def _paths(doc, prefix=()):
+    """The key path of every value in a JSON document, the root's first."""
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, (*prefix, key))
+
+
+@st.composite
+def _json_file(draw, bases):
+    """Text of a JSON file: one of the base documents, as it is (half the
+    files, so that commands get past their input checks) or with one or two
+    fields replaced, deleted or added; random JSON; or arrays nested up to
+    past the parser's recursion limit."""
+    doc = json.loads(draw(st.sampled_from(bases)))
+    damaged = draw(st.booleans())
+    if not damaged:
+        return json.dumps(doc)
+    kind = draw(st.sampled_from(["damaged", "random", "deep"]))
+    if kind == "deep":
+        depth = draw(st.integers(1, 5000))
+        return "[" * depth + "]" * depth
+    if kind == "random":
+        return json.dumps(draw(_JSON))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(_JSON)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            parent[path[-1]] = draw(_JSON)
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(st.text(max_size=6))] = draw(_JSON)
+        else:
+            parent.append(draw(_JSON))
+    return json.dumps(doc)
+
+
+def _flags(required, **optional):
+    """The required flags, and each optional one or not, with their drawn
+    values; None marks a switch."""
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+_OUT = st.sampled_from(["{tmp}/out", "{tmp}/missing/out"])
+_CGS, _CDS, _Z0 = _number("1.79e-12", "1.4e-13"), _number("2.983e-13"), _number("50")
+_COMMANDS = {
+    "bandwidth": _flags(
+        {"cgs": _CGS},
+        cds=_CDS,
+        z0=_Z0,
+        cseries=_number("3.58e-13"),
+        taper=st.just("ginzton"),
+        n=_count(16),
+    ),
+    "screen": _flags(
+        {"catalog": st.just("{tmp}/catalog"), "target-fc": _number("1e10")},
+        z0=_Z0,
+        **{"allow-series": st.none()},
+    ),
+    "design": _flags(
+        {
+            "catalog": st.just("{tmp}/catalog"),
+            "transistor": st.sampled_from(["GAN-1", "PHEMT-1", "X"]),
+            "er": _number("4.4", "2.2"),
+            "h": _number("1.6", "0.8"),
+            "t": _number("0.035"),
+        },
+        z0=_Z0,
+        n=_count(16),
+        taper=st.just("ginzton"),
+        series=st.just("match-drain") | _number("3.58e-13"),
+        out=_OUT,
+        **{"f-loss": _number("1e9"), "include-parasitics": st.none()},
+    ),
+    "taper": _flags({"n": _count(16)}, z0=_Z0, cgs=_CGS, cds=_CDS),
+    "simulate": _flags(
+        {
+            "design": st.just("{tmp}/report"),
+            "span": st.sampled_from([("1e7", "8e9"), ("1e-300", "1e9"), ("1e9", "1e300")])
+            | st.tuples(_number("1e7"), _number("8e9")),
+            "points": _count(64),
+        },
+        spacing=st.sampled_from(["linear", "log"]),
+        out=_OUT,
+        csv=_OUT,
+    ),
+    "verify": _flags({"table1": st.none()}),
+}
+
+
+@st.composite
+def _command(draw):
+    # design and simulate read files and run the most code, simulate the most
+    name = draw(st.sampled_from([*sorted(_COMMANDS), "design", "simulate", "simulate"]))
+    argv = [name]
+    for flag, value in draw(_COMMANDS[name]).items():
+        if flag == "span":
+            argv += ["--fstart", value[0], "--fstop", value[1]]
+        else:
+            argv += [f"--{flag}"] if value is None else [f"--{flag}", value]
+    files = {
+        "catalog": draw(_json_file((json.dumps(CATALOG),))),
+        "report": draw(_json_file(_base_reports())),
+    }
+    return argv, files
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(_command())
+def test_fuzzed_command_lines_keep_the_exit_contract(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([arg.replace("{tmp}", tmp) for arg in argv])
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:" if code == 1 else "usage")
 
 
 class TestScreen:
@@ -500,10 +687,10 @@ def _probe_commands(catalog_file, tmp_path):
     ]
 
 
-def _run_probe(probe: str, commands) -> dict:
+def _run_probe(probe: str, commands, *flags: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(Path(dakit.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", probe, json.dumps(commands)],
+        [sys.executable, *flags, "-c", probe, json.dumps(commands)],
         capture_output=True,
         text=True,
         env=env,
@@ -555,6 +742,28 @@ def test_only_simulate_loads_the_simulator_and_dataclasses(catalog_file, tmp_pat
     capsys.readouterr()
     assert run(commands[-1]) == 0
     assert stdout == capsys.readouterr().out
+
+
+_TYPING_PROBE = """
+import contextlib, io, json, sys
+import dakit
+seen = {"import": "typing" in sys.modules}
+from dakit import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(argv)
+    seen[argv[0]] = [code, "typing" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_commands_that_do_not_simulate_leave_typing_unloaded(catalog_file, tmp_path):
+    # -S, because site may load typing itself (through a .pth file)
+    commands = _probe_commands(catalog_file, tmp_path)[:-1]
+    assert _run_probe(_TYPING_PROBE, commands, "-S") == {
+        "import": False,
+        **{argv[0]: [0, False] for argv in commands},
+    }
 
 
 def test_star_import_binds_every_name_in_all():

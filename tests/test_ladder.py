@@ -52,6 +52,23 @@ def test_cell_rejects_nonpositive():
         LineCell(inductance=1e-9, capacitance=-1e-12)
 
 
+@pytest.mark.parametrize(
+    "inductance, capacitance", [(1e-300, 1e-300), (1e300, 1e300), (1e300, 1e-300)]
+)
+def test_cell_out_of_range_products_rejected(inductance, capacitance):
+    # L*C underflows to 0 or overflows, or L/C overflows: fc was a
+    # ZeroDivisionError or 0 Hz, or z0 was inf
+    with pytest.raises(DesignError, match="out of range"):
+        LineCell(inductance=inductance, capacitance=capacitance)
+
+
+@pytest.mark.parametrize("value", [1e-300, 1e300])
+def test_cutoff_out_of_range_rejected(value):
+    # pi*z0*C underflows to 0 (a ZeroDivisionError) or overflows (0 Hz)
+    with pytest.raises(DesignError, match="out of range"):
+        cutoff_frequency(value, value)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_values_rejected(bad):
     with pytest.raises(DesignError):

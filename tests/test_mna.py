@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,13 @@ class TestSParameters:
         with pytest.raises(SimulationError):
             s_parameters_at(pi_pad(), 0.0)
 
+    @pytest.mark.parametrize("f", [1e-300, 1e308])
+    def test_extreme_frequency_is_simulation_error(self, f):
+        # Gamma/(jw) or w itself overflows, so S is not finite; no numpy
+        # warning escapes
+        with pytest.raises(SimulationError, match=re.escape(f"non-finite S-parameters at {f} Hz")):
+            s_parameters_at(lc_ladder(), f)
+
     def test_matched_attenuator(self):
         s = s_parameters_at(pi_pad(a=2.0), 1e9)
         assert abs(s[0][0]) < 1e-12
@@ -285,7 +293,15 @@ class TestSweep:
         with pytest.raises(SimulationError):
             sweep(net, 1e8, 1e9, 1)
         with pytest.raises(SimulationError):
+            sweep(net, 1e6, 2e6, 2.5)
+        with pytest.raises(SimulationError):
+            sweep(net, 1e6, 2e6, True)
+        with pytest.raises(SimulationError):
             sweep(net, 1e8, 1e9, 11, spacing="decade")
+
+    def test_sweep_from_a_tiny_frequency_names_it(self):
+        with pytest.raises(SimulationError, match=r"non-finite S-parameters at 1e-300 Hz"):
+            sweep(lc_ladder(), 1e-300, 1e9, 5)
 
     def test_linear_grid(self):
         swp = sweep(pi_pad(), 1e8, 1e9, 10)

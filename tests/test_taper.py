@@ -112,6 +112,9 @@ def test_profile_validation():
         TaperProfile("source", (50.0,))
     with pytest.raises(DesignError):
         TaperProfile(GATE, ())
+    # a list would pass the value checks, then break junction_gammas and hash()
+    with pytest.raises(DesignError):
+        TaperProfile(GATE, [50.0, 25.0])
     with pytest.raises(DesignError):
         TaperProfile(GATE, (50.0, -25.0))
     with pytest.raises(DesignError):
