@@ -7,9 +7,17 @@ gives: equality within one class, a hash of the field values, the
 dataclass repr, and AttributeError on assignment or deletion.
 """
 
+import math
 from operator import attrgetter
 
 set_field = object.__setattr__
+
+
+def is_positive_number(x: object) -> bool:
+    """True for a positive, finite int or float, the check of a record
+    field that holds a quantity."""
+    # bool is an int, but True is no quantity; NaN fails "0 < x < inf"
+    return not isinstance(x, bool) and isinstance(x, (int, float)) and 0 < x < math.inf
 
 
 class Record:

@@ -23,7 +23,7 @@ import json
 import math
 
 from . import device, gain as gain_mod, ladder, microstrip, taper as taper_mod
-from ._record import Record, set_field
+from ._record import Record, is_positive_number, set_field
 from .device import Substrate, TransistorModel, builtin_table1
 from .errors import DakitError, DesignError
 from .gain import GainFigures
@@ -67,18 +67,18 @@ class DesignOptions(Record):
         design_frequency_hz: float | None = None,
     ) -> None:
         z0, n, pair, cap = system_impedance, stages, taper, series_cap
-        if not _is_positive_number(z0):
+        if not is_positive_number(z0):
             raise DesignError(f"system impedance must be positive and finite, got {z0!r}")
         if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
             raise DesignError(f"stages must be a positive integer, got {n!r}")
         if not (pair in (None, "ginzton") or _is_profile_pair(pair)):
             raise DesignError(f"taper must be None, 'ginzton' or a (gate, drain) pair: {pair!r}")
-        if not (cap in (None, MATCH_DRAIN) or _is_positive_number(cap)):
+        if not (cap in (None, MATCH_DRAIN) or is_positive_number(cap)):
             raise DesignError(f"series_cap must be None, {MATCH_DRAIN!r} or farads, got {cap!r}")
         if not isinstance(include_microstrip_parasitics, bool):
             raise DesignError("include_microstrip_parasitics must be True or False")
         f = design_frequency_hz
-        if not (f is None or _is_positive_number(f)):
+        if not (f is None or is_positive_number(f)):
             raise DesignError(f"design frequency must be positive and finite, got {f!r}")
         set_field(self, "system_impedance", system_impedance)
         set_field(self, "stages", stages)
@@ -252,6 +252,11 @@ def series_cap_for_target(cgs: float, c_eff_target: float) -> tuple[float, float
             "a series capacitor can only reduce the effective load"
         )
     cs = c_eff_target * cgs / (cgs - c_eff_target)
+    if not 0 < cs < math.inf:
+        raise DesignError(
+            f"a series capacitor taking cgs {cgs} F to {c_eff_target} F would be {cs} F; "
+            "it must be positive and finite"
+        )
     return cs, c_eff_target / cgs
 
 
@@ -336,11 +341,13 @@ def synthesize_design(
     taper_report = gate_strips = drain_strips = None
     if profiles is not None:
         taper_report = taper_mod.analyze_taper(gate_profile, drain_profile, c_eff, t.cds)
-        gate_strips = tuple(
-            _cell_and_strip(zk, substrate, c_eff, options)[1] for zk in gate_profile.sections
-        )
+        # drain first: its n*z0 sections need the narrowest strips, so a
+        # board that cannot realize one is refused before any gate strip
         drain_strips = tuple(
             _cell_and_strip(zk, substrate, t.cds, options)[1] for zk in drain_profile.sections
+        )
+        gate_strips = tuple(
+            _cell_and_strip(zk, substrate, c_eff, options)[1] for zk in gate_profile.sections
         )
 
     phase_g, phase_d = (
@@ -409,9 +416,55 @@ def report_to_json(report: DesignReport) -> str:
     """Serialize a report to the design_report_v2 layout.
 
     Infinities never reach the file: an infinite rds is omitted (catalog
-    convention) and an unbounded n_opt becomes null.
+    convention) and an unbounded n_opt becomes null. The text is
+    json.dumps(doc, indent=2, allow_nan=False) byte for byte.
     """
-    return json.dumps(_report_doc(report), indent=2, allow_nan=False)
+    out: list[str] = []
+    _write_json(_report_doc(report), out, "\n")
+    return "".join(out)
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value: object, out: list[str], newline: str) -> None:
+    """Append json.dumps(value, indent=2, allow_nan=False) to out, with str
+    keys only. Any indented dump takes json's pure-Python encoder; this one
+    appends to a list instead of chaining generators. Types are tested in
+    json's order, so int and float subclasses (numpy.float64) encode as
+    json encodes them."""
+    if type(value) is float and value - value == 0.0:  # a finite float
+        out.append(float.__repr__(value))
+    elif isinstance(value, str):
+        out.append(_escape(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        inner, sep = newline + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _write_json(item, out, inner)
+            sep = ","
+        out.append(newline + "]" if value else "[]")
+    elif isinstance(value, dict):
+        inner, sep = newline + "  ", "{"
+        for key, item in value.items():
+            out.append(f"{sep}{inner}{_escape(key)}: ")
+            _write_json(item, out, inner)
+            sep = ","
+        out.append(newline + "}" if value else "{}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def report_from_json(text: str) -> DesignReport:
@@ -512,8 +565,8 @@ def _options_doc(options: DesignOptions) -> dict:
 
 
 def _options_from_doc(doc: dict) -> DesignOptions:
-    # DesignOptions checks every value; profile impedances are checked here
-    # because TaperProfile would take true for 1 ohm
+    # DesignOptions and TaperProfile check every value; json_number names
+    # the field of a bad profile impedance
     taper = doc["taper"]
     if isinstance(taper, dict):
         num = device.json_number
@@ -622,11 +675,6 @@ def _is_profile_pair(pair: object) -> bool:
         and all(isinstance(p, TaperProfile) for p in pair)
         and (pair[0].side, pair[1].side) == (taper_mod.GATE, taper_mod.DRAIN)
     )
-
-
-def _is_positive_number(x: object) -> bool:
-    # bool is an int, but True is no impedance; NaN fails "0 < x < inf"
-    return not isinstance(x, bool) and isinstance(x, (int, float)) and 0 < x < math.inf
 
 
 def _cell_and_strip(

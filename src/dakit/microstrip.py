@@ -44,8 +44,15 @@ class MicrostripLine(Record):
     ) -> None:
         # written as "not in range" so that NaN, which fails every
         # comparison, is rejected too
-        figures = (width_mm, length_cm, z0, l_nh_per_cm, c_pf_per_cm)
-        if not all(0 < x < math.inf for x in figures):
+        inf = math.inf
+        if not (
+            0 < width_mm < inf
+            and 0 < length_cm < inf
+            and 0 < z0 < inf
+            and 0 < l_nh_per_cm < inf
+            and 0 < c_pf_per_cm < inf
+        ):
+            figures = (width_mm, length_cm, z0, l_nh_per_cm, c_pf_per_cm)
             raise GeometryError(f"strip figures must be positive and finite, got {figures}")
         expected_c = 1000.0 * l_nh_per_cm / (z0 * z0)
         if abs(expected_c - c_pf_per_cm) > 1e-9 * abs(expected_c):

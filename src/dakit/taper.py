@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._record import Record, set_field
+from ._record import Record, is_positive_number, set_field
 from .errors import DesignError
 from .ladder import cutoff_frequency
 
@@ -50,13 +50,14 @@ class TaperProfile(Record):
             raise DesignError(f"sections must be a tuple, got {type(sections).__name__}")
         if not sections:
             raise DesignError("profile needs at least one section")
-        # written as "not in range" so that NaN, which fails every
-        # comparison, is rejected too
-        if not all(0 < z < math.inf for z in sections):
-            raise DesignError(f"section impedances must be positive and finite, got {sections}")
-        if not 0 < terminal_impedance < math.inf:
+        for z in sections:
+            if not is_positive_number(z):
+                raise DesignError(
+                    f"section impedances must be positive and finite, got {sections}"
+                )
+        if not is_positive_number(terminal_impedance):
             raise DesignError(
-                f"terminal impedance must be positive and finite, got {terminal_impedance}"
+                f"terminal impedance must be positive and finite, got {terminal_impedance!r}"
             )
         set_field(self, "side", side)
         set_field(self, "sections", sections)

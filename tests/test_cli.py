@@ -140,6 +140,8 @@ _SIMULATE = ["simulate", "--design", "{design}", *_SWEEP]
         (["simulate", "--design", "{design}", "--fstart", "1e-300", *_SWEEP[2:]], 1),
         # pi*z0*C underflows to 0: a ZeroDivisionError traceback before
         (["taper", "--n", "1", "--z0", "1e-300", "--cgs", "1e-300"], 1),
+        # the series capacitor overflows: cseries_f=inf with exit 0 before
+        (["screen", "--catalog", "{huge}", "--target-fc", "1e-300", "--allow-series"], 1),
     ],
 )
 def test_failing_command_prints_nothing_to_stdout(capsys, catalog_file, tmp_path, argv, code):
@@ -154,12 +156,17 @@ def test_failing_command_prints_nothing_to_stdout(capsys, catalog_file, tmp_path
     not_utf8.write_bytes(b"\xff\xfe{}")
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000 + "]" * 100000)
+    huge = tmp_path / "huge.json"
+    huge.write_text(
+        json.dumps({"transistors": [{"name": "X", "gm_S": 0.05, "cgs_F": 1e300, "cds_F": 1e299}]})
+    )
     paths = {
         "catalog": catalog_file,
         "design": design,
         "missing": tmp_path / "missing",
         "not_utf8": not_utf8,
         "deep": deep,
+        "huge": huge,
     }
     assert run([arg.format(**paths) for arg in argv]) == code
     captured = capsys.readouterr()

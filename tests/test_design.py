@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from dakit import (
     synthesize_design,
     verify_table1,
 )
+from dakit.design import _report_doc
 from records import replace
 
 
@@ -103,6 +105,13 @@ def test_series_cap_for_target_rejects_unreachable():
         series_cap_for_target(1.79e-12, 1.79e-12)
     with pytest.raises(DesignError):
         series_cap_for_target(1.79e-12, 2e-12)
+
+
+@pytest.mark.parametrize("cgs, target", [(1e300, 6e297), (1e-200, 1e-201)])
+def test_series_cap_outside_the_float_range_rejected(cgs, target):
+    # cs = target*cgs/(cgs - target) overflows to inf or underflows to 0
+    with pytest.raises(DesignError, match="series capacitor"):
+        series_cap_for_target(cgs, target)
 
 
 class TestScreening:
@@ -453,6 +462,7 @@ def test_report_round_trip_is_exact(inputs):
     except DakitError:
         return
     text = report_to_json(report)
+    assert text == json.dumps(_report_doc(report), indent=2, allow_nan=False)
     assert report_from_json(text) == report
     assert report_to_json(report_from_json(text)) == text
     # prediction and synthesis share one resolver
@@ -481,7 +491,32 @@ def test_report_round_trip_covers_every_option_combination(gan, lossy):
         if taper == "pair":
             taper = ginzton_profiles(synthesize_design(t, board, options).stages, 50.0)
         report = synthesize_design(t, board, replace(options, taper=taper))
-        assert report_from_json(report_to_json(report)) == report
+        text = report_to_json(report)
+        assert text == json.dumps(_report_doc(report), indent=2, allow_nan=False)
+        assert report_from_json(text) == report
+
+
+def test_report_text_is_the_indented_json_dump():
+    # strings json escapes, ints where floats usually stand, and a float
+    # subclass must come out as json.dumps writes them
+    t = TransistorModel(
+        name='GaN "ñ"\t\x01☃', gm=0.05, cgs=1.79e-12, cds=0.3e-12, reference="réf\n\\"
+    )
+    board = Substrate(er=np.float64(4.4), h_mm=1.6, t_mm=0.035)
+    report = synthesize_design(t, board, DesignOptions(system_impedance=50, series_cap=1))
+    doc = _report_doc(report)
+    assert doc["options"]["system_impedance_ohm"] == 50
+    assert type(doc["options"]["series_cap"]) is int
+    assert type(doc["substrate"]["er"]) is np.float64
+    text = report_to_json(report)
+    assert text == json.dumps(doc, indent=2, allow_nan=False)
+    assert text.isascii()
+    # allow_nan=False: a non-finite figure raises instead of writing NaN
+    broken = replace(report, predicted_fc=math.nan)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        json.dumps(_report_doc(broken), indent=2, allow_nan=False)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        report_to_json(broken)
 
 
 def test_verify_table1_all_within_two_percent():

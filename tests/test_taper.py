@@ -121,6 +121,23 @@ def test_profile_validation():
         TaperProfile(GATE, (50.0,), terminal_impedance=0.0)
 
 
+@pytest.mark.parametrize("bad", ["a", None, True, False, 1j, (50.0,)])
+def test_non_numeric_impedances_rejected(bad):
+    # True would otherwise pass "0 < z < inf" as a 1 ohm section
+    with pytest.raises(DesignError, match="section impedances"):
+        TaperProfile(GATE, (bad, 25.0))
+    with pytest.raises(DesignError, match="section impedances"):
+        TaperProfile(DRAIN, (100.0, bad))
+    with pytest.raises(DesignError, match="terminal impedance"):
+        TaperProfile(GATE, (50.0,), terminal_impedance=bad)
+
+
+def test_int_impedances_accepted():
+    profile = TaperProfile(DRAIN, (200, 100.0), terminal_impedance=50)
+    assert profile.sections == (200, 100.0)
+    assert profile.terminal_impedance == 50
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_values_rejected(bad):
     with pytest.raises(DesignError):
