@@ -20,17 +20,16 @@ import math
 import sys
 from pathlib import Path
 
-from . import design as design_mod
-from . import device as device_mod
-from . import ladder
-from . import taper as taper_mod
 from .errors import DakitError
 
-# the simulator is imported where it is used, so the other subcommands
-# load neither it nor typing; type checkers take any TYPE_CHECKING as true
+# each handler imports the modules it runs, so a command compiles and
+# loads no more of the package than it uses, and only simulate loads the
+# simulator, numpy and typing; type checkers take any TYPE_CHECKING as true
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from . import mna
+    from .design import DesignReport
+    from .taper import TaperReport
 
 # one %-format per row; "%.9e" renders every float exactly as _fmt does
 _TOUCHSTONE_ROW = " ".join(["%.9e"] * 9)
@@ -166,29 +165,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bandwidth(args) -> tuple[int, list[str]]:
-    c_eff = device_mod.effective_gate_capacitance(args.cgs, args.cseries)
+    from .device import effective_gate_capacitance
+    from .ladder import cutoff_frequency
+
+    c_eff = effective_gate_capacitance(args.cgs, args.cseries)
     lines = []
     if args.cseries is not None:
         lines.append(f"effective_cgs_f = {_fmt(c_eff)}")
         lines.append(f"gain_penalty = {_fmt(c_eff / args.cgs)}")
-    fc_gate = ladder.cutoff_frequency(args.z0, c_eff)
+    fc_gate = cutoff_frequency(args.z0, c_eff)
     lines.append(f"fc_gate_hz = {_fmt(fc_gate)}")
     if args.cds is not None:
-        fc_drain = ladder.cutoff_frequency(args.z0, args.cds)
+        fc_drain = cutoff_frequency(args.z0, args.cds)
         lines.append(f"fc_drain_hz = {_fmt(fc_drain)}")
         lines.append(f"fc_total_hz = {_fmt(min(fc_gate, fc_drain))}")
     if args.taper is not None:
         if args.n is None or args.cds is None:
             raise _Usage("--taper needs both --n and --cds")
-        gate_p, drain_p = taper_mod.ginzton_profiles(args.n, args.z0)
-        rep = taper_mod.analyze_taper(gate_p, drain_p, c_eff, args.cds)
+        from .taper import analyze_taper, ginzton_profiles
+
+        gate_p, drain_p = ginzton_profiles(args.n, args.z0)
+        rep = analyze_taper(gate_p, drain_p, c_eff, args.cds)
         lines += _taper_lines(rep)
     return 0, lines
 
 
 def _cmd_screen(args) -> tuple[int, list[str]]:
-    catalog = device_mod.load_catalog(_read_text(args.catalog), source=args.catalog)
-    results = design_mod.screen_catalog(
+    from .device import load_catalog, screen_catalog
+
+    catalog = load_catalog(_read_text(args.catalog), source=args.catalog)
+    results = screen_catalog(
         catalog, args.target_fc, z0=args.z0, allow_series=args.allow_series
     )
     lines = []
@@ -205,10 +211,13 @@ def _cmd_screen(args) -> tuple[int, list[str]]:
 
 
 def _cmd_design(args) -> tuple[int, list[str]]:
-    catalog = device_mod.load_catalog(_read_text(args.catalog), source=args.catalog)
+    from .design import DesignOptions, report_to_json, synthesize_design
+    from .device import Substrate, load_catalog
+
+    catalog = load_catalog(_read_text(args.catalog), source=args.catalog)
     t = catalog.get(args.transistor)
-    substrate = device_mod.Substrate(er=args.er, h_mm=args.h, t_mm=args.t)
-    options = design_mod.DesignOptions(
+    substrate = Substrate(er=args.er, h_mm=args.h, t_mm=args.t)
+    options = DesignOptions(
         system_impedance=args.z0,
         stages=args.n,
         taper=args.taper,
@@ -216,18 +225,20 @@ def _cmd_design(args) -> tuple[int, list[str]]:
         include_microstrip_parasitics=args.include_parasitics,
         design_frequency_hz=args.f_loss,
     )
-    report = design_mod.synthesize_design(t, substrate, options)
+    report = synthesize_design(t, substrate, options)
     lines = _report_lines(report)
     if args.out:
-        _write_text(args.out, design_mod.report_to_json(report))
+        _write_text(args.out, report_to_json(report))
         lines.append(f"report_written = {args.out}")
     return 0, lines
 
 
 def _cmd_taper(args) -> tuple[int, list[str]]:
+    from .taper import analyze_taper, ginzton_profiles
+
     cds = args.cds if args.cds is not None else args.cgs / 6.0
-    gate_p, drain_p = taper_mod.ginzton_profiles(args.n, args.z0)
-    rep = taper_mod.analyze_taper(gate_p, drain_p, args.cgs, cds)
+    gate_p, drain_p = ginzton_profiles(args.n, args.z0)
+    rep = analyze_taper(gate_p, drain_p, args.cgs, cds)
     return 0, [
         f"gate_sections_ohm = {' '.join(_fmt(z) for z in gate_p.sections)}",
         f"drain_sections_ohm = {' '.join(_fmt(z) for z in drain_p.sections)}",
@@ -237,8 +248,9 @@ def _cmd_taper(args) -> tuple[int, list[str]]:
 
 def _cmd_simulate(args) -> tuple[int, list[str]]:
     from . import mna
+    from .design import report_from_json
 
-    report = design_mod.report_from_json(_read_text(args.design))
+    report = report_from_json(_read_text(args.design))
     net = mna.build_network(report)
     swp = mna.sweep(net, args.fstart, args.fstop, args.points, spacing=args.spacing)
     metrics = mna.extract_metrics(swp)
@@ -258,7 +270,9 @@ def _cmd_simulate(args) -> tuple[int, list[str]]:
 
 
 def _cmd_verify(args) -> tuple[int, list[str]]:
-    checks = design_mod.verify_table1()
+    from .device import verify_table1
+
+    checks = verify_table1()
     lines = [
         f"{c.tag} c_f={_fmt(c.effective_capacitance)} "
         f"claimed_hz={_fmt(c.claimed_limit_hz)} "
@@ -271,7 +285,7 @@ def _cmd_verify(args) -> tuple[int, list[str]]:
     return (1 if failed else 0), lines
 
 
-def _taper_lines(rep: taper_mod.TaperReport) -> list[str]:
+def _taper_lines(rep: TaperReport) -> list[str]:
     return [
         f"gamma_gate = {_fmt(rep.gamma_gate)}",
         f"gamma_drain = {_fmt(rep.gamma_drain)}",
@@ -283,7 +297,7 @@ def _taper_lines(rep: taper_mod.TaperReport) -> list[str]:
     ]
 
 
-def _report_lines(report: design_mod.DesignReport) -> list[str]:
+def _report_lines(report: DesignReport) -> list[str]:
     lines = [
         f"transistor = {report.transistor.name}",
         f"stages = {report.stages}",
@@ -323,7 +337,9 @@ def _report_lines(report: design_mod.DesignReport) -> list[str]:
 
 
 def _series_value(text: str):
-    if text == design_mod.MATCH_DRAIN:
+    from .design import MATCH_DRAIN
+
+    if text == MATCH_DRAIN:
         return text
     return float(text)
 

@@ -1,6 +1,9 @@
-"""End-to-end synthesis: device + board + options in, build report out.
+"""Design synthesis and the design report codec: device + board + options
+in, a design report and its JSON text out, and back.
 
-The flow mirrors how the amplifier is actually sized by hand:
+The flow mirrors how the amplifier is actually sized by hand (a tapered
+design realizes its section strips first, so that a board which cannot
+make them is refused before the rest is sized):
 
 1. settle the gate loading (optionally behind a series capacitor),
 2. pick the stage count (requested, loss-optimal, or the default 4),
@@ -15,6 +18,9 @@ its inputs and refuses it, naming the field, if a stored float is more
 than a relative 1e-9 from the fresh one or any other field differs. A
 design_report_v1 holds no options and is refused too: re-run `dakit
 design ... --out` to write the report again.
+
+Screening a catalog against a target cutoff and the survey check live in
+device, next to the data they read.
 """
 
 from __future__ import annotations
@@ -24,7 +30,12 @@ import math
 
 from . import device, gain as gain_mod, ladder, microstrip, taper as taper_mod
 from ._record import Record, is_positive_number, set_field
-from .device import Substrate, TransistorModel, builtin_table1
+from .device import Substrate, TransistorModel, series_cap_for_target
+
+# screening and the survey live in device; the names stay bound here too,
+# where bench/spans.py traces them as design.screen_catalog and
+# design.verify_table1
+from .device import screen_catalog, verify_table1  # noqa: F401
 from .errors import DakitError, DesignError
 from .gain import GainFigures
 from .ladder import LineCell
@@ -86,65 +97,6 @@ class DesignOptions(Record):
         set_field(self, "series_cap", series_cap)
         set_field(self, "include_microstrip_parasitics", include_microstrip_parasitics)
         set_field(self, "design_frequency_hz", design_frequency_hz)
-
-
-class ScreeningResult(Record):
-    """Outcome of screening one transistor against a target bandwidth."""
-
-    __slots__ = (
-        "name",
-        "direct_pass",
-        "required_series_cap",
-        "resulting_fc",
-        "gain_penalty_factor",
-        "note",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        direct_pass: bool,
-        required_series_cap: float | None,
-        resulting_fc: float,
-        gain_penalty_factor: float,
-        note: str = "",
-    ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "direct_pass", direct_pass)
-        set_field(self, "required_series_cap", required_series_cap)
-        set_field(self, "resulting_fc", resulting_fc)
-        set_field(self, "gain_penalty_factor", gain_penalty_factor)
-        set_field(self, "note", note)
-
-
-class Table1Check(Record):
-    """Recomputed bandwidth limit for one survey row."""
-
-    __slots__ = (
-        "tag",
-        "effective_capacitance",
-        "claimed_limit_hz",
-        "computed_limit_hz",
-        "rel_error",
-    )
-
-    def __init__(
-        self,
-        tag: str,
-        effective_capacitance: float,
-        claimed_limit_hz: float,
-        computed_limit_hz: float,
-        rel_error: float,
-    ) -> None:
-        set_field(self, "tag", tag)
-        set_field(self, "effective_capacitance", effective_capacitance)
-        set_field(self, "claimed_limit_hz", claimed_limit_hz)
-        set_field(self, "computed_limit_hz", computed_limit_hz)
-        set_field(self, "rel_error", rel_error)
-
-    @property
-    def passed(self) -> bool:
-        return self.rel_error <= 0.02
 
 
 class DesignReport(Record):
@@ -226,90 +178,6 @@ class DesignReport(Record):
         return self.gate_cell.z0
 
 
-def max_capacitance_for_bandwidth(f: float, z0: float = 50.0) -> float:
-    """Largest shunt capacitance per cell keeping the cutoff at or above f."""
-    if not (0 < f < math.inf and 0 < z0 < math.inf):
-        raise DesignError(
-            f"frequency and impedance must be positive and finite, got {f} and {z0}"
-        )
-    return 1.0 / (math.pi * z0 * f)
-
-
-def series_cap_for_target(cgs: float, c_eff_target: float) -> tuple[float, float]:
-    """Series capacitance producing a given effective load, with gain penalty.
-
-    Solving cs*cgs/(cs+cgs) = target gives cs = target*cgs/(cgs - target);
-    the voltage divider leaves a fraction target/cgs of the drive on the
-    gate, which is the multiplicative gain penalty.
-    """
-    if not (0 < cgs < math.inf and 0 < c_eff_target < math.inf):
-        raise DesignError(
-            f"capacitances must be positive and finite, got {cgs} and {c_eff_target}"
-        )
-    if c_eff_target >= cgs:
-        raise DesignError(
-            f"target {c_eff_target} F is not below cgs {cgs} F; "
-            "a series capacitor can only reduce the effective load"
-        )
-    cs = c_eff_target * cgs / (cgs - c_eff_target)
-    if not 0 < cs < math.inf:
-        raise DesignError(
-            f"a series capacitor taking cgs {cgs} F to {c_eff_target} F would be {cs} F; "
-            "it must be positive and finite"
-        )
-    return cs, c_eff_target / cgs
-
-
-def screen_catalog(
-    catalog,
-    f_target: float,
-    z0: float = 50.0,
-    allow_series: bool = False,
-) -> list[ScreeningResult]:
-    """Rank catalog devices by the line cutoff they achieve at z0.
-
-    A device whose raw gate loading already meets f_target passes directly.
-    Otherwise, when allow_series is set, the series capacitor bringing the
-    effective load to the bandwidth limit is computed (at its gain cost);
-    devices that still miss the target are kept with a note rather than
-    dropped, so the ranking shows the whole field.
-    """
-    if not 0 < f_target < math.inf:
-        raise DesignError(f"target cutoff must be positive and finite, got {f_target}")
-    results = []
-    for t in catalog.transistors:
-        fc = ladder.cutoff_frequency(z0, t.cgs)
-        if fc >= f_target:
-            results.append(ScreeningResult(t.name, True, None, fc, 1.0))
-            continue
-        if allow_series:
-            c_target = max_capacitance_for_bandwidth(f_target, z0)
-            cs, penalty = series_cap_for_target(t.cgs, c_target)
-            results.append(
-                ScreeningResult(
-                    t.name,
-                    False,
-                    cs,
-                    ladder.cutoff_frequency(z0, c_target),
-                    penalty,
-                    note="requires series capacitor",
-                )
-            )
-        else:
-            results.append(
-                ScreeningResult(
-                    t.name,
-                    False,
-                    None,
-                    fc,
-                    1.0,
-                    note="cutoff below target; series capacitor not allowed",
-                )
-            )
-    results.sort(key=lambda r: r.resulting_fc, reverse=True)
-    return results
-
-
 def predict_bandwidth(t: TransistorModel, options: DesignOptions | None = None) -> float:
     """Cutoff of the full amplifier under the given options.
 
@@ -334,21 +202,22 @@ def synthesize_design(
     z0 = options.system_impedance
     c_eff, cseries, penalty, f_design, ag, ad, n_opt, n, profiles = _resolve(t, options)
 
-    gate_cell, gate_line = _cell_and_strip(z0, substrate, c_eff, options)
-    drain_cell, drain_line = _cell_and_strip(z0, substrate, t.cds, options)
-
     gate_profile, drain_profile = profiles or (None, None)
     taper_report = gate_strips = drain_strips = None
     if profiles is not None:
-        taper_report = taper_mod.analyze_taper(gate_profile, drain_profile, c_eff, t.cds)
-        # drain first: its n*z0 sections need the narrowest strips, so a
-        # board that cannot realize one is refused before any gate strip
+        # the drain sections first of all: their n*z0 needs the narrowest
+        # strips, so a board that cannot realize one is refused before any
+        # other strip is built or the taper analysed
         drain_strips = tuple(
             _cell_and_strip(zk, substrate, t.cds, options)[1] for zk in drain_profile.sections
         )
         gate_strips = tuple(
             _cell_and_strip(zk, substrate, c_eff, options)[1] for zk in gate_profile.sections
         )
+        taper_report = taper_mod.analyze_taper(gate_profile, drain_profile, c_eff, t.cds)
+
+    gate_cell, gate_line = _cell_and_strip(z0, substrate, c_eff, options)
+    drain_cell, drain_line = _cell_and_strip(z0, substrate, t.cds, options)
 
     phase_g, phase_d = (
         microstrip.phase_shift(line.length_cm, f_design, line.l_nh_per_cm, line.c_pf_per_cm)
@@ -392,24 +261,6 @@ def synthesize_design(
         drain_section_lines=drain_strips,
         predicted_fc=predicted,
     )
-
-
-def verify_table1(z0: float = 50.0) -> list[Table1Check]:
-    """Recompute every survey row's bandwidth limit and compare."""
-    checks = []
-    for row in builtin_table1():
-        computed = ladder.cutoff_frequency(z0, row.effective_capacitance)
-        rel = abs(computed - row.claimed_limit_hz) / row.claimed_limit_hz
-        checks.append(
-            Table1Check(
-                tag=row.reference_tag,
-                effective_capacitance=row.effective_capacitance,
-                claimed_limit_hz=row.claimed_limit_hz,
-                computed_limit_hz=computed,
-                rel_error=rel,
-            )
-        )
-    return checks
 
 
 def report_to_json(report: DesignReport) -> str:

@@ -1,4 +1,5 @@
-"""Transistor small-signal data and the reference device survey.
+"""Transistor small-signal data, screening against a target bandwidth, and
+the reference device survey with its recomputed limits.
 
 All values are SI (farads, siemens, ohms). A transistor with no output
 resistance given is treated as lossless on the drain side (rds = inf),
@@ -11,7 +12,8 @@ import json
 import math
 
 from ._record import Record, set_field
-from .errors import CatalogError
+from .errors import CatalogError, DesignError
+from .ladder import cutoff_frequency
 
 _ENTRY_KEYS = {"name", "gm_S", "cgs_F", "cds_F", "ri_ohm", "rds_ohm", "reference"}
 
@@ -126,6 +128,65 @@ class VerificationRow(Record):
         set_field(self, "pae_pct", pae_pct)
         set_field(self, "gain_db", gain_db)
         set_field(self, "achieved_band_ghz", achieved_band_ghz)
+
+
+class ScreeningResult(Record):
+    """Outcome of screening one transistor against a target bandwidth."""
+
+    __slots__ = (
+        "name",
+        "direct_pass",
+        "required_series_cap",
+        "resulting_fc",
+        "gain_penalty_factor",
+        "note",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        direct_pass: bool,
+        required_series_cap: float | None,
+        resulting_fc: float,
+        gain_penalty_factor: float,
+        note: str = "",
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "direct_pass", direct_pass)
+        set_field(self, "required_series_cap", required_series_cap)
+        set_field(self, "resulting_fc", resulting_fc)
+        set_field(self, "gain_penalty_factor", gain_penalty_factor)
+        set_field(self, "note", note)
+
+
+class Table1Check(Record):
+    """Recomputed bandwidth limit for one survey row."""
+
+    __slots__ = (
+        "tag",
+        "effective_capacitance",
+        "claimed_limit_hz",
+        "computed_limit_hz",
+        "rel_error",
+    )
+
+    def __init__(
+        self,
+        tag: str,
+        effective_capacitance: float,
+        claimed_limit_hz: float,
+        computed_limit_hz: float,
+        rel_error: float,
+    ) -> None:
+        set_field(self, "tag", tag)
+        set_field(self, "effective_capacitance", effective_capacitance)
+        set_field(self, "claimed_limit_hz", claimed_limit_hz)
+        set_field(self, "computed_limit_hz", computed_limit_hz)
+        set_field(self, "rel_error", rel_error)
+
+    @property
+    def passed(self) -> bool:
+        return self.rel_error <= 0.02
 
 
 def load_catalog(text: str, source: str = "") -> Catalog:
@@ -243,3 +304,109 @@ def builtin_table1() -> tuple[VerificationRow, ...]:
         ("[17]", 138e-15, 46e9, "0.088", "6", "22", "14-34"),
     ]
     return tuple(VerificationRow(*row) for row in rows)
+
+
+def max_capacitance_for_bandwidth(f: float, z0: float = 50.0) -> float:
+    """Largest shunt capacitance per cell keeping the cutoff at or above f."""
+    if not (0 < f < math.inf and 0 < z0 < math.inf):
+        raise DesignError(
+            f"frequency and impedance must be positive and finite, got {f} and {z0}"
+        )
+    product = math.pi * z0 * f
+    # as in cutoff_frequency: 0, inf, or a subnormal whose reciprocal is inf
+    if not (0 < product < math.inf and 1.0 / product < math.inf):
+        raise DesignError(f"capacitance for {f} Hz at {z0} ohm is out of range")
+    return 1.0 / product
+
+
+def series_cap_for_target(cgs: float, c_eff_target: float) -> tuple[float, float]:
+    """Series capacitance producing a given effective load, with gain penalty.
+
+    Solving cs*cgs/(cs+cgs) = target gives cs = target*cgs/(cgs - target);
+    the voltage divider leaves a fraction target/cgs of the drive on the
+    gate, which is the multiplicative gain penalty.
+    """
+    if not (0 < cgs < math.inf and 0 < c_eff_target < math.inf):
+        raise DesignError(
+            f"capacitances must be positive and finite, got {cgs} and {c_eff_target}"
+        )
+    if c_eff_target >= cgs:
+        raise DesignError(
+            f"target {c_eff_target} F is not below cgs {cgs} F; "
+            "a series capacitor can only reduce the effective load"
+        )
+    cs = c_eff_target * cgs / (cgs - c_eff_target)
+    if not 0 < cs < math.inf:
+        raise DesignError(
+            f"a series capacitor taking cgs {cgs} F to {c_eff_target} F would be {cs} F; "
+            "it must be positive and finite"
+        )
+    return cs, c_eff_target / cgs
+
+
+def screen_catalog(
+    catalog,
+    f_target: float,
+    z0: float = 50.0,
+    allow_series: bool = False,
+) -> list[ScreeningResult]:
+    """Rank catalog devices by the line cutoff they achieve at z0.
+
+    A device whose raw gate loading already meets f_target passes directly.
+    Otherwise, when allow_series is set, the series capacitor bringing the
+    effective load to the bandwidth limit is computed (at its gain cost);
+    devices that still miss the target are kept with a note rather than
+    dropped, so the ranking shows the whole field.
+    """
+    if not 0 < f_target < math.inf:
+        raise DesignError(f"target cutoff must be positive and finite, got {f_target}")
+    results = []
+    for t in catalog.transistors:
+        fc = cutoff_frequency(z0, t.cgs)
+        if fc >= f_target:
+            results.append(ScreeningResult(t.name, True, None, fc, 1.0))
+            continue
+        if allow_series:
+            c_target = max_capacitance_for_bandwidth(f_target, z0)
+            cs, penalty = series_cap_for_target(t.cgs, c_target)
+            results.append(
+                ScreeningResult(
+                    t.name,
+                    False,
+                    cs,
+                    cutoff_frequency(z0, c_target),
+                    penalty,
+                    note="requires series capacitor",
+                )
+            )
+        else:
+            results.append(
+                ScreeningResult(
+                    t.name,
+                    False,
+                    None,
+                    fc,
+                    1.0,
+                    note="cutoff below target; series capacitor not allowed",
+                )
+            )
+    results.sort(key=lambda r: r.resulting_fc, reverse=True)
+    return results
+
+
+def verify_table1(z0: float = 50.0) -> list[Table1Check]:
+    """Recompute every survey row's bandwidth limit and compare."""
+    checks = []
+    for row in builtin_table1():
+        computed = cutoff_frequency(z0, row.effective_capacitance)
+        rel = abs(computed - row.claimed_limit_hz) / row.claimed_limit_hz
+        checks.append(
+            Table1Check(
+                tag=row.reference_tag,
+                effective_capacitance=row.effective_capacitance,
+                claimed_limit_hz=row.claimed_limit_hz,
+                computed_limit_hz=computed,
+                rel_error=rel,
+            )
+        )
+    return checks

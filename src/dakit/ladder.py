@@ -77,8 +77,9 @@ def cutoff_frequency(z0: float, capacitance: float) -> float:
             f"impedance and capacitance must be positive and finite, got {z0} and {capacitance}"
         )
     product = math.pi * z0 * capacitance
-    # extreme values underflow the product to 0 or overflow it to inf
-    if not 0 < product < math.inf:
+    # extreme values underflow the product to 0 or overflow it to inf, and
+    # a subnormal product has a reciprocal that overflows to inf
+    if not (0 < product < math.inf and 1.0 / product < math.inf):
         raise DesignError(f"cutoff of {z0} ohm and {capacitance} F is out of range")
     return 1.0 / product
 

@@ -142,6 +142,9 @@ _SIMULATE = ["simulate", "--design", "{design}", *_SWEEP]
         (["taper", "--n", "1", "--z0", "1e-300", "--cgs", "1e-300"], 1),
         # the series capacitor overflows: cseries_f=inf with exit 0 before
         (["screen", "--catalog", "{huge}", "--target-fc", "1e-300", "--allow-series"], 1),
+        # pi*z0*C is subnormal, so the cutoff overflowed: inf with exit 0 before
+        (["taper", "--n", "3", "--z0", "1e-10", "--cgs", "1e-300"], 1),
+        (["screen", "--catalog", "{catalog}", "--target-fc", "1e300", "--z0", "1e-300"], 1),
     ],
 )
 def test_failing_command_prints_nothing_to_stdout(capsys, catalog_file, tmp_path, argv, code):
@@ -786,6 +789,73 @@ def test_star_import_binds_every_name_in_all():
     }
     assert public <= set(dakit.__all__)
     assert all(getattr(dakit, name) is getattr(dakit.mna, name) for name in dakit._MNA_NAMES)
+
+
+# One command per fresh interpreter, as a user runs it: the dakit modules
+# loaded by the import and by the command
+_MODULES_PROBE = """
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("dakit."))
+import dakit
+seen = {"import": loaded()}
+from dakit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["code"] = cli.run(json.loads(sys.argv[1]))
+seen["command"] = loaded()
+print(json.dumps(seen))
+"""
+
+def test_each_command_loads_only_the_modules_it_runs(catalog_file, tmp_path):
+    bandwidth, taper, verify, screen, design, simulate = _probe_commands(catalog_file, tmp_path)
+    sizing = ["dakit.device", "dakit.ladder"]
+    synthesis = [*sizing, "dakit.design", "dakit.gain", "dakit.microstrip", "dakit.taper"]
+    # in order, so that simulate reads the report design writes
+    cases = [
+        (bandwidth, sizing),
+        ([*bandwidth, "--taper", "ginzton", "--n", "4"], [*sizing, "dakit.taper"]),
+        (taper, ["dakit.ladder", "dakit.taper"]),
+        (verify, sizing),
+        (screen, sizing),
+        (design, synthesis),
+        (simulate, [*synthesis, "dakit.mna"]),
+    ]
+    for argv, modules in cases:
+        assert _run_probe(_MODULES_PROBE, argv) == {
+            "import": [],
+            "code": 0,
+            "command": sorted(["dakit._record", "dakit.cli", "dakit.errors", *modules]),
+        }, argv
+
+
+_NAMES_PROBE = """
+import importlib, inspect, json
+import dakit
+seen = {"submodule": dakit.taper.__name__, "elsewhere": []}
+for name in dakit.__all__:
+    home = importlib.import_module("dakit." + dakit._HOME[name])
+    value = getattr(dakit, name)
+    defined = not (inspect.isclass(value) or inspect.isfunction(value)) or (
+        value.__module__ == home.__name__
+    )
+    if not (defined and value is getattr(home, name) and vars(dakit)[name] is value):
+        seen["elsewhere"].append(name)
+seen["moved"] = [
+    getattr(dakit.design, name) is getattr(dakit.device, name)
+    for name in ("screen_catalog", "verify_table1", "series_cap_for_target")
+]
+print(json.dumps(seen))
+"""
+
+
+def test_package_names_resolve_lazily_to_their_home_modules():
+    # a submodule resolves after a bare import; each name is its home
+    # module's object, defined there, and bound in the package once read
+    assert _run_probe(_NAMES_PROBE, []) == {
+        "submodule": "dakit.taper",
+        "elsewhere": [],
+        "moved": [True, True, True],
+    }
 
 
 def _bench_constant(module: str, name: str):

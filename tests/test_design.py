@@ -78,6 +78,14 @@ def test_max_capacitance_for_bandwidth():
     assert math.isclose(cutoff_frequency(50.0, c), 10e9, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("f, z0", [(1e-300, 1e-10), (1e-300, 1e-300), (1e300, 1e300)])
+def test_max_capacitance_out_of_range_rejected(f, z0):
+    # pi*z0*f is subnormal (the capacitance was inf), underflows to 0 (a
+    # ZeroDivisionError) or overflows (0 F)
+    with pytest.raises(DesignError, match="out of range"):
+        max_capacitance_for_bandwidth(f, z0)
+
+
 def test_series_cap_for_target_values():
     cs, penalty = series_cap_for_target(1.79e-12, 0.2983e-12)
     assert math.isclose(cs, 3.5795200107260173e-13, rel_tol=1e-12)

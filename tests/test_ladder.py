@@ -69,6 +69,12 @@ def test_cutoff_out_of_range_rejected(value):
         cutoff_frequency(value, value)
 
 
+def test_cutoff_of_a_subnormal_product_rejected():
+    # pi*z0*C is about 3e-310, whose reciprocal overflows: the cutoff was inf
+    with pytest.raises(DesignError, match="out of range"):
+        cutoff_frequency(1e-10, 1e-300)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_values_rejected(bad):
     with pytest.raises(DesignError):
