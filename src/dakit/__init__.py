@@ -126,6 +126,6 @@ def __getattr__(name: str):
     home = importlib.import_module(f"{__name__}.{module or name}")
     if module is None:
         return home  # the import has bound the submodule here
-    value = getattr(home, name)
-    globals()[name] = value
-    return value
+    # not bound here: a name rebound in its home module (a tracer's wrapper,
+    # say, and its removal) reads the same through the package
+    return getattr(home, name)
