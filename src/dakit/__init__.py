@@ -16,7 +16,6 @@ _DESIGN_NAMES = (
     "MATCH_DRAIN",
     "DesignOptions",
     "DesignReport",
-    "predict_bandwidth",
     "report_from_json",
     "report_to_json",
     "synthesize_design",
@@ -33,7 +32,6 @@ _DEVICE_NAMES = (
     "load_catalog",
     "max_capacitance_for_bandwidth",
     "screen_catalog",
-    "serialize_catalog",
     "series_cap_for_target",
     "verify_table1",
 )

@@ -5,6 +5,10 @@ __init__ checks the arguments and stores each one with set_field, the
 only way to write a field. The base then gives what a frozen dataclass
 gives: equality within one class, a hash of the field values, the
 dataclass repr, and AttributeError on assignment or deletion.
+
+A slot named with a leading "_" is no field: it holds state that
+__init__ derives from the fields. Equality, the hash, the repr and copies
+leave it out, so a copy derives it again.
 """
 
 import math
@@ -26,7 +30,8 @@ class Record:
     def __init_subclass__(cls) -> None:
         # _values(r) is the tuple of r's field values, read in C; every
         # record has at least two fields, so it is always a tuple
-        cls._values = attrgetter(*cls.__slots__)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._values = attrgetter(*cls._fields)
 
     def __eq__(self, other: object):
         if other.__class__ is not self.__class__:
@@ -38,7 +43,7 @@ class Record:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:

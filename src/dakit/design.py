@@ -50,7 +50,7 @@ _REL_TOL = 1e-9  # relative slack of a stored float against a fresh synthesis
 
 
 class DesignOptions(Record):
-    """Knobs for synthesize_design and predict_bandwidth.
+    """Knobs for synthesize_design.
 
     series_cap is None (no series capacitor), a capacitance in farads, or
     the string "match-drain" to equalize the two line loadings. taper is
@@ -178,20 +178,6 @@ class DesignReport(Record):
         return self.gate_cell.z0
 
 
-def predict_bandwidth(t: TransistorModel, options: DesignOptions | None = None) -> float:
-    """Cutoff of the full amplifier under the given options.
-
-    Uniform lines: the lower of the gate and drain cell cutoffs. Tapered
-    lines: the re-evaluated cutoff at the equivalent impedances.
-    """
-    options = options or DesignOptions()
-    z0 = options.system_impedance
-    c_eff, *_, profiles = _resolve(t, options)
-    if profiles is None:
-        return min(ladder.cutoff_frequency(z0, c_eff), ladder.cutoff_frequency(z0, t.cds))
-    return taper_mod.analyze_taper(*profiles, c_eff, t.cds).fc_total
-
-
 def synthesize_design(
     t: TransistorModel,
     substrate: Substrate,
@@ -200,11 +186,34 @@ def synthesize_design(
     """Produce the full design report for one device on one board."""
     options = options or DesignOptions()
     z0 = options.system_impedance
-    c_eff, cseries, penalty, f_design, ag, ad, n_opt, n, profiles = _resolve(t, options)
+    c_eff, cseries, penalty = _gate_loading(t, options.series_cap)
 
-    gate_profile, drain_profile = profiles or (None, None)
-    taper_report = gate_strips = drain_strips = None
-    if profiles is not None:
+    f_design = options.design_frequency_hz
+    if f_design is None:
+        f_design = 0.5 * ladder.cutoff_frequency(z0, c_eff)
+
+    ag = ladder.gate_loss_per_cell(f_design, t.ri, c_eff, z0)
+    ad = ladder.drain_loss_per_cell(z0, t.rds)
+    n_opt = gain_mod.n_opt_from_losses(ag, ad)
+    if options.stages is not None:
+        n = options.stages
+    elif math.isfinite(n_opt):
+        n = gain_mod.recommended_n(n_opt)
+    else:
+        n = _DEFAULT_STAGES
+
+    gate_profile = drain_profile = taper_report = gate_strips = drain_strips = None
+    if options.taper is not None:
+        if options.taper == "ginzton":
+            gate_profile, drain_profile = taper_mod.ginzton_profiles(n, z0)
+        else:
+            gate_profile, drain_profile = options.taper
+        gate_n, drain_n = len(gate_profile.sections), len(drain_profile.sections)
+        if drain_n != n or gate_n not in (n, n + 1):
+            raise DesignError(
+                f"taper profiles have {gate_n} gate and {drain_n} drain sections "
+                f"for {n} stages (expected n or n+1, and n)"
+            )
         # the drain sections first of all: their n*z0 needs the narrowest
         # strips, so a board that cannot realize one is refused before any
         # other strip is built or the taper analysed
@@ -465,18 +474,12 @@ def _check_same(stored: object, fresh: object, path: str) -> None:
     )
 
 
-def _resolve(t: TransistorModel, options: DesignOptions):
-    """The option-dependent quantities synthesis and prediction share.
-
-    Returns (effective cgs, series capacitor or None, gain penalty, design
-    frequency, gate and drain loss per cell, continuous optimum stage count,
-    stage count, (gate, drain) taper profiles or None).
-    """
-    z0 = options.system_impedance
-    policy = options.series_cap
+def _gate_loading(t: TransistorModel, policy: object) -> tuple[float, float | None, float]:
+    """Effective gate capacitance, series capacitor or None, and gain
+    penalty under a series_cap option."""
     if policy is None:
-        c_eff, cseries, penalty = t.cgs, None, 1.0
-    elif policy == MATCH_DRAIN:
+        return t.cgs, None, 1.0
+    if policy == MATCH_DRAIN:
         if t.cds >= t.cgs:
             raise DesignError(
                 f"{t.name}: cds {t.cds} F is not below cgs {t.cgs} F; "
@@ -485,38 +488,10 @@ def _resolve(t: TransistorModel, options: DesignOptions):
         cseries, penalty = series_cap_for_target(t.cgs, t.cds)
         # effective load is the match target itself, kept exact so the two
         # lines come out identical
-        c_eff = t.cds
-    else:
-        cseries = float(policy)
-        c_eff = device.effective_gate_capacitance(t.cgs, cseries)
-        penalty = c_eff / t.cgs
-
-    f_design = options.design_frequency_hz
-    if f_design is None:
-        f_design = 0.5 * ladder.cutoff_frequency(z0, c_eff)
-
-    ag = ladder.gate_loss_per_cell(f_design, t.ri, c_eff, z0)
-    ad = ladder.drain_loss_per_cell(z0, t.rds)
-    n_opt = gain_mod.n_opt_from_losses(ag, ad)
-    if options.stages is not None:
-        n = options.stages
-    elif math.isfinite(n_opt):
-        n = gain_mod.recommended_n(n_opt)
-    else:
-        n = _DEFAULT_STAGES
-
-    if options.taper is None:
-        return c_eff, cseries, penalty, f_design, ag, ad, n_opt, n, None
-    if options.taper == "ginzton":
-        gate, drain = taper_mod.ginzton_profiles(n, z0)
-    else:
-        gate, drain = options.taper
-    if len(drain.sections) != n or len(gate.sections) not in (n, n + 1):
-        raise DesignError(
-            f"taper profiles have {len(gate.sections)} gate and {len(drain.sections)} drain "
-            f"sections for {n} stages (expected n or n+1, and n)"
-        )
-    return c_eff, cseries, penalty, f_design, ag, ad, n_opt, n, (gate, drain)
+        return t.cds, cseries, penalty
+    cseries = float(policy)
+    c_eff = device.effective_gate_capacitance(t.cgs, cseries)
+    return c_eff, cseries, c_eff / t.cgs
 
 
 def _is_profile_pair(pair: object) -> bool:

@@ -211,15 +211,6 @@ def load_catalog(text: str, source: str = "") -> Catalog:
     return Catalog(transistors=models, source=source)
 
 
-def serialize_catalog(catalog: Catalog) -> str:
-    """Render a catalog back to its JSON form.
-
-    load_catalog(serialize_catalog(c)) reproduces c exactly.
-    """
-    entries = [transistor_to_entry(t) for t in catalog.transistors]
-    return json.dumps({"transistors": entries}, indent=2)
-
-
 def transistor_from_entry(entry: object, where: str) -> TransistorModel:
     """Validate one catalog entry (a decoded JSON object) into a model.
 

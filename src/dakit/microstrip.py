@@ -14,7 +14,6 @@ of the package stays SI.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from ._record import Record, set_field
 from .device import Substrate
@@ -24,8 +23,14 @@ _WH_MIN = 0.1
 _WH_MAX = 3.0
 
 
-# a plain namedtuple: typing.NamedTuple would load typing at every start
-ImpedanceResult = namedtuple("ImpedanceResult", ["z0", "valid"])
+class ImpedanceResult(Record):
+    """A strip's impedance, and whether its w/h is in the fit window."""
+
+    __slots__ = ("z0", "valid")
+
+    def __init__(self, z0: float, valid: bool) -> None:
+        set_field(self, "z0", z0)
+        set_field(self, "valid", valid)
 
 
 class MicrostripLine(Record):

@@ -62,8 +62,8 @@ numpy is imported inside the functions that use it, not when this module
 loads: the first Network construction loads it. This module is loaded
 only on use too: the package re-exports its names through a module
 __getattr__, and of the CLI subcommands only simulate imports it. So the
-other five subcommands pay for neither numpy nor this module and its
-dataclasses.
+other five pay for neither numpy, this module nor the dataclasses module
+of TwoPortSweep. A Network's plan and stamps sit in its underscore slots.
 """
 
 from __future__ import annotations
@@ -71,13 +71,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
 
+from ._record import Record, is_positive_number, set_field
 from .design import DesignReport
 from .errors import DesignError, SimulationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 LINEAR = "linear"
 LOG = "log"
@@ -92,69 +89,86 @@ _BLOCK = 128
 _G, _C, _GAMMA = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class Resistor:
-    a: int
-    b: int
-    ohms: float
+class Resistor(Record):
+    __slots__ = ("a", "b", "ohms")
+
+    def __init__(self, a: int, b: int, ohms: float) -> None:
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "ohms", ohms)
 
 
-@dataclass(frozen=True)
-class Capacitor:
-    a: int
-    b: int
-    farads: float
+class Capacitor(Record):
+    __slots__ = ("a", "b", "farads")
+
+    def __init__(self, a: int, b: int, farads: float) -> None:
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "farads", farads)
 
 
-@dataclass(frozen=True)
-class Inductor:
-    a: int
-    b: int
-    henries: float
+class Inductor(Record):
+    __slots__ = ("a", "b", "henries")
+
+    def __init__(self, a: int, b: int, henries: float) -> None:
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "henries", henries)
 
 
-@dataclass(frozen=True)
-class Vccs:
+class Vccs(Record):
     """Current gm*(V(ctrl_p) - V(ctrl_m)) flowing from out_p to out_m."""
 
-    out_p: int
-    out_m: int
-    ctrl_p: int
-    ctrl_m: int
-    gm: float
+    __slots__ = ("out_p", "out_m", "ctrl_p", "ctrl_m", "gm")
+
+    def __init__(self, out_p: int, out_m: int, ctrl_p: int, ctrl_m: int, gm: float) -> None:
+        set_field(self, "out_p", out_p)
+        set_field(self, "out_m", out_m)
+        set_field(self, "ctrl_p", ctrl_p)
+        set_field(self, "ctrl_m", ctrl_m)
+        set_field(self, "gm", gm)
 
 
-@dataclass(frozen=True)
-class Port:
-    node: int
-    z0: float = 50.0
+class Port(Record):
+    __slots__ = ("node", "z0")
+
+    def __init__(self, node: int, z0: float = 50.0) -> None:
+        set_field(self, "node", node)
+        set_field(self, "z0", z0)
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(Record):
     """Two-port element network with ground at node 0."""
 
-    node_count: int
-    elements: tuple
-    port1: Port
-    port2: Port
+    __slots__ = ("node_count", "elements", "port1", "port2", "_plan", "_g", "_c", "_gamma")
 
-    def __post_init__(self) -> None:
-        for port in (self.port1, self.port2):
-            # "not in range" rejects NaN too
-            if not 0 < port.z0 < math.inf:
+    def __init__(self, node_count: int, elements: tuple, port1: Port, port2: Port) -> None:
+        if type(node_count) is not int:
+            raise DesignError(f"node count must be an int, got {node_count!r}")
+        if not isinstance(elements, tuple):
+            raise DesignError(f"elements must be a tuple, got {elements!r}")
+        for port in (port1, port2):
+            if not isinstance(port, Port):
+                raise DesignError(f"not a Port: {port!r}")
+            if type(port.node) is not int:
+                raise DesignError(f"port node must be an int, got {port.node!r}")
+            if not is_positive_number(port.z0):
                 raise DesignError(
-                    f"port reference impedance must be positive and finite, got {port.z0}"
+                    f"port reference impedance must be positive and finite, got {port.z0!r}"
                 )
         # one pass over the elements checks each value and collects the
         # topology entry and stamp value of each
         topology = []
         values = []
-        for e in self.elements:
+        for e in elements:
             if isinstance(e, Vccs):
-                if not math.isfinite(e.gm):
-                    raise DesignError(f"transconductance must be finite: {e}")
-                topology.append((_G, e.out_p, e.out_m, e.ctrl_p, e.ctrl_m))
+                real = isinstance(e.gm, (int, float)) and not isinstance(e.gm, bool)
+                if not (real and math.isfinite(e.gm)):
+                    raise DesignError(f"transconductance must be a finite real number: {e}")
+                entry = (_G, e.out_p, e.out_m, e.ctrl_p, e.ctrl_m)
+                if set(map(type, entry)) != {int}:
+                    raise DesignError(f"element nodes must be ints: {e}")
+                topology.append(entry)
                 values.append(e.gm)
                 continue
             if isinstance(e, Inductor):
@@ -165,20 +179,30 @@ class Network:
                 kind, value = _G, e.ohms
             else:
                 raise DesignError(f"unknown element type: {e!r}")
-            if not 0 < value < math.inf:
+            # a float, the usual value, is checked without a call
+            if not (type(value) is float and 0.0 < value < math.inf or is_positive_number(value)):
                 raise DesignError(f"element value must be positive and finite: {e}")
-            topology.append((kind, e.a, e.b))
+            # a bool or float node equals its int, and would even share its
+            # cached plan
+            a, b = e.a, e.b
+            if type(a) is not int or type(b) is not int:
+                raise DesignError(f"element nodes must be ints: {e}")
+            topology.append((kind, a, b))
             values.append(value if kind == _C else 1.0 / value)
         import numpy as np
 
         # refuses a bad topology here; a cached topology was checked before
-        plan = _analyse(self.node_count, self.port1.node, self.port2.node, tuple(topology))
+        plan = _analyse(node_count, port1.node, port2.node, tuple(topology))
         weights = np.array(values)[plan.stamp_element] * plan.stamp_sign
         g, c, gamma = np.bincount(plan.stamp_slot, weights, 3 * plan.slots).reshape(3, -1)
-        object.__setattr__(self, "_plan", plan)
-        object.__setattr__(self, "_g", g)
-        object.__setattr__(self, "_c", c[: plan.reactive])
-        object.__setattr__(self, "_gamma", gamma[: plan.reactive])
+        set_field(self, "node_count", node_count)
+        set_field(self, "elements", elements)
+        set_field(self, "port1", port1)
+        set_field(self, "port2", port2)
+        set_field(self, "_plan", plan)
+        set_field(self, "_g", g)
+        set_field(self, "_c", c[: plan.reactive])
+        set_field(self, "_gamma", gamma[: plan.reactive])
 
 
 @dataclass(frozen=True)
@@ -190,11 +214,15 @@ class TwoPortSweep:
     reference_impedance: float
 
 
-@dataclass(frozen=True)
-class SweepMetrics:
-    low_freq_gain_db: float
-    cutoff_hz: float | None
-    worst_s11_db: float
+class SweepMetrics(Record):
+    __slots__ = ("low_freq_gain_db", "cutoff_hz", "worst_s11_db")
+
+    def __init__(
+        self, low_freq_gain_db: float, cutoff_hz: float | None, worst_s11_db: float
+    ) -> None:
+        set_field(self, "low_freq_gain_db", low_freq_gain_db)
+        set_field(self, "cutoff_hz", cutoff_hz)
+        set_field(self, "worst_s11_db", worst_s11_db)
 
 
 def build_network(report: DesignReport) -> Network:
@@ -305,6 +333,12 @@ def extract_metrics(swp: TwoPortSweep) -> SweepMetrics:
     never drops 3 dB inside the sweep, cutoff_hz is None and the input
     match is reported over the whole sweep instead.
     """
+    count = len(swp.frequencies)
+    if not count or len(swp.s_matrices) != count:
+        raise SimulationError(
+            f"a sweep needs one S-matrix per frequency, at least one: got "
+            f"{len(swp.s_matrices)} for {count} frequencies"
+        )
     s21_db = [_db(abs(m[1][0])) for m in swp.s_matrices]
     s11_db = [_db(abs(m[0][0])) for m in swp.s_matrices]
     ref = s21_db[0]
@@ -328,22 +362,32 @@ def extract_metrics(swp: TwoPortSweep) -> SweepMetrics:
     return SweepMetrics(low_freq_gain_db=ref, cutoff_hz=cutoff, worst_s11_db=worst)
 
 
-class _Plan(NamedTuple):
+class _Plan(Record):
     """What a topology fixes about its solve: slots, stamps and the program.
 
     Every entry of Y that is ever nonzero, stamped or filled in, has a slot:
     a row of the (slots, frequencies) array the solve works on. The first
-    `reactive` slots are those a capacitor or an inductor stamps.
+    `reactive` slots are those a capacitor or an inductor stamps. Stamp k
+    adds the value of element stamp_element[k], times stamp_sign[k], at
+    stamp_slot[k] = kind * slots + slot. program holds (kk, (kj, ...),
+    ((ij, ik, kj), ...)) per pivot, in order; pivots holds the pivot slots
+    and ports the slots of Y11, Y12, Y21 and Y22.
     """
 
-    slots: int
-    reactive: int
-    stamp_slot: np.ndarray  # kind * slots + slot, for each stamp
-    stamp_element: np.ndarray  # the element each stamp takes its value from
-    stamp_sign: np.ndarray
-    program: tuple  # (kk, (kj, ...), ((ij, ik, kj), ...)) per pivot, in order
-    pivots: np.ndarray
-    ports: tuple[int, int, int, int]  # slots of Y11, Y12, Y21, Y22
+    __slots__ = ("slots", "reactive", "stamp_slot", "stamp_element", "stamp_sign", "program",
+                 "pivots", "ports")
+
+    def __init__(
+        self, slots, reactive, stamp_slot, stamp_element, stamp_sign, program, pivots, ports
+    ) -> None:
+        set_field(self, "slots", slots)
+        set_field(self, "reactive", reactive)
+        set_field(self, "stamp_slot", stamp_slot)
+        set_field(self, "stamp_element", stamp_element)
+        set_field(self, "stamp_sign", stamp_sign)
+        set_field(self, "program", program)
+        set_field(self, "pivots", pivots)
+        set_field(self, "ports", ports)
 
 
 @functools.lru_cache(maxsize=64)

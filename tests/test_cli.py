@@ -776,6 +776,12 @@ def test_commands_that_do_not_simulate_leave_typing_unloaded(catalog_file, tmp_p
     }
 
 
+def test_simulator_import_leaves_typing_unloaded():
+    # -S, as above; numpy, which the first Network loads, loads typing itself
+    probe = "import json, sys\nimport dakit.mna\nprint(json.dumps('typing' in sys.modules))"
+    assert _run_probe(probe, [], "-S") is False
+
+
 def test_star_import_binds_every_name_in_all():
     namespace: dict = {}
     exec("from dakit import *", namespace)

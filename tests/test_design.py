@@ -21,7 +21,6 @@ from dakit import (
     cutoff_frequency,
     ginzton_profiles,
     max_capacitance_for_bandwidth,
-    predict_bandwidth,
     report_from_json,
     report_to_json,
     screen_catalog,
@@ -170,29 +169,33 @@ class TestScreening:
 
 
 class TestPredictBandwidth:
-    def test_uniform_is_min_of_cutoffs(self, gan):
-        fc = predict_bandwidth(gan)
-        assert math.isclose(fc, cutoff_frequency(50.0, gan.cgs), rel_tol=1e-12)
-        assert fc == min(
-            cutoff_frequency(50.0, gan.cgs), cutoff_frequency(50.0, gan.cds)
-        )
+    """The band a synthesis predicts, its predicted_fc."""
 
-    def test_match_drain_raises_band_to_drain_cutoff(self, gan):
-        fc = predict_bandwidth(gan, DesignOptions(series_cap="match-drain"))
+    def test_uniform_is_min_of_cutoffs(self, gan, fr4):
+        report = synthesize_design(gan, fr4)
+        fc = report.predicted_fc
+        assert fc == min(report.gate_cell.fc, report.drain_cell.fc)
+        assert math.isclose(fc, cutoff_frequency(50.0, gan.cgs), rel_tol=1e-12)
+        assert math.isclose(report.drain_cell.fc, cutoff_frequency(50.0, gan.cds), rel_tol=1e-12)
+
+    def test_match_drain_raises_band_to_drain_cutoff(self, gan, fr4):
+        fc = synthesize_design(gan, fr4, DesignOptions(series_cap="match-drain")).predicted_fc
         assert math.isclose(fc, cutoff_frequency(50.0, gan.cds), rel_tol=1e-12)
 
     def test_taper_uses_equivalent_impedances(self, gan):
+        # zero copper thickness keeps the high-impedance taper strips realizable
+        board = Substrate(er=4.4, h_mm=1.6, t_mm=0.0)
         opts = DesignOptions(stages=4, taper="ginzton")
-        fc = predict_bandwidth(gan, opts)
+        fc = synthesize_design(gan, board, opts).predicted_fc
         gate, drain = ginzton_profiles(4, 50.0)
         expected = analyze_taper(gate, drain, gan.cgs, gan.cds).fc_total
         assert math.isclose(fc, expected, rel_tol=1e-12)
 
     @pytest.mark.parametrize("gate_n, drain_n", [(2, 4), (4, 3)])
-    def test_explicit_pair_is_checked_against_stages(self, gan, gate_n, drain_n):
+    def test_explicit_pair_is_checked_against_stages(self, gan, fr4, gate_n, drain_n):
         pair = (ginzton_profiles(gate_n, 50.0)[0], ginzton_profiles(drain_n, 50.0)[1])
         with pytest.raises(DesignError, match="sections for 4 stages"):
-            predict_bandwidth(gan, DesignOptions(stages=4, taper=pair))
+            synthesize_design(gan, fr4, DesignOptions(stages=4, taper=pair))
 
 
 class TestSynthesize:
@@ -473,9 +476,6 @@ def test_report_round_trip_is_exact(inputs):
     assert text == json.dumps(_report_doc(report), indent=2, allow_nan=False)
     assert report_from_json(text) == report
     assert report_to_json(report_from_json(text)) == text
-    # prediction and synthesis share one resolver
-    if not options.include_microstrip_parasitics:
-        assert math.isclose(predict_bandwidth(t, options), report.predicted_fc, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("lossy", [False, True])

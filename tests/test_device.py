@@ -4,15 +4,14 @@ import math
 import pytest
 
 from dakit import (
-    Catalog,
     CatalogError,
     Substrate,
     TransistorModel,
     builtin_table1,
     effective_gate_capacitance,
     load_catalog,
-    serialize_catalog,
 )
+from dakit.device import transistor_from_entry, transistor_to_entry
 
 GOOD_CATALOG = """
 {"transistors": [
@@ -150,16 +149,19 @@ def test_catalog_get_missing_name():
 
 
 def test_serialize_round_trip_is_exact():
-    """Three entries covering defaulted, partial and fully-specified fields."""
-    cat = Catalog(
-        transistors=(
-            TransistorModel("plain", gm=0.05, cgs=1.79e-12, cds=2.9833333333333334e-13),
-            TransistorModel("lossy", gm=0.08, cgs=1.4e-13, cds=5e-14, ri=1.0, rds=200.0),
-            TransistorModel("tagged", gm=0.003, cgs=1.2384e-13, cds=2e-14, reference="ref [16]"),
-        ),
+    """Three entries covering defaulted, partial and fully-specified fields,
+    through the codec that catalogs and design reports share."""
+    models = (
+        TransistorModel("plain", gm=0.05, cgs=1.79e-12, cds=2.9833333333333334e-13),
+        TransistorModel("lossy", gm=0.08, cgs=1.4e-13, cds=5e-14, ri=1.0, rds=200.0),
+        TransistorModel("tagged", gm=0.003, cgs=1.2384e-13, cds=2e-14, reference="ref [16]"),
     )
-    again = load_catalog(serialize_catalog(cat))
-    assert again.transistors == cat.transistors
+    text = json.dumps({"transistors": [transistor_to_entry(t) for t in models]}, indent=2)
+    assert load_catalog(text).transistors == models
+    entries = json.loads(text)["transistors"]
+    assert tuple(transistor_from_entry(e, "entry") for e in entries) == models
+    # an infinite rds is omitted, not written
+    assert "rds_ohm" not in entries[0] and entries[1]["rds_ohm"] == 200.0
 
 
 def test_effective_capacitance_no_series_is_identity():

@@ -76,6 +76,10 @@ def lossy_series_amp(fr4):
     return synthesize_design(t, fr4, DesignOptions(stages=3, series_cap=0.4e-12))
 
 
+_LOAD2 = Resistor(2, 0, 50.0)
+_LOADS = (Resistor(1, 0, 50.0), _LOAD2)
+
+
 class TestNetworkValidation:
     def test_needs_two_nodes(self):
         with pytest.raises(DesignError):
@@ -131,6 +135,45 @@ class TestNetworkValidation:
                 Network(3, (Resistor(1, 7, 50.0),), Port(1), Port(2))
             with pytest.raises(DesignError):
                 Network(3, (Vccs(1, 0, 9, 0, 0.01), Resistor(1, 0, 50.0), Resistor(2, 0, 50.0)), Port(1), Port(2))
+
+    # refused with DesignError, not TypeError or AttributeError; a bool or a
+    # float is not taken for the int it equals, even once the well-typed
+    # topology is cached
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (3, (Resistor(1.0, 0, 50.0), _LOAD2), Port(1), Port(2)),
+            (3, (Resistor(True, 0, 50.0), _LOAD2), Port(1), Port(2)),
+            (3, (*_LOADS, Vccs(2, 0, 1.0, 0, 0.05)), Port(1), Port(2)),
+            (3, (Resistor(1, 0, "50"), _LOAD2), Port(1), Port(2)),
+            (3, (Resistor(1, 0, True), _LOAD2), Port(1), Port(2)),
+            (3, (*_LOADS, Vccs(2, 0, 1, 0, 0.05 + 0j)), Port(1), Port(2)),
+            (3, (*_LOADS, Vccs(2, 0, 1, 0, True)), Port(1), Port(2)),
+            (3.0, _LOADS, Port(1), Port(2)),
+            (3, list(_LOADS), Port(1), Port(2)),
+            (3, _LOADS, 1, Port(2)),
+            (3, _LOADS, Port(1.0), Port(2)),
+            (3, _LOADS, Port(1, "50"), Port(2)),
+        ],
+        ids=[
+            "float-node",
+            "bool-node",
+            "float-control-node",
+            "str-ohms",
+            "bool-ohms",
+            "complex-gm",
+            "bool-gm",
+            "float-node-count",
+            "list-elements",
+            "int-port",
+            "float-port-node",
+            "str-port-z0",
+        ],
+    )
+    def test_ill_typed_input_rejected(self, args):
+        Network(3, (*_LOADS, Vccs(2, 0, 1, 0, 0.05)), Port(1), Port(2))
+        with pytest.raises(DesignError):
+            Network(*args)
 
     def test_unknown_element_rejected(self):
         with pytest.raises(DesignError):
@@ -581,6 +624,14 @@ class TestMetrics:
         m = extract_metrics(swp)
         assert m.cutoff_hz is None
         assert math.isclose(m.worst_s11_db, 20.0 * math.log10(0.3), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("points, matrices", [(0, 0), (2, 1), (1, 2)])
+    def test_misshapen_sweep_rejected(self, points, matrices):
+        # an empty sweep has no reference gain; zip would cut the longer short
+        mats = (((0.1 + 0j, 0j), (1 + 0j, 0j)),) * matrices
+        swp = TwoPortSweep(tuple(1e9 * (k + 1) for k in range(points)), mats, 50.0)
+        with pytest.raises(SimulationError, match="one S-matrix per frequency"):
+            extract_metrics(swp)
 
     def test_zero_s11_reports_neg_inf(self):
         swp = synthetic_sweep([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0])

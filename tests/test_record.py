@@ -1,28 +1,40 @@
 """The package's records behave as the frozen dataclasses they replace:
-construction, equality, hashing, repr, immutability, copy and pickle."""
+construction, equality, hashing, repr, immutability, copy and pickle. A
+network's stamped state is no field: it is left out of all of these."""
 
 import copy
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from dakit import (
+    Capacitor,
     Catalog,
     DesignOptions,
     DesignReport,
     GainFigures,
+    ImpedanceResult,
+    Inductor,
     LineCell,
     LineSection,
     MicrostripLine,
+    Network,
+    Port,
+    Resistor,
     ScreeningResult,
     Substrate,
     Table1Check,
     TaperProfile,
     TaperReport,
+    SweepMetrics,
     TransistorModel,
+    Vccs,
     VerificationRow,
+    sweep,
 )
+from dakit.mna import _Plan
 
 _GAN = dict(
     name="GAN-1", gm=0.05, cgs=1.79e-12, cds=2.983e-13, ri=0.0, rds=math.inf, reference=""
@@ -197,6 +209,54 @@ CASES = [
         "substrate=Substrate(er=4.4, h_mm=1.6, t_mm=0.035), z0=50.0, l_nh_per_cm=5.0, "
         "c_pf_per_cm=2.0)",
     ),
+    (
+        ImpedanceResult,
+        dict(z0=50.0, valid=True),
+        None,
+        "ImpedanceResult(z0=50.0, valid=True)",
+    ),
+    (Resistor, dict(a=1, b=0, ohms=50.0), None, "Resistor(a=1, b=0, ohms=50.0)"),
+    (Capacitor, dict(a=1, b=2, farads=1e-12), None, "Capacitor(a=1, b=2, farads=1e-12)"),
+    (Inductor, dict(a=1, b=2, henries=2e-09), None, "Inductor(a=1, b=2, henries=2e-09)"),
+    (
+        Vccs,
+        dict(out_p=2, out_m=0, ctrl_p=1, ctrl_m=0, gm=0.05),
+        None,
+        "Vccs(out_p=2, out_m=0, ctrl_p=1, ctrl_m=0, gm=0.05)",
+    ),
+    (Port, dict(node=1, z0=50.0), ((1,), {}), "Port(node=1, z0=50.0)"),
+    (
+        Network,
+        dict(
+            node_count=3,
+            elements=(
+                Resistor(1, 0, 50.0),
+                Inductor(1, 2, 2e-9),
+                Resistor(2, 0, 50.0),
+                Vccs(2, 0, 1, 0, 0.05),
+            ),
+            port1=Port(1, 50.0),
+            port2=Port(2, 50.0),
+        ),
+        None,
+        "Network(node_count=3, elements=(Resistor(a=1, b=0, ohms=50.0), "
+        "Inductor(a=1, b=2, henries=2e-09), Resistor(a=2, b=0, ohms=50.0), "
+        "Vccs(out_p=2, out_m=0, ctrl_p=1, ctrl_m=0, gm=0.05)), port1=Port(node=1, z0=50.0), "
+        "port2=Port(node=2, z0=50.0))",
+    ),
+    (
+        SweepMetrics,
+        dict(low_freq_gain_db=10.0, cutoff_hz=None, worst_s11_db=-12.5),
+        None,
+        "SweepMetrics(low_freq_gain_db=10.0, cutoff_hz=None, worst_s11_db=-12.5)",
+    ),
+    (
+        _Plan,
+        {name: k for k, name in enumerate(_Plan.__slots__)},
+        None,
+        "_Plan(slots=0, reactive=1, stamp_slot=2, stamp_element=3, stamp_sign=4, program=5, "
+        "pivots=6, ports=7)",
+    ),
 ]
 _IDS = [case[0].__name__ for case in CASES]
 
@@ -268,3 +328,16 @@ def test_copy_and_pickle_give_equal_records(case):
     for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(clone) is cls
         assert clone == record
+
+
+def test_network_copies_are_stamped_again_and_solve_bit_identically():
+    fields = dict(CASES[_IDS.index("Network")][1])
+    net = Network(**fields)
+    # two networks built alike hold distinct stamped arrays and still compare
+    # equal: the arrays are no fields
+    again = Network(**fields)
+    assert again == net and hash(again) == hash(net) and again._g is not net._g
+    s = np.array(sweep(net, 1e8, 1e10, 21).s_matrices)
+    for clone in (copy.copy(net), copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+        assert clone == net and clone._g is not net._g
+        assert np.array(sweep(clone, 1e8, 1e10, 21).s_matrices).tobytes() == s.tobytes()
