@@ -17,10 +17,18 @@ from operator import attrgetter
 set_field = object.__setattr__
 
 
+def is_number(x: object) -> bool:
+    """True for an int or a float; the caller checks the range. A number
+    that passes can be compared without a TypeError."""
+    # bool is an int, but True is no quantity
+    return not isinstance(x, bool) and isinstance(x, (int, float))
+
+
 def is_positive_number(x: object) -> bool:
     """True for a positive, finite int or float, the check of a record
     field that holds a quantity."""
-    # bool is an int, but True is no quantity; NaN fails "0 < x < inf"
+    # is_number written out, since Network and the option records call this
+    # on every construction; NaN fails "0 < x < inf"
     return not isinstance(x, bool) and isinstance(x, (int, float)) and 0 < x < math.inf
 
 

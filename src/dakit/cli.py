@@ -86,14 +86,20 @@ def write_csv(swp: mna.TwoPortSweep, destination) -> None:
 
     A zero magnitude renders as -inf rather than raising.
     """
-    from .mna import _db as db
-
+    log10, inf, degrees, atan2 = math.log10, math.inf, math.degrees, math.atan2
     lines = ["freq_hz,s11_db,s21_db,s12_db,s22_db,s21_phase_deg"]
     for f, ((s11, s12), (s21, s22)) in zip(swp.frequencies, swp.s_matrices):
-        phase = math.degrees(math.atan2(s21.imag, s21.real))
+        m11, m21, m12, m22 = abs(s11), abs(s21), abs(s12), abs(s22)
         lines.append(
             _CSV_ROW
-            % (f, db(abs(s11)), db(abs(s21)), db(abs(s12)), db(abs(s22)), phase)
+            % (
+                f,
+                20.0 * log10(m11) if m11 else -inf,
+                20.0 * log10(m21) if m21 else -inf,
+                20.0 * log10(m12) if m12 else -inf,
+                20.0 * log10(m22) if m22 else -inf,
+                degrees(atan2(s21.imag, s21.real)),
+            )
         )
     _write_text(destination, "\n".join(lines) + "\n")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 
-from ._record import Record, set_field
+from ._record import Record, is_number, is_positive_number, set_field
 from .errors import CatalogError, DesignError
 from .ladder import cutoff_frequency
 
@@ -36,17 +36,19 @@ class TransistorModel(Record):
         if not name:
             raise CatalogError("transistor name must be non-empty")
         # written as "not in range" so that NaN, which fails every
-        # comparison, is rejected too
-        if not 0 < gm < math.inf:
-            raise CatalogError(f"{name}: gm must be positive and finite, got {gm}")
-        if not 0 < cgs < math.inf:
-            raise CatalogError(f"{name}: cgs must be positive and finite, got {cgs}")
-        if not 0 < cds < math.inf:
-            raise CatalogError(f"{name}: cds must be positive and finite, got {cds}")
-        if not 0 <= ri < math.inf:
-            raise CatalogError(f"{name}: ri must be >= 0 and finite, got {ri}")
-        if not 0 < rds <= math.inf:
-            raise CatalogError(f"{name}: rds must be positive, got {rds}")
+        # comparison, is rejected too; a float, the usual value, is checked
+        # without a call, and anything else must be an int or a float
+        inf = math.inf
+        if not (type(gm) is float and 0.0 < gm < inf or is_positive_number(gm)):
+            raise CatalogError(f"{name}: gm must be positive and finite, got {gm!r}")
+        if not (type(cgs) is float and 0.0 < cgs < inf or is_positive_number(cgs)):
+            raise CatalogError(f"{name}: cgs must be positive and finite, got {cgs!r}")
+        if not (type(cds) is float and 0.0 < cds < inf or is_positive_number(cds)):
+            raise CatalogError(f"{name}: cds must be positive and finite, got {cds!r}")
+        if not ((type(ri) is float or is_number(ri)) and 0 <= ri < inf):
+            raise CatalogError(f"{name}: ri must be >= 0 and finite, got {ri!r}")
+        if not ((type(rds) is float or is_number(rds)) and 0 < rds <= inf):
+            raise CatalogError(f"{name}: rds must be positive, got {rds!r}")
         set_field(self, "name", name)
         set_field(self, "gm", gm)
         set_field(self, "cgs", cgs)
@@ -62,12 +64,13 @@ class Substrate(Record):
     __slots__ = ("er", "h_mm", "t_mm")
 
     def __init__(self, er: float, h_mm: float, t_mm: float = 0.0) -> None:
-        if not 1 <= er < math.inf:
-            raise CatalogError(f"relative permittivity must be >= 1 and finite, got {er}")
-        if not 0 < h_mm < math.inf:
-            raise CatalogError(f"substrate height must be positive and finite, got {h_mm}")
-        if not 0 <= t_mm < math.inf:
-            raise CatalogError(f"conductor thickness must be >= 0 and finite, got {t_mm}")
+        inf = math.inf
+        if not ((type(er) is float or is_number(er)) and 1 <= er < inf):
+            raise CatalogError(f"relative permittivity must be >= 1 and finite, got {er!r}")
+        if not (type(h_mm) is float and 0.0 < h_mm < inf or is_positive_number(h_mm)):
+            raise CatalogError(f"substrate height must be positive and finite, got {h_mm!r}")
+        if not ((type(t_mm) is float or is_number(t_mm)) and 0 <= t_mm < inf):
+            raise CatalogError(f"conductor thickness must be >= 0 and finite, got {t_mm!r}")
         set_field(self, "er", er)
         set_field(self, "h_mm", h_mm)
         set_field(self, "t_mm", t_mm)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record, set_field
+from ._record import Record, is_positive_number, set_field
 from .device import Substrate
 from .errors import GeometryError
 
@@ -72,8 +72,8 @@ class MicrostripLine(Record):
 
 def z0_of(width_mm: float, substrate: Substrate) -> ImpedanceResult:
     """Characteristic impedance of a strip; valid flags the w/h fit window."""
-    if not 0 < width_mm < math.inf:
-        raise GeometryError(f"width must be positive and finite, got {width_mm}")
+    if not (type(width_mm) is float and 0.0 < width_mm < math.inf or is_positive_number(width_mm)):
+        raise GeometryError(f"width must be positive and finite, got {width_mm!r}")
     arg = 5.98 * substrate.h_mm / (0.8 * width_mm + substrate.t_mm)
     if arg <= 0:
         raise GeometryError("non-positive log argument; check h, w, t")

@@ -24,15 +24,21 @@ A Network is stamped once, at construction: one pass over its elements
 checks their values and collects its topology, the analysis refuses a bad
 topology with DesignError or returns the plan, and the values are stamped
 into the plan's slots as G, C and Gamma, which the network keeps with its
-plan. A solve then only assembles Y for a block of _BLOCK frequencies as
-a (slots, frequencies) array from those arrays and runs the program on
-its rows. Internal nodes are eliminated and the ports are left, which
-gives the 2x2 port admittance Yp. With real reference impedances and
-y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
+plan. A solve then works through the sweep _BLOCK frequencies at a time.
+A block holds Y at its frequencies as one contiguous (slots, frequencies)
+array, assembled from those arrays; the program runs on its rows and
+eliminates the internal nodes, leaving the 2x2 port admittance Yp in the
+port slots, and the block's pivots are checked. The block then copies
+its four Yp rows (Y11, Y12, Y21, Y22) into a (4, frequencies) array for
+the whole sweep, and its buffer serves the next block. Only after the
+last block is S formed, once over the whole sweep: with real reference
+impedances and y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
 
     S = (I - y') (I + y')^-1,
 
-written out in closed form for the 2x2 case.
+written out in closed form for the 2x2 case. The port-system and
+finiteness checks run on that sweep-wide S too, and the nested result
+tuples are built in C from its four rows.
 
 There is no pivoting. The order is the passive-branch (R, L or C)
 breadth-first distance from the two ports, farthest node first, ties by
@@ -50,7 +56,10 @@ naming the first such frequency; each pivot is checked once, after the
 program has run, since no pivot is written after its own elimination. A
 zero determinant of I + y' raises "singular port system at f Hz". An
 entry of S that is still not finite, as when w is so small that Gamma/(jw)
-overflows, raises "non-finite S-parameters at f Hz".
+overflows, raises "non-finite S-parameters at f Hz". Each message names
+a frequency of the sweep, not of a block. Pivots are checked block by
+block, before S is formed, so a zero pivot anywhere in the sweep is
+reported ahead of a port-system or S error at a lower frequency.
 
 Determinism: same inputs give the same bytes; a sweep entry equals
 s_parameters_at at that frequency bit for bit, because every operation
@@ -81,9 +90,13 @@ LOG = "log"
 
 # frequencies per elimination pass: each step of the program is one numpy
 # call per row, so longer blocks spread the call overhead. On the 1001-point
-# benchmark sweeps, 128 ran 10% faster than 64 at no more peak RSS; 256 ran
-# 7% faster again for 0.8 MB.
-_BLOCK = 128
+# benchmark sweeps, 128 ran 10% faster than 64 at no more peak RSS. With S
+# formed once per sweep, 256 solves the four benchmark designs 17-22%
+# faster than 128 (minima of 150 interleaved sweeps, 2-vCPU Xeon) for
+# 0.4 MB more peak RSS in a sweep-dense loop (35.6 against 35.2 MB), about
+# what the parent's 128 took. A block is kept contiguous: a strided
+# partial last block had numpy copy all of it, 1 MB more.
+_BLOCK = 256
 
 # stamp kinds: which of G, C and Gamma an element's value goes to
 _G, _C, _GAMMA = 0, 1, 2
@@ -339,26 +352,31 @@ def extract_metrics(swp: TwoPortSweep) -> SweepMetrics:
             f"a sweep needs one S-matrix per frequency, at least one: got "
             f"{len(swp.s_matrices)} for {count} frequencies"
         )
-    s21_db = [_db(abs(m[1][0])) for m in swp.s_matrices]
-    s11_db = [_db(abs(m[0][0])) for m in swp.s_matrices]
-    ref = s21_db[0]
+    # 20 log10 |s|, -inf for a zero magnitude, inlined: S21 is read only up
+    # to the cutoff and S11 only where f <= cutoff keeps it
+    log10, inf = math.log10, math.inf
+    freqs, mats = swp.frequencies, swp.s_matrices
+    mag = abs(mats[0][1][0])
+    ref = 20.0 * log10(mag) if mag else -inf
     threshold = ref - 3.0
     cutoff = None
-    for i in range(1, len(s21_db)):
-        if s21_db[i] <= threshold:
-            if s21_db[i] == threshold:
-                cutoff = swp.frequencies[i]
+    db_lo = ref
+    for i in range(1, count):
+        mag = abs(mats[i][1][0])
+        db = 20.0 * log10(mag) if mag else -inf
+        if db <= threshold:
+            if db == threshold:
+                cutoff = freqs[i]
             else:
-                f_lo, f_hi = swp.frequencies[i - 1], swp.frequencies[i]
-                db_lo, db_hi = s21_db[i - 1], s21_db[i]
-                cutoff = f_lo + (db_lo - threshold) * (f_hi - f_lo) / (db_lo - db_hi)
+                f_lo, f_hi = freqs[i - 1], freqs[i]
+                cutoff = f_lo + (db_lo - threshold) * (f_hi - f_lo) / (db_lo - db)
             break
-    if cutoff is None:
-        worst = max(s11_db)
-    else:
-        worst = max(
-            db for f, db in zip(swp.frequencies, s11_db) if f <= cutoff
-        )
+        db_lo = db
+    if cutoff is not None:
+        # a hand-built sweep need not be in frequency order, so filter
+        mats = [m for f, m in zip(freqs, mats) if f <= cutoff]
+    s11_mags = [abs(m[0][0]) for m in mats]
+    worst = max([20.0 * log10(mag) if mag else -inf for mag in s11_mags])
     return SweepMetrics(low_freq_gain_db=ref, cutoff_hz=cutoff, worst_s11_db=worst)
 
 
@@ -507,76 +525,88 @@ def _analyse(node_count: int, port1: int, port2: int, topology: tuple) -> _Plan:
             for kk, kjs, updates in program
         ),
         pivots=np.array([slot[k, k] for k in order], dtype=np.intp),
-        ports=(slot[port1, port1], slot[port1, port2], slot[port2, port1], slot[port2, port2]),
+        ports=np.array([slot[port1, port1], slot[port1, port2], slot[port2, port1],
+                        slot[port2, port2]], dtype=np.intp),
     )
 
 
 def _solve(net: Network, freqs: list[float]) -> list:
-    """S-matrices at the frequencies, as nested tuples, _BLOCK at a time."""
+    """S-matrices at the frequencies, as nested tuples."""
+    import numpy as np
+
+    # a zero pivot turns its frequency's entries into inf and nan, and so
+    # does a frequency so low that Gamma/(jw) overflows, or so high that w
+    # does; pivots are checked block by block, and S once it is formed
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the blocks' buffers are freed on return, before S is formed
+        s = _port_admittance(net, freqs)
+        # S = (I - y')(I + y')^-1 with y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
+        # written out for 2x2, once over the whole sweep; S takes the place
+        # of Yp's rows
+        z1, z2 = net.port1.z0, net.port2.z0
+        cross = math.sqrt(z1 * z2)
+        a, b, c, d = s[0] * z1, s[1] * cross, s[2] * cross, s[3] * z2
+        det = (1.0 + a) * (1.0 + d) - b * c
+        zero = np.flatnonzero(det == 0)
+        if zero.size:
+            raise SimulationError(f"singular port system at {freqs[zero[0]]} Hz")
+        s[0] = ((1.0 - a) * (1.0 + d) + b * c) / det
+        s[1] = -2.0 * b / det
+        s[2] = -2.0 * c / det
+        s[3] = ((1.0 + a) * (1.0 - d) + b * c) / det
+        if not np.isfinite(s).all():
+            bad = np.flatnonzero(~np.isfinite(s).all(axis=0))[0]
+            raise SimulationError(f"non-finite S-parameters at {freqs[bad]} Hz")
+    s11, s12, s21, s22 = s.tolist()
+    return list(zip(zip(s11, s12), zip(s21, s22)))
+
+
+def _port_admittance(net: Network, freqs: list[float]):
+    """Rows Y11, Y12, Y21 and Y22 of Yp, as a (4, frequencies) array.
+
+    Each block of _BLOCK frequencies assembles Y, runs the program on it
+    and checks its pivots, which are never written after their own
+    elimination; then it copies out the four port rows. It runs under
+    _solve's errstate.
+    """
     import numpy as np
 
     plan = net._plan
     reactive = plan.reactive
     width = min(len(freqs), _BLOCK)
-    work = np.empty((plan.slots, width), dtype=complex)
-    inductive = np.empty((reactive, width))
-    s = np.empty((len(freqs), 2, 2), dtype=complex)
+    work = np.empty(plan.slots * width, dtype=complex)
+    yp = np.empty((4, len(freqs)), dtype=complex)
     divide, multiply, subtract = np.divide, np.multiply, np.subtract
-    z1, z2 = net.port1.z0, net.port2.z0
-    cross = math.sqrt(z1 * z2)
-    i11, i12, i21, i22 = plan.ports
-    # a zero pivot turns its frequency's entries into inf and nan, and so
-    # does a frequency so low that Gamma/(jw) overflows, or so high that w
-    # does; pivot slots are never written after their elimination, so they
-    # are checked once the program has run, and S is checked last
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w_all = 2.0 * math.pi * np.array(freqs)
-        for start in range(0, len(freqs), width):
-            w = w_all[start : start + width]
-            count = len(w)
-            y = work[:, :count]
-            # Y = G + jwC + Gamma/(jw), the imaginary part only where C or
-            # Gamma stamps
-            y.real = net._g[:, None]
-            y_reactive = y.imag[:reactive]
-            multiply.outer(net._c, w, out=y_reactive)
-            divide.outer(net._gamma, w, out=inductive[:, :count])
-            subtract(y_reactive, inductive[:, :count], out=y_reactive)
-            y.imag[reactive:] = 0.0
-            rows = list(y)
-            scratch = np.empty(count, dtype=complex)
-            for kk, kjs, updates in plan.program:
-                pivot = rows[kk]
-                for kj in kjs:
-                    divide(rows[kj], pivot, rows[kj])
-                for ij, ik, kj in updates:
-                    multiply(rows[ik], rows[kj], scratch)
-                    subtract(rows[ij], scratch, rows[ij])
-            zero = np.flatnonzero((y[plan.pivots] == 0).any(axis=0))
-            if zero.size:
-                raise SimulationError(f"singular nodal system at {freqs[start + zero[0]]} Hz")
-            # S = (I - y')(I + y')^-1 with y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
-            # written out for 2x2
-            a, b, c, d = y[i11] * z1, y[i12] * cross, y[i21] * cross, y[i22] * z2
-            det = (1.0 + a) * (1.0 + d) - b * c
-            zero = np.flatnonzero(det == 0)
-            if zero.size:
-                raise SimulationError(f"singular port system at {freqs[start + zero[0]]} Hz")
-            block = s[start : start + count]
-            block[:, 0, 0] = ((1.0 - a) * (1.0 + d) + b * c) / det
-            block[:, 0, 1] = -2.0 * b / det
-            block[:, 1, 0] = -2.0 * c / det
-            block[:, 1, 1] = ((1.0 + a) * (1.0 - d) + b * c) / det
-            if not np.isfinite(block).all():
-                bad = np.flatnonzero(~np.isfinite(block).all(axis=(1, 2)))[0]
-                raise SimulationError(f"non-finite S-parameters at {freqs[start + bad]} Hz")
-    return [(tuple(row1), tuple(row2)) for row1, row2 in s.tolist()]
-
-
-def _db(magnitude: float) -> float:
-    if magnitude == 0.0:
-        return -math.inf
-    return 20.0 * math.log10(magnitude)
+    for start in range(0, len(freqs), width):
+        w = 2.0 * math.pi * np.array(freqs[start : start + width])
+        count = len(w)
+        # contiguous in a partial last block too, so no step copies it
+        y = work[: plan.slots * count].reshape(plan.slots, count)
+        # Y = G + jwC + Gamma/(jw), the imaginary part only where C or
+        # Gamma stamps; Gamma/w goes through the real part, which G then
+        # overwrites
+        y_reactive = y.imag[:reactive]
+        multiply.outer(net._c, w, out=y_reactive)
+        divide.outer(net._gamma, w, out=y.real[:reactive])
+        subtract(y_reactive, y.real[:reactive], out=y_reactive)
+        y.real = net._g[:, None]
+        y.imag[reactive:] = 0.0
+        rows = list(y)
+        scratch = np.empty(count, dtype=complex)
+        for kk, kjs, updates in plan.program:
+            pivot = rows[kk]
+            for kj in kjs:
+                divide(rows[kj], pivot, rows[kj])
+            for ij, ik, kj in updates:
+                multiply(rows[ik], rows[kj], scratch)
+                subtract(rows[ij], scratch, rows[ij])
+        zero = np.flatnonzero((y[plan.pivots] == 0).any(axis=0))
+        if zero.size:
+            raise SimulationError(f"singular nodal system at {freqs[start + zero[0]]} Hz")
+        # "clip" writes straight into the strided out, where the default
+        # mode would buffer; the port slots are always in range
+        y.take(plan.ports, axis=0, out=yp[:, start : start + count], mode="clip")
+    return yp
 
 
 def _chain(elements: list, nodes: list[int], cell_l: list[float]) -> None:

@@ -665,6 +665,39 @@ class TestWriters:
         assert float(fields[1]) == 0.1
         assert float(fields[3]) == 2.0
 
+    def test_multi_block_sweep_rows_match_per_field_rendering(self):
+        from dakit.mna import _BLOCK, build_network, sweep
+
+        catalog = load_catalog(json.dumps(CATALOG))
+        report = synthesize_design(
+            catalog.get("GAN-1"), Substrate(4.4, 1.6, 0.035), DesignOptions(series_cap="match-drain")
+        )
+        swp = sweep(build_network(report), 10e6, 15e9, 2 * _BLOCK + 1)
+        touchstone, csv = io.StringIO(), io.StringIO()
+        write_touchstone(swp, touchstone)
+        write_csv(swp, csv)
+
+        def db(s):
+            return 20.0 * math.log10(abs(s)) if abs(s) else -math.inf
+
+        ts_rows = touchstone.getvalue().splitlines()
+        csv_rows = csv.getvalue().splitlines()
+        assert ts_rows[:2] == ["! two-port S-parameters", "# HZ S RI R 50"]
+        assert csv_rows[0] == "freq_hz,s11_db,s21_db,s12_db,s22_db,s21_phase_deg"
+        assert len(ts_rows) == 2 + len(swp.frequencies) and len(csv_rows) == 1 + len(swp.frequencies)
+        for f, ((s11, s12), (s21, s22)), ts_row, csv_row in zip(
+            swp.frequencies, swp.s_matrices, ts_rows[2:], csv_rows[1:]
+        ):
+            fields = [f]
+            for s in (s11, s21, s12, s22):
+                fields += [s.real, s.imag]
+            assert ts_row == " ".join("%.9e" % x for x in fields)
+            phase = math.degrees(math.atan2(s21.imag, s21.real))
+            fields = [f, db(s11), db(s21), db(s12), db(s22), phase]
+            assert csv_row == ",".join("%.9e" % x for x in fields)
+        # the unilateral amplifier's S12 is exactly zero, which renders as -inf
+        assert all(row.split(",")[3] == "-inf" for row in csv_rows[1:])
+
 
 # Runs in a fresh interpreter, because this test session has already loaded
 # numpy. Each command runs in turn, simulate last, and the probe records

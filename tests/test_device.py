@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -71,6 +72,26 @@ def test_substrate_validation():
     ):
         with pytest.raises(CatalogError):
             Substrate(**bad)
+
+
+@pytest.mark.parametrize("field", ["gm", "cgs", "cds", "ri", "rds"])
+@pytest.mark.parametrize("bad", [True, "1", None])
+def test_transistor_refuses_non_numbers(field, bad):
+    # an int is a number; a bool passed the range comparisons, and a str
+    # or None raised a bare TypeError
+    base = {"name": "x", "gm": 0.01, "cgs": 1e-12, "cds": 1e-13}
+    assert getattr(TransistorModel(**{**base, field: 1}), field) == 1
+    with pytest.raises(CatalogError, match=field):
+        TransistorModel(**{**base, field: bad})
+
+
+@pytest.mark.parametrize("field", ["er", "h_mm", "t_mm"])
+@pytest.mark.parametrize("bad", [True, "4", None])
+def test_substrate_refuses_non_numbers(field, bad):
+    base = {"er": 4.4, "h_mm": 1.6, "t_mm": 0.035}
+    assert getattr(Substrate(**{**base, field: 1}), field) == 1
+    with pytest.raises(CatalogError, match="got " + re.escape(repr(bad))):
+        Substrate(**{**base, field: bad})
 
 
 def test_transistor_infinite_rds_is_valid():

@@ -109,6 +109,14 @@ def test_microstrip_line_consistency_enforced(fr4):
         )
 
 
+@pytest.mark.parametrize("bad", [True, "1", None])
+def test_z0_of_refuses_non_numbers(fr4, bad):
+    # a bool passed "0 < w < inf" as a 1 mm strip; a str raised TypeError
+    assert z0_of(1, fr4) == z0_of(1.0, fr4)
+    with pytest.raises(GeometryError, match="width"):
+        z0_of(bad, fr4)
+
+
 def test_argument_validation(fr4):
     with pytest.raises(GeometryError):
         z0_of(-1.0, fr4)

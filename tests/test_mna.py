@@ -411,9 +411,12 @@ class TestBatchedKernel:
             for f, s in zip(swp.frequencies, swp.s_matrices):
                 assert s == s_parameters_at(net, f)
 
-    # 16, 17 and 33 straddle a 16-wide block: they stay as grids that fill
-    # part of one block, beside the boundaries of the current _BLOCK
-    @pytest.mark.parametrize("points", [2, 16, 17, 33, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    # 16, 17 and 33 straddle a 16-wide block, 128 and 129 a 128-wide one:
+    # they stay as grids that fill part of one block, beside the boundaries
+    # of the current _BLOCK
+    @pytest.mark.parametrize(
+        "points", [2, 16, 17, 33, 128, 129, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+    )
     @pytest.mark.parametrize("spacing", [LINEAR, LOG])
     def test_grid_matches_dense_reference(self, points, spacing, fr4):
         nets = (build_network(proto_amp()), build_network(lossy_series_amp(fr4)), lc_ladder())
@@ -441,6 +444,39 @@ class TestBatchedKernel:
         net = Network(4, (Resistor(1, 0, 50.0), Resistor(2, 0, 50.0)) + tank, Port(1), Port(2))
         with pytest.raises(SimulationError, match=f"nodal system at {f_res} Hz"):
             sweep(net, f_res / 10.0, f_res, _BLOCK + 2)
+
+    # S forms once over the whole sweep, after the blocks: each error names
+    # the sweep's own frequency when its point ends the second block or is
+    # the one point of a partial last block, where the index within its
+    # block would name another frequency
+    @pytest.mark.parametrize("points", [2 * _BLOCK, 2 * _BLOCK + 1])
+    def test_zero_pivot_past_the_first_block_names_frequency(self, points):
+        f_res = 1.0 / (2.0 * math.pi)
+        tank = (Inductor(3, 0, 1.0), Capacitor(3, 0, 1.0))
+        net = Network(4, (Resistor(1, 0, 50.0), Resistor(2, 0, 50.0)) + tank, Port(1), Port(2))
+        with pytest.raises(SimulationError, match=f"^singular nodal system at {f_res} Hz$"):
+            sweep(net, f_res / 10.0, f_res, points)
+
+    @pytest.mark.parametrize("points", [2 * _BLOCK, 2 * _BLOCK + 1])
+    def test_singular_port_past_the_first_block_names_frequency(self, points):
+        # -1 S on port 1 and a 1 H, 1 F tank: 1 + z1*Y11 = 0 at w = 1 rad/s only
+        f_res = 1.0 / (2.0 * math.pi)
+        net = Network(
+            3,
+            (Resistor(1, 0, 1.0), Vccs(1, 0, 1, 0, -2.0), Inductor(1, 0, 1.0),
+             Capacitor(1, 0, 1.0), Resistor(2, 0, 50.0)),
+            Port(1, 1.0),
+            Port(2),
+        )
+        with pytest.raises(SimulationError, match=f"^singular port system at {f_res} Hz$"):
+            sweep(net, f_res / 10.0, f_res, points)
+
+    @pytest.mark.parametrize("points", [2 * _BLOCK, 2 * _BLOCK + 1])
+    def test_non_finite_s_past_the_first_block_names_frequency(self, points):
+        # w = 2 pi f overflows at the last point, 1e308 Hz, and S turns NaN;
+        # the point before it is near 2.6e307 Hz, where w is still finite
+        with pytest.raises(SimulationError, match=r"^non-finite S-parameters at 1e\+308 Hz$"):
+            sweep(lc_ladder(), 1e10, 1e308, points, LOG)
 
     def test_singular_port_system_names_frequency(self):
         # a transconductance of -2 S across the 1 S port-1 load: 1 + z1*Y11 = 0
@@ -632,6 +668,44 @@ class TestMetrics:
         swp = TwoPortSweep(tuple(1e9 * (k + 1) for k in range(points)), mats, 50.0)
         with pytest.raises(SimulationError, match="one S-matrix per frequency"):
             extract_metrics(swp)
+
+    # values frozen from the per-point dB lists that extract_metrics used
+    # before it took one pass
+    @pytest.mark.parametrize(
+        "freqs, s21_mags, s11_mags, want",
+        [
+            # out of frequency order: the cutoff falls between 4 and 2, and
+            # only the points at 1 and 2 lie below it
+            (
+                (1.0, 4.0, 2.0, 3.0), (1.0, 0.9, 0.6, 0.3), (0.1, 0.5, 0.2, 0.7),
+                (0.0, 2.816039932949055, -13.979400086720375),
+            ),
+            # |S21| = 0 at the first point: the reference and threshold are
+            # -inf, so the next zero is the cutoff
+            (
+                (1.0, 2.0, 3.0, 4.0), (0.0, 0.5, 0.0, 1.0), (0.3, 0.1, 0.2, 0.9),
+                (-math.inf, 3.0, -10.457574905606752),
+            ),
+            (
+                (1.0, 2.0, 3.0), (0.0, 0.5, 0.25), (0.3, 0.6, 0.2),
+                (-math.inf, None, -4.436974992327127),
+            ),
+            # the -3 dB point lands exactly on the second sample
+            (
+                (1.0, 2.0, 3.0, 4.0), (2.0, 2.0 * 10.0 ** (-3.0 / 20.0), 0.1, 0.05),
+                (0.1, 0.4, 0.2, 0.8),
+                (6.020599913279624, 2.0, -7.958800173440752),
+            ),
+            # no cutoff inside the sweep: S11 over every point
+            (
+                (3.0, 1.0, 2.0), (1.0, 1.2, 0.8), (0.3, 0.5, 0.4),
+                (0.0, None, -6.020599913279624),
+            ),
+        ],
+    )
+    def test_frozen_metrics(self, freqs, s21_mags, s11_mags, want):
+        m = extract_metrics(synthetic_sweep(freqs, s21_mags, s11_mags))
+        assert (m.low_freq_gain_db, m.cutoff_hz, m.worst_s11_db) == want
 
     def test_zero_s11_reports_neg_inf(self):
         swp = synthetic_sweep([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
