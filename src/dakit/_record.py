@@ -1,4 +1,5 @@
-"""Frozen value records, written out by hand instead of generated.
+"""Frozen value records, written out by hand instead of generated, and the
+one check of the numbers that enter the library.
 
 A record class lists its fields in __slots__, in constructor order. Its
 __init__ checks the arguments and stores each one with set_field, the
@@ -9,27 +10,61 @@ dataclass repr, and AttributeError on assignment or deletion.
 A slot named with a leading "_" is no field: it holds state that
 __init__ derives from the fields. Equality, the hash, the repr and copies
 leave it out, so a copy derives it again.
+
+Every record and public function checks each number it is given with
+positive, for a quantity in (0, inf), or in_range, for the few other
+ranges. Both accept an int or a float and refuse a bool, whatever else
+is not a number, NaN and anything out of range, with the caller's
+DakitError and the message "<what> must be <range>, got <value!r>". A
+guard on a value that a function derives from checked inputs, such as
+the reciprocal of an underflowing product, stays with that function.
 """
 
 import math
+import sys
 from operator import attrgetter
 
 set_field = object.__setattr__
 
+# the largest finite float
+_MAX = sys.float_info.max
+
 
 def is_number(x: object) -> bool:
-    """True for an int or a float; the caller checks the range. A number
-    that passes can be compared without a TypeError."""
+    """True for a float, or an int that converts to a float; the caller
+    checks the range. A number that passes can be compared without a
+    TypeError."""
+    if isinstance(x, float):
+        return True
     # bool is an int, but True is no quantity
-    return not isinstance(x, bool) and isinstance(x, (int, float))
+    return isinstance(x, int) and not isinstance(x, bool) and -_MAX <= x <= _MAX
 
 
-def is_positive_number(x: object) -> bool:
-    """True for a positive, finite int or float, the check of a record
-    field that holds a quantity."""
-    # is_number written out, since Network and the option records call this
-    # on every construction; NaN fails "0 < x < inf"
-    return not isinstance(x, bool) and isinstance(x, (int, float)) and 0 < x < math.inf
+def positive(x: object, what: str, error: type) -> None:
+    """Raise error unless x is a positive, finite int or float."""
+    # a float, the usual value, skips is_number; NaN fails every comparison
+    if x.__class__ is float and 0.0 < x <= _MAX or is_number(x) and 0 < x <= _MAX:
+        return
+    raise error(f"{what} must be positive and finite, got {x!r}")
+
+
+# in_range's rules: each name is the message's "must be ..." and each
+# value the closed float interval it allows; an open end is the next
+# float inside it
+_RANGES = {
+    ">= 0 and finite": (0.0, _MAX),
+    ">= 1 and finite": (1.0, _MAX),
+    "positive": (math.ulp(0.0), math.inf),
+    "finite": (-_MAX, _MAX),
+    "between -1 and 1": (-math.nextafter(1.0, 0.0), math.nextafter(1.0, 0.0)),
+}
+
+
+def in_range(x: object, what: str, error: type, rule: str) -> None:
+    """Raise error unless x is an int or a float within a rule of _RANGES."""
+    low, high = _RANGES[rule]
+    if not ((x.__class__ is float or is_number(x)) and low <= x <= high):
+        raise error(f"{what} must be {rule}, got {x!r}")
 
 
 class Record:

@@ -29,7 +29,7 @@ import json
 import math
 
 from . import device, gain as gain_mod, ladder, microstrip, taper as taper_mod
-from ._record import Record, is_positive_number, set_field
+from ._record import Record, positive, set_field
 from .device import Substrate, TransistorModel, series_cap_for_target
 
 # screening and the survey live in device; the names stay bound here too,
@@ -78,19 +78,17 @@ class DesignOptions(Record):
         design_frequency_hz: float | None = None,
     ) -> None:
         z0, n, pair, cap = system_impedance, stages, taper, series_cap
-        if not is_positive_number(z0):
-            raise DesignError(f"system impedance must be positive and finite, got {z0!r}")
+        positive(z0, "system impedance", DesignError)
         if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
             raise DesignError(f"stages must be a positive integer, got {n!r}")
         if not (pair in (None, "ginzton") or _is_profile_pair(pair)):
             raise DesignError(f"taper must be None, 'ginzton' or a (gate, drain) pair: {pair!r}")
-        if not (cap in (None, MATCH_DRAIN) or is_positive_number(cap)):
-            raise DesignError(f"series_cap must be None, {MATCH_DRAIN!r} or farads, got {cap!r}")
+        if cap not in (None, MATCH_DRAIN):
+            positive(cap, "series_cap in farads", DesignError)
         if not isinstance(include_microstrip_parasitics, bool):
             raise DesignError("include_microstrip_parasitics must be True or False")
-        f = design_frequency_hz
-        if not (f is None or is_positive_number(f)):
-            raise DesignError(f"design frequency must be positive and finite, got {f!r}")
+        if design_frequency_hz is not None:
+            positive(design_frequency_hz, "design frequency", DesignError)
         set_field(self, "system_impedance", system_impedance)
         set_field(self, "stages", stages)
         set_field(self, "taper", taper)

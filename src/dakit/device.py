@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 import math
 
-from ._record import Record, is_number, is_positive_number, set_field
+from ._record import Record, in_range, positive, set_field
 from .errors import CatalogError, DesignError
-from .ladder import cutoff_frequency
+from .ladder import _inverse_pi_product, cutoff_frequency
 
 _ENTRY_KEYS = {"name", "gm_S", "cgs_F", "cds_F", "ri_ohm", "rds_ohm", "reference"}
 
@@ -33,22 +33,21 @@ class TransistorModel(Record):
         rds: float = math.inf,
         reference: str = "",
     ) -> None:
+        if not isinstance(name, str):
+            raise CatalogError(f"transistor name must be a string, got {name!r}")
         if not name:
             raise CatalogError("transistor name must be non-empty")
-        # written as "not in range" so that NaN, which fails every
-        # comparison, is rejected too; a float, the usual value, is checked
-        # without a call, and anything else must be an int or a float
-        inf = math.inf
-        if not (type(gm) is float and 0.0 < gm < inf or is_positive_number(gm)):
-            raise CatalogError(f"{name}: gm must be positive and finite, got {gm!r}")
-        if not (type(cgs) is float and 0.0 < cgs < inf or is_positive_number(cgs)):
-            raise CatalogError(f"{name}: cgs must be positive and finite, got {cgs!r}")
-        if not (type(cds) is float and 0.0 < cds < inf or is_positive_number(cds)):
-            raise CatalogError(f"{name}: cds must be positive and finite, got {cds!r}")
-        if not ((type(ri) is float or is_number(ri)) and 0 <= ri < inf):
-            raise CatalogError(f"{name}: ri must be >= 0 and finite, got {ri!r}")
-        if not ((type(rds) is float or is_number(rds)) and 0 < rds <= inf):
-            raise CatalogError(f"{name}: rds must be positive, got {rds!r}")
+        if not isinstance(reference, str):
+            raise CatalogError(f"{name}: reference must be a string, got {reference!r}")
+        try:
+            positive(gm, "gm", CatalogError)
+            positive(cgs, "cgs", CatalogError)
+            positive(cds, "cds", CatalogError)
+            in_range(ri, "ri", CatalogError, ">= 0 and finite")
+            in_range(rds, "rds", CatalogError, "positive")
+        except CatalogError as exc:
+            # the name is formatted into a message only when one is raised
+            raise CatalogError(f"{name}: {exc}") from None
         set_field(self, "name", name)
         set_field(self, "gm", gm)
         set_field(self, "cgs", cgs)
@@ -64,13 +63,9 @@ class Substrate(Record):
     __slots__ = ("er", "h_mm", "t_mm")
 
     def __init__(self, er: float, h_mm: float, t_mm: float = 0.0) -> None:
-        inf = math.inf
-        if not ((type(er) is float or is_number(er)) and 1 <= er < inf):
-            raise CatalogError(f"relative permittivity must be >= 1 and finite, got {er!r}")
-        if not (type(h_mm) is float and 0.0 < h_mm < inf or is_positive_number(h_mm)):
-            raise CatalogError(f"substrate height must be positive and finite, got {h_mm!r}")
-        if not ((type(t_mm) is float or is_number(t_mm)) and 0 <= t_mm < inf):
-            raise CatalogError(f"conductor thickness must be >= 0 and finite, got {t_mm!r}")
+        in_range(er, "relative permittivity", CatalogError, ">= 1 and finite")
+        positive(h_mm, "substrate height", CatalogError)
+        in_range(t_mm, "conductor thickness", CatalogError, ">= 0 and finite")
         set_field(self, "er", er)
         set_field(self, "h_mm", h_mm)
         set_field(self, "t_mm", t_mm)
@@ -82,8 +77,13 @@ class Catalog(Record):
     __slots__ = ("transistors", "source")
 
     def __init__(self, transistors: tuple[TransistorModel, ...], source: str = "") -> None:
+        # a tuple, so that the catalog hashes
+        if not isinstance(transistors, tuple):
+            raise CatalogError(f"transistors must be a tuple, got {type(transistors).__name__}")
         seen = set()
         for t in transistors:
+            if not isinstance(t, TransistorModel):
+                raise CatalogError(f"not a TransistorModel: {t!r}")
             if t.name in seen:
                 raise CatalogError(f"duplicate transistor name: {t.name!r}")
             seen.add(t.name)
@@ -228,10 +228,6 @@ def transistor_from_entry(entry: object, where: str) -> TransistorModel:
     missing = {"name", "gm_S", "cgs_F", "cds_F"} - set(entry)
     if missing:
         raise CatalogError(f"{where}: missing keys {sorted(missing)}")
-    if not isinstance(entry["name"], str):
-        raise CatalogError(f"{where}: name must be a string")
-    if not isinstance(entry.get("reference", ""), str):
-        raise CatalogError(f"{where}: reference must be a string")
     return TransistorModel(
         name=entry["name"],
         gm=json_number(entry["gm_S"], where, "gm_S"),
@@ -269,12 +265,10 @@ def effective_gate_capacitance(cgs: float, cseries: float | None = None) -> floa
     series combination cseries*cgs/(cseries+cgs); with no series element
     the line sees cgs itself.
     """
-    if not 0 < cgs < math.inf:
-        raise CatalogError(f"cgs must be positive and finite, got {cgs}")
+    positive(cgs, "cgs", CatalogError)
     if cseries is None:
         return cgs
-    if not 0 < cseries < math.inf:
-        raise CatalogError(f"series capacitance must be positive and finite, got {cseries}")
+    positive(cseries, "series capacitance", CatalogError)
     return cseries * cgs / (cseries + cgs)
 
 
@@ -302,15 +296,9 @@ def builtin_table1() -> tuple[VerificationRow, ...]:
 
 def max_capacitance_for_bandwidth(f: float, z0: float = 50.0) -> float:
     """Largest shunt capacitance per cell keeping the cutoff at or above f."""
-    if not (0 < f < math.inf and 0 < z0 < math.inf):
-        raise DesignError(
-            f"frequency and impedance must be positive and finite, got {f} and {z0}"
-        )
-    product = math.pi * z0 * f
-    # as in cutoff_frequency: 0, inf, or a subnormal whose reciprocal is inf
-    if not (0 < product < math.inf and 1.0 / product < math.inf):
-        raise DesignError(f"capacitance for {f} Hz at {z0} ohm is out of range")
-    return 1.0 / product
+    positive(f, "frequency", DesignError)
+    positive(z0, "impedance", DesignError)
+    return _inverse_pi_product(z0, f, "capacitance for {1} Hz at {0} ohm")
 
 
 def series_cap_for_target(cgs: float, c_eff_target: float) -> tuple[float, float]:
@@ -320,10 +308,8 @@ def series_cap_for_target(cgs: float, c_eff_target: float) -> tuple[float, float
     the voltage divider leaves a fraction target/cgs of the drive on the
     gate, which is the multiplicative gain penalty.
     """
-    if not (0 < cgs < math.inf and 0 < c_eff_target < math.inf):
-        raise DesignError(
-            f"capacitances must be positive and finite, got {cgs} and {c_eff_target}"
-        )
+    positive(cgs, "cgs", DesignError)
+    positive(c_eff_target, "target capacitance", DesignError)
     if c_eff_target >= cgs:
         raise DesignError(
             f"target {c_eff_target} F is not below cgs {cgs} F; "
@@ -352,8 +338,7 @@ def screen_catalog(
     devices that still miss the target are kept with a note rather than
     dropped, so the ranking shows the whole field.
     """
-    if not 0 < f_target < math.inf:
-        raise DesignError(f"target cutoff must be positive and finite, got {f_target}")
+    positive(f_target, "target cutoff", DesignError)
     results = []
     for t in catalog.transistors:
         fc = cutoff_frequency(z0, t.cgs)

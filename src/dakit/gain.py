@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record, set_field
+from ._record import Record, in_range, positive, set_field
 from .errors import DesignError
 
 _STAGE_MIN = 3
@@ -45,13 +45,18 @@ class GainFigures(Record):
 
 def voltage_gain(gm: float, z0d: float, n: int) -> float:
     """Low-frequency voltage gain n*gm*z0d/2."""
-    _check_common(gm, z0d, z0d, n)
+    positive(gm, "gm", DesignError)
+    positive(z0d, "drain line impedance", DesignError)
+    _check_stages(n)
     return gm * z0d * n / 2.0
 
 
 def power_gain_lossless(gm: float, z0g: float, z0d: float, n: int) -> float:
     """Power gain n^2*gm^2*z0g*z0d/4 with lossless lines."""
-    _check_common(gm, z0g, z0d, n)
+    positive(gm, "gm", DesignError)
+    positive(z0g, "gate line impedance", DesignError)
+    positive(z0d, "drain line impedance", DesignError)
+    _check_stages(n)
     return gm * gm * z0g * z0d * n * n / 4.0
 
 
@@ -62,8 +67,12 @@ def power_gain_lossy(gm: float, z0g: float, z0d: float, ag: float, ad: float, n:
     n*exp(-(n-1)*ag) is used instead, which also reproduces the lossless
     figure at ag = ad = 0.
     """
-    _check_common(gm, z0g, z0d, n)
-    _check_losses(ag, ad)
+    positive(gm, "gm", DesignError)
+    positive(z0g, "gate line impedance", DesignError)
+    positive(z0d, "drain line impedance", DesignError)
+    _check_stages(n)
+    in_range(ag, "gate attenuation", DesignError, ">= 0 and finite")
+    in_range(ad, "drain attenuation", DesignError, ">= 0 and finite")
     base = gm * gm * z0g * z0d / 4.0
     if abs(ag - ad) < 1e-12:
         factor = n * math.exp(-(n - 1) * ag)
@@ -77,7 +86,8 @@ def n_opt_from_losses(ag: float, ad: float) -> float:
 
     Returns inf when either attenuation is zero (gain then grows with n).
     """
-    _check_losses(ag, ad)
+    in_range(ag, "gate attenuation", DesignError, ">= 0 and finite")
+    in_range(ad, "drain attenuation", DesignError, ">= 0 and finite")
     if ag == 0.0 or ad == 0.0:
         return math.inf
     if abs(ag - ad) < 1e-12:
@@ -92,12 +102,11 @@ def n_opt_from_params(f: float, ri: float, cgs: float, rds: float, z0: float) ->
     algebraically the same point as n_opt_from_losses applied to the
     small-loss per-cell attenuations. x -> 1 degenerates to 2*rds/z0.
     """
-    # written as "not in range" so that NaN, which fails every comparison,
-    # is rejected too
-    if not all(0 < x < math.inf for x in (f, ri, cgs, z0)):
-        raise DesignError("f, ri, cgs and z0 must be positive and finite")
-    if not 0 < rds < math.inf:
-        raise DesignError("rds must be positive and finite")
+    positive(f, "f", DesignError)
+    positive(ri, "ri", DesignError)
+    positive(cgs, "cgs", DesignError)
+    positive(rds, "rds", DesignError)
+    positive(z0, "z0", DesignError)
     w = 2.0 * math.pi * f
     x = w * w * ri * cgs * cgs * rds
     if abs(x - 1.0) < 1e-9:
@@ -107,24 +116,14 @@ def n_opt_from_params(f: float, ri: float, cgs: float, rds: float, z0: float) ->
 
 def recommended_n(n_opt: float) -> int:
     """Round the continuous optimum half-up and clamp to the practical 3..6."""
-    if not n_opt > 0:
-        raise DesignError(f"n_opt must be positive, got {n_opt}")
+    in_range(n_opt, "n_opt", DesignError, "positive")
     if math.isinf(n_opt):
         return _STAGE_MAX
     rounded = math.floor(n_opt + 0.5)
     return min(_STAGE_MAX, max(_STAGE_MIN, rounded))
 
 
-def _check_common(gm: float, z0g: float, z0d: float, n: int) -> None:
-    if not 0 < gm < math.inf:
-        raise DesignError(f"gm must be positive and finite, got {gm}")
-    if not (0 < z0g < math.inf and 0 < z0d < math.inf):
-        raise DesignError("line impedances must be positive and finite")
+def _check_stages(n: int) -> None:
     # bool is an int, but True is no stage count
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DesignError(f"stage count must be a positive integer, got {n!r}")
-
-
-def _check_losses(ag: float, ad: float) -> None:
-    if not (0 <= ag < math.inf and 0 <= ad < math.inf):
-        raise DesignError("per-cell attenuations must be >= 0 and finite")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._record import Record, set_field
+from ._record import Record, in_range, positive, set_field
 from .errors import DesignError
 
 
@@ -26,12 +26,8 @@ class LineCell(Record):
     __slots__ = ("inductance", "capacitance")
 
     def __init__(self, inductance: float, capacitance: float) -> None:
-        # written as "not in range" so that NaN, which fails every
-        # comparison, is rejected too
-        if not 0 < inductance < math.inf:
-            raise DesignError(f"cell inductance must be positive and finite, got {inductance}")
-        if not 0 < capacitance < math.inf:
-            raise DesignError(f"cell capacitance must be positive and finite, got {capacitance}")
+        positive(inductance, "cell inductance", DesignError)
+        positive(capacitance, "cell capacitance", DesignError)
         # z0 and fc need L/C and L*C as positive finite floats, which
         # extreme values underflow or overflow
         ratio, product = inductance / capacitance, inductance * capacitance
@@ -63,24 +59,27 @@ class LineSection(Record):
 
 def cell_for_impedance(z0: float, capacitance: float) -> LineCell:
     """Size the cell inductance L = Z0^2*C that pairs with a given shunt C."""
-    if not 0 < z0 < math.inf:
-        raise DesignError(f"characteristic impedance must be positive and finite, got {z0}")
-    if not 0 < capacitance < math.inf:
-        raise DesignError(f"capacitance must be positive and finite, got {capacitance}")
+    positive(z0, "characteristic impedance", DesignError)
+    positive(capacitance, "capacitance", DesignError)
     return LineCell(inductance=z0 * z0 * capacitance, capacitance=capacitance)
 
 
 def cutoff_frequency(z0: float, capacitance: float) -> float:
     """Bragg cutoff 1/(pi*Z0*C) of a constant-k line."""
-    if not (0 < z0 < math.inf and 0 < capacitance < math.inf):
-        raise DesignError(
-            f"impedance and capacitance must be positive and finite, got {z0} and {capacitance}"
-        )
-    product = math.pi * z0 * capacitance
+    positive(z0, "impedance", DesignError)
+    positive(capacitance, "capacitance", DesignError)
+    return _inverse_pi_product(z0, capacitance, "cutoff of {0} ohm and {1} F")
+
+
+def _inverse_pi_product(z0: float, x: float, what: str) -> float:
+    """1/(pi*z0*x), for checked z0 and x: the cutoff of a line of impedance
+    z0 and cell capacitance x, or the cell capacitance that puts the cutoff
+    of a z0 line at x. what.format(z0, x) names the result in an error."""
+    product = math.pi * z0 * x
     # extreme values underflow the product to 0 or overflow it to inf, and
     # a subnormal product has a reciprocal that overflows to inf
     if not (0 < product < math.inf and 1.0 / product < math.inf):
-        raise DesignError(f"cutoff of {z0} ohm and {capacitance} F is out of range")
+        raise DesignError(f"{what.format(z0, x)} is out of range")
     return 1.0 / product
 
 
@@ -90,18 +89,19 @@ def gate_loss_per_cell(f: float, ri: float, cgs: float, z0: float) -> float:
     For a series-RC input branch with omega*ri*cgs << 1 the per-cell
     attenuation reduces to (2*pi*f)^2 * ri * cgs^2 * z0 / 2.
     """
-    _check_frequency(f)
-    if not (0 <= ri < math.inf and 0 < cgs < math.inf and 0 < z0 < math.inf):
-        raise DesignError("ri must be >= 0 and finite; cgs and z0 must be positive and finite")
+    positive(f, "frequency", DesignError)
+    in_range(ri, "ri", DesignError, ">= 0 and finite")
+    positive(cgs, "cgs", DesignError)
+    positive(z0, "z0", DesignError)
     w = 2.0 * math.pi * f
     return w * w * ri * cgs * cgs * z0 / 2.0
 
 
 def drain_loss_per_cell(z0: float, rds: float) -> float:
     """Per-cell drain attenuation z0/(2*rds) in nepers; 0 for rds = inf."""
-    # rds = inf is the lossless limit, so only z0 must be finite
-    if not (0 < z0 < math.inf and 0 < rds <= math.inf):
-        raise DesignError("z0 and rds must be positive, and z0 finite")
+    positive(z0, "z0", DesignError)
+    # rds = inf is the lossless limit
+    in_range(rds, "rds", DesignError, "positive")
     return z0 / (2.0 * rds)
 
 
@@ -119,10 +119,10 @@ def gate_section(
     physical length. The segment's own distributed capacitance, taken as
     cell.capacitance/length, is normally neglected; the flag adds it back.
     """
-    _check_frequency(f)
-    _check_length(length)
-    if not (0 <= ri < math.inf and 0 < cgs < math.inf):
-        raise DesignError("ri must be >= 0 and finite; cgs must be positive and finite")
+    positive(f, "frequency", DesignError)
+    positive(length, "length", DesignError)
+    in_range(ri, "ri", DesignError, ">= 0 and finite")
+    positive(cgs, "cgs", DesignError)
     w = 2.0 * math.pi * f
     z = 1j * w * cell.inductance / length
     y = 1j * w * cgs / (length * (1.0 + 1j * w * ri * cgs))
@@ -144,10 +144,10 @@ def drain_section(
     The device output (cds shunted by rds) is spread over the cell's
     physical length; rds = inf drops the conductance term.
     """
-    _check_frequency(f)
-    _check_length(length)
-    if not (0 < rds <= math.inf and 0 < cds < math.inf):
-        raise DesignError("rds and cds must be positive, and cds finite")
+    positive(f, "frequency", DesignError)
+    positive(length, "length", DesignError)
+    in_range(rds, "rds", DesignError, "positive")
+    positive(cds, "cds", DesignError)
     w = 2.0 * math.pi * f
     g = 0.0 if math.isinf(rds) else 1.0 / (rds * length)
     y = g + 1j * w * cds / length
@@ -162,13 +162,3 @@ def propagation_constant(section: LineSection) -> complex:
     if g.real < 0:
         g = -g
     return g
-
-
-def _check_frequency(f: float) -> None:
-    if not 0 < f < math.inf:
-        raise DesignError(f"frequency must be positive and finite, got {f}")
-
-
-def _check_length(length: float) -> None:
-    if not 0 < length < math.inf:
-        raise DesignError(f"length must be positive and finite, got {length}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record, is_positive_number, set_field
+from ._record import Record, in_range, positive, set_field
 from .device import Substrate
 from .errors import GeometryError
 
@@ -47,18 +47,11 @@ class MicrostripLine(Record):
         l_nh_per_cm: float,
         c_pf_per_cm: float,
     ) -> None:
-        # written as "not in range" so that NaN, which fails every
-        # comparison, is rejected too
-        inf = math.inf
-        if not (
-            0 < width_mm < inf
-            and 0 < length_cm < inf
-            and 0 < z0 < inf
-            and 0 < l_nh_per_cm < inf
-            and 0 < c_pf_per_cm < inf
-        ):
-            figures = (width_mm, length_cm, z0, l_nh_per_cm, c_pf_per_cm)
-            raise GeometryError(f"strip figures must be positive and finite, got {figures}")
+        positive(width_mm, "strip width", GeometryError)
+        positive(length_cm, "strip length", GeometryError)
+        positive(z0, "strip impedance", GeometryError)
+        positive(l_nh_per_cm, "l'", GeometryError)
+        positive(c_pf_per_cm, "c'", GeometryError)
         expected_c = 1000.0 * l_nh_per_cm / (z0 * z0)
         if abs(expected_c - c_pf_per_cm) > 1e-9 * abs(expected_c):
             raise GeometryError("inconsistent distributed constants: c' != 1000*l'/z0^2")
@@ -72,8 +65,7 @@ class MicrostripLine(Record):
 
 def z0_of(width_mm: float, substrate: Substrate) -> ImpedanceResult:
     """Characteristic impedance of a strip; valid flags the w/h fit window."""
-    if not (type(width_mm) is float and 0.0 < width_mm < math.inf or is_positive_number(width_mm)):
-        raise GeometryError(f"width must be positive and finite, got {width_mm!r}")
+    positive(width_mm, "width", GeometryError)
     arg = 5.98 * substrate.h_mm / (0.8 * width_mm + substrate.t_mm)
     if arg <= 0:
         raise GeometryError("non-positive log argument; check h, w, t")
@@ -88,7 +80,7 @@ def width_for(z0: float, substrate: Substrate) -> float:
     w = 7.475*h*exp(-z0*sqrt(er+1.41)/87) - 1.25*t, where 7.475 = 5.98/0.8
     and 1.25 = 1/0.8.
     """
-    _check_impedance(z0)
+    positive(z0, "impedance", GeometryError)
     w = 7.475 * substrate.h_mm * math.exp(-z0 * math.sqrt(substrate.er + 1.41) / 87.0)
     w -= 1.25 * substrate.t_mm
     if w <= 0:
@@ -101,9 +93,8 @@ def width_for(z0: float, substrate: Substrate) -> float:
 
 def line_constants(z0: float, er: float) -> tuple[float, float]:
     """Distributed inductance (nH/cm) and capacitance (pF/cm) of the strip."""
-    _check_impedance(z0)
-    if not 1 <= er < math.inf:
-        raise GeometryError(f"relative permittivity must be >= 1 and finite, got {er}")
+    positive(z0, "impedance", GeometryError)
+    in_range(er, "relative permittivity", GeometryError, ">= 1 and finite")
     l_nh = 2.0 * z0 * math.sqrt(er + 1.41) / 87.0
     c_pf = 1000.0 * l_nh / (z0 * z0)
     return l_nh, c_pf
@@ -111,10 +102,8 @@ def line_constants(z0: float, er: float) -> tuple[float, float]:
 
 def segment_length(inductance: float, l_nh_per_cm: float) -> float:
     """Length in cm of strip needed to realize a cell inductance in henries."""
-    if not 0 < inductance < math.inf:
-        raise GeometryError(f"inductance must be positive and finite, got {inductance}")
-    if not 0 < l_nh_per_cm < math.inf:
-        raise GeometryError(f"l' must be positive and finite, got {l_nh_per_cm}")
+    positive(inductance, "inductance", GeometryError)
+    positive(l_nh_per_cm, "l'", GeometryError)
     return inductance * 1e9 / l_nh_per_cm
 
 
@@ -124,10 +113,10 @@ def phase_shift(length_cm: float, f: float, l_nh_per_cm: float, c_pf_per_cm: flo
     Uses the strip's own phase velocity 1/sqrt(l'*c'), so the result is
     2*pi*f*length*sqrt(l'*c') with the distributed constants in SI per cm.
     """
-    if not (0 < length_cm < math.inf and 0 < f < math.inf):
-        raise GeometryError("length and frequency must be positive and finite")
-    if not (0 < l_nh_per_cm < math.inf and 0 < c_pf_per_cm < math.inf):
-        raise GeometryError("distributed constants must be positive and finite")
+    positive(length_cm, "length", GeometryError)
+    positive(f, "frequency", GeometryError)
+    positive(l_nh_per_cm, "l'", GeometryError)
+    positive(c_pf_per_cm, "c'", GeometryError)
     delay_per_cm = math.sqrt(l_nh_per_cm * 1e-9 * c_pf_per_cm * 1e-12)
     return 2.0 * math.pi * f * length_cm * delay_per_cm
 
@@ -145,8 +134,3 @@ def synthesize_strip(z0: float, substrate: Substrate, inductance: float) -> Micr
         l_nh_per_cm=l_nh,
         c_pf_per_cm=c_pf,
     )
-
-
-def _check_impedance(z0: float) -> None:
-    if not 0 < z0 < math.inf:
-        raise GeometryError(f"impedance must be positive and finite, got {z0}")

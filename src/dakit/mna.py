@@ -81,7 +81,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from ._record import Record, is_positive_number, set_field
+from ._record import Record, in_range, positive, set_field
 from .design import DesignReport
 from .errors import DesignError, SimulationError
 
@@ -165,19 +165,14 @@ class Network(Record):
                 raise DesignError(f"not a Port: {port!r}")
             if type(port.node) is not int:
                 raise DesignError(f"port node must be an int, got {port.node!r}")
-            if not is_positive_number(port.z0):
-                raise DesignError(
-                    f"port reference impedance must be positive and finite, got {port.z0!r}"
-                )
+            positive(port.z0, "port reference impedance", DesignError)
         # one pass over the elements checks each value and collects the
         # topology entry and stamp value of each
         topology = []
         values = []
         for e in elements:
             if isinstance(e, Vccs):
-                real = isinstance(e.gm, (int, float)) and not isinstance(e.gm, bool)
-                if not (real and math.isfinite(e.gm)):
-                    raise DesignError(f"transconductance must be a finite real number: {e}")
+                in_range(e.gm, "transconductance", DesignError, "finite")
                 entry = (_G, e.out_p, e.out_m, e.ctrl_p, e.ctrl_m)
                 if set(map(type, entry)) != {int}:
                     raise DesignError(f"element nodes must be ints: {e}")
@@ -186,15 +181,15 @@ class Network(Record):
                 continue
             if isinstance(e, Inductor):
                 kind, value = _GAMMA, e.henries
+                positive(value, "inductance", DesignError)
             elif isinstance(e, Capacitor):
                 kind, value = _C, e.farads
+                positive(value, "capacitance", DesignError)
             elif isinstance(e, Resistor):
                 kind, value = _G, e.ohms
+                positive(value, "resistance", DesignError)
             else:
                 raise DesignError(f"unknown element type: {e!r}")
-            # a float, the usual value, is checked without a call
-            if not (type(value) is float and 0.0 < value < math.inf or is_positive_number(value)):
-                raise DesignError(f"element value must be positive and finite: {e}")
             # a bool or float node equals its int, and would even share its
             # cached plan
             a, b = e.a, e.b
@@ -303,8 +298,7 @@ def build_network(report: DesignReport) -> Network:
 
 def s_parameters_at(net: Network, f: float):
     """S-matrix of the network at a single frequency, as a nested tuple."""
-    if not 0 < f < math.inf:
-        raise SimulationError(f"frequency must be positive and finite, got {f}")
+    positive(f, "frequency", SimulationError)
     return _solve(net, [f])[0]
 
 
@@ -316,8 +310,10 @@ def sweep(
     spacing: str = LINEAR,
 ) -> TwoPortSweep:
     """Evaluate the network over a frequency grid, in grid order."""
-    if not 0 < f_start < f_stop < math.inf:
-        raise SimulationError(f"need 0 < f_start < f_stop < inf, got {f_start} and {f_stop}")
+    positive(f_start, "f_start", SimulationError)
+    positive(f_stop, "f_stop", SimulationError)
+    if not f_start < f_stop:
+        raise SimulationError(f"need f_start < f_stop, got {f_start} and {f_stop}")
     # bool is an int, but True is no point count
     if isinstance(points, bool) or not isinstance(points, int) or points < 2:
         raise SimulationError(f"need at least 2 points, got {points!r}")
@@ -380,7 +376,7 @@ def extract_metrics(swp: TwoPortSweep) -> SweepMetrics:
     return SweepMetrics(low_freq_gain_db=ref, cutoff_hz=cutoff, worst_s11_db=worst)
 
 
-class _Plan(Record):
+class _Plan:
     """What a topology fixes about its solve: slots, stamps and the program.
 
     Every entry of Y that is ever nonzero, stamped or filled in, has a slot:
@@ -390,6 +386,10 @@ class _Plan(Record):
     stamp_slot[k] = kind * slots + slot. program holds (kk, (kj, ...),
     ((ij, ik, kj), ...)) per pivot, in order; pivots holds the pivot slots
     and ports the slots of Y11, Y12, Y21 and Y22.
+
+    No Record: its fields hold numpy arrays, which neither compare to a
+    bool nor hash, so a plan equals only itself. A Network leaves it out of
+    its own equality.
     """
 
     __slots__ = ("slots", "reactive", "stamp_slot", "stamp_element", "stamp_sign", "program",
@@ -398,14 +398,14 @@ class _Plan(Record):
     def __init__(
         self, slots, reactive, stamp_slot, stamp_element, stamp_sign, program, pivots, ports
     ) -> None:
-        set_field(self, "slots", slots)
-        set_field(self, "reactive", reactive)
-        set_field(self, "stamp_slot", stamp_slot)
-        set_field(self, "stamp_element", stamp_element)
-        set_field(self, "stamp_sign", stamp_sign)
-        set_field(self, "program", program)
-        set_field(self, "pivots", pivots)
-        set_field(self, "ports", ports)
+        self.slots = slots
+        self.reactive = reactive
+        self.stamp_slot = stamp_slot
+        self.stamp_element = stamp_element
+        self.stamp_sign = stamp_sign
+        self.program = program
+        self.pivots = pivots
+        self.ports = ports
 
 
 @functools.lru_cache(maxsize=64)

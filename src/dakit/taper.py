@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._record import Record, is_positive_number, set_field
+from ._record import Record, in_range, positive, set_field
 from .errors import DesignError
 from .ladder import cutoff_frequency
 
@@ -51,14 +51,8 @@ class TaperProfile(Record):
         if not sections:
             raise DesignError("profile needs at least one section")
         for z in sections:
-            if not is_positive_number(z):
-                raise DesignError(
-                    f"section impedances must be positive and finite, got {sections}"
-                )
-        if not is_positive_number(terminal_impedance):
-            raise DesignError(
-                f"terminal impedance must be positive and finite, got {terminal_impedance!r}"
-            )
+            positive(z, "section impedances", DesignError)
+        positive(terminal_impedance, "terminal impedance", DesignError)
         set_field(self, "side", side)
         set_field(self, "sections", sections)
         set_field(self, "terminal_impedance", terminal_impedance)
@@ -114,13 +108,16 @@ def junction_gammas(profile: TaperProfile) -> tuple[float, ...]:
 
 def overall_gamma(gammas: tuple[float, ...], theta: float) -> complex:
     """Phased small-reflection sum at electrical section length theta."""
-    if not (math.isfinite(theta) and all(math.isfinite(g) for g in gammas)):
-        raise DesignError(f"theta and every gamma must be finite, got {theta} and {gammas}")
+    in_range(theta, "theta", DesignError, "finite")
+    for g in gammas:
+        in_range(g, "gamma", DesignError, "finite")
     return sum(g * cmath.exp(-2j * k * theta) for k, g in enumerate(gammas))
 
 
 def overall_gamma_quarterwave(gammas: tuple[float, ...]) -> float:
     """Alternating sum: the phased sum at theta = pi/2, where it is real."""
+    for g in gammas:
+        in_range(g, "gamma", DesignError, "finite")
     return math.fsum(g if k % 2 == 0 else -g for k, g in enumerate(gammas))
 
 
@@ -133,8 +130,7 @@ def ginzton_profiles(n: int, z0: float) -> tuple[TaperProfile, TaperProfile]:
     # bool is an int, but True is no stage count
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DesignError(f"stage count must be a positive integer, got {n!r}")
-    if not 0 < z0 < math.inf:
-        raise DesignError(f"system impedance must be positive and finite, got {z0}")
+    positive(z0, "system impedance", DesignError)
     gate = TaperProfile(GATE, tuple(z0 / k for k in range(1, n + 2)), z0)
     drain = TaperProfile(DRAIN, tuple(n * z0 / k for k in range(1, n + 1)), z0)
     return gate, drain
@@ -146,12 +142,8 @@ def equivalent_impedance(gamma: float, side: str, z_ref: float = 50.0) -> float:
     A gate line reflecting gamma looks like z_ref*(1+gamma)/(1-gamma); the
     drain side is driven from the line, so the mapping inverts.
     """
-    # written as "not below" so that NaN, which fails every comparison, is
-    # rejected too
-    if not abs(gamma) < 1:
-        raise DesignError(f"|gamma| must be < 1, got {gamma}")
-    if not 0 < z_ref < math.inf:
-        raise DesignError(f"reference impedance must be positive and finite, got {z_ref}")
+    in_range(gamma, "gamma", DesignError, "between -1 and 1")
+    positive(z_ref, "reference impedance", DesignError)
     if side == GATE:
         return z_ref * (1.0 + gamma) / (1.0 - gamma)
     if side == DRAIN:
@@ -172,8 +164,8 @@ def analyze_taper(
     """
     if gate.side != GATE or drain.side != DRAIN:
         raise DesignError("profiles must be a (gate, drain) pair")
-    if not (0 < cgs < math.inf and 0 < cds < math.inf):
-        raise DesignError(f"cgs and cds must be positive and finite, got {cgs} and {cds}")
+    positive(cgs, "cgs", DesignError)
+    positive(cds, "cds", DesignError)
     gamma_g = overall_gamma_quarterwave(junction_gammas(gate))
     gamma_d = overall_gamma_quarterwave(junction_gammas(drain))
     z_g = equivalent_impedance(gamma_g, GATE, gate.terminal_impedance)

@@ -1,0 +1,204 @@
+"""Every public callable that takes a number refuses what is not one.
+
+One row per callable: valid arguments, and for each numeric position the
+values it must refuse. A bool, a string and None are never a quantity;
+NaN and the infinities are refused wherever the range excludes them. Each
+refusal is a DakitError whose message names the value with its repr, so
+the CLI exits 1 with that message and never prints a traceback.
+
+LineSection is left out: its fields are complex immittances, which no
+quantity check covers.
+"""
+
+import math
+import re
+
+import pytest
+
+from dakit import (
+    Capacitor,
+    Catalog,
+    DakitError,
+    DesignOptions,
+    Inductor,
+    LineCell,
+    MicrostripLine,
+    Network,
+    Port,
+    Resistor,
+    Substrate,
+    TaperProfile,
+    TransistorModel,
+    Vccs,
+    analyze_taper,
+    cell_for_impedance,
+    cutoff_frequency,
+    drain_loss_per_cell,
+    drain_section,
+    effective_gate_capacitance,
+    equivalent_impedance,
+    gate_loss_per_cell,
+    gate_section,
+    ginzton_profiles,
+    line_constants,
+    max_capacitance_for_bandwidth,
+    n_opt_from_losses,
+    n_opt_from_params,
+    overall_gamma,
+    overall_gamma_quarterwave,
+    phase_shift,
+    power_gain_lossless,
+    power_gain_lossy,
+    recommended_n,
+    s_parameters_at,
+    screen_catalog,
+    segment_length,
+    series_cap_for_target,
+    sweep,
+    synthesize_strip,
+    verify_table1,
+    voltage_gain,
+    width_for,
+    z0_of,
+)
+
+nan, inf = math.nan, math.inf
+
+NON_NUMBERS = (True, "1", None)
+# (0, inf), [0, inf), [1, inf) and any finite value all exclude NaN and both infinities
+FINITE = NON_NUMBERS + (nan, inf, -inf)
+# (0, inf]: an infinite rds or n_opt is the lossless limit
+UP_TO_INF = NON_NUMBERS + (nan, -inf)
+# None stands for "not given" where a quantity is optional
+OPTIONAL = (True, "1", nan, inf, -inf)
+COUNTS = (True, "4", None, 4.0)
+
+FR4 = Substrate(4.4, 1.6, 0.035)
+CATALOG = Catalog((TransistorModel("GAN-1", 0.05, 1.79e-12, 2.983e-13),))
+CELL = LineCell(2e-9, 8e-13)
+GATE, DRAIN = ginzton_profiles(4, 50.0)
+
+
+def _network(r, c, l, gm, z1, z2):
+    elements = (
+        Resistor(1, 0, r),
+        Inductor(1, 2, l),
+        Capacitor(2, 0, c),
+        Vccs(2, 0, 1, 0, gm),
+        Resistor(2, 0, 50.0),
+    )
+    return Network(3, elements, Port(1, z1), Port(2, z2))
+
+
+NET = _network(50.0, 1e-12, 2e-9, 0.05, 50.0, 50.0)
+
+# (id, callable, valid arguments, {position: values to refuse there})
+ROWS = [
+    (
+        "TransistorModel",
+        TransistorModel,
+        ("x", 0.01, 1e-12, 1e-13, 1.0, 200.0),
+        {1: FINITE, 2: FINITE, 3: FINITE, 4: FINITE, 5: UP_TO_INF},
+    ),
+    ("Substrate", Substrate, (4.4, 1.6, 0.035), {0: FINITE, 1: FINITE, 2: FINITE}),
+    ("effective_gate_capacitance", effective_gate_capacitance, (1e-12, 1e-13),
+     {0: FINITE, 1: OPTIONAL}),
+    ("max_capacitance_for_bandwidth", max_capacitance_for_bandwidth, (1e9, 50.0),
+     {0: FINITE, 1: FINITE}),
+    ("series_cap_for_target", series_cap_for_target, (1.79e-12, 3e-13), {0: FINITE, 1: FINITE}),
+    ("screen_catalog", screen_catalog, (CATALOG, 1e10, 50.0, True), {1: FINITE, 2: FINITE}),
+    ("verify_table1", verify_table1, (50.0,), {0: FINITE}),
+    ("LineCell", LineCell, (2e-9, 8e-13), {0: FINITE, 1: FINITE}),
+    ("cell_for_impedance", cell_for_impedance, (50.0, 1e-12), {0: FINITE, 1: FINITE}),
+    ("cutoff_frequency", cutoff_frequency, (50.0, 1e-12), {0: FINITE, 1: FINITE}),
+    ("gate_loss_per_cell", gate_loss_per_cell, (1e9, 1.0, 1e-12, 50.0),
+     {0: FINITE, 1: FINITE, 2: FINITE, 3: FINITE}),
+    ("drain_loss_per_cell", drain_loss_per_cell, (50.0, 200.0), {0: FINITE, 1: UP_TO_INF}),
+    ("gate_section", gate_section, (1e9, CELL, 0.5, 1.0, 1e-12),
+     {0: FINITE, 2: FINITE, 3: FINITE, 4: FINITE}),
+    ("drain_section", drain_section, (1e9, CELL, 0.5, 200.0, 1e-13),
+     {0: FINITE, 2: FINITE, 3: UP_TO_INF, 4: FINITE}),
+    ("voltage_gain", voltage_gain, (0.05, 50.0, 4), {0: FINITE, 1: FINITE, 2: COUNTS}),
+    ("power_gain_lossless", power_gain_lossless, (0.05, 50.0, 50.0, 4),
+     {0: FINITE, 1: FINITE, 2: FINITE, 3: COUNTS}),
+    ("power_gain_lossy", power_gain_lossy, (0.05, 50.0, 50.0, 0.01, 0.02, 4),
+     {0: FINITE, 1: FINITE, 2: FINITE, 3: FINITE, 4: FINITE, 5: COUNTS}),
+    ("n_opt_from_losses", n_opt_from_losses, (0.01, 0.02), {0: FINITE, 1: FINITE}),
+    ("n_opt_from_params", n_opt_from_params, (1e9, 1.0, 1e-12, 200.0, 50.0),
+     {0: FINITE, 1: FINITE, 2: FINITE, 3: FINITE, 4: FINITE}),
+    ("recommended_n", recommended_n, (4.2,), {0: UP_TO_INF}),
+    ("MicrostripLine", MicrostripLine, (3.0, 0.5, FR4, 50.0, 5.0, 2.0),
+     {0: FINITE, 1: FINITE, 3: FINITE, 4: FINITE, 5: FINITE}),
+    ("z0_of", z0_of, (1.0, FR4), {0: FINITE}),
+    ("width_for", width_for, (50.0, FR4), {0: FINITE}),
+    ("line_constants", line_constants, (50.0, 4.4), {0: FINITE, 1: FINITE}),
+    ("segment_length", segment_length, (1e-9, 2.77), {0: FINITE, 1: FINITE}),
+    ("phase_shift", phase_shift, (1.0, 1e9, 2.77, 1.1),
+     {0: FINITE, 1: FINITE, 2: FINITE, 3: FINITE}),
+    ("synthesize_strip", synthesize_strip, (50.0, FR4, 1e-9), {0: FINITE, 2: FINITE}),
+    (
+        "TaperProfile",
+        lambda z, terminal: TaperProfile("gate", (50.0, z), terminal),
+        (25.0, 50.0),
+        {0: FINITE, 1: FINITE},
+    ),
+    (
+        "overall_gamma",
+        lambda g, theta: overall_gamma((0.1, g), theta),
+        (-0.1, 1.0),
+        {0: FINITE, 1: FINITE},
+    ),
+    (
+        "overall_gamma_quarterwave",
+        lambda g: overall_gamma_quarterwave((0.1, g)),
+        (-0.1,),
+        {0: FINITE},
+    ),
+    ("ginzton_profiles", ginzton_profiles, (4, 50.0), {0: COUNTS, 1: FINITE}),
+    ("equivalent_impedance", equivalent_impedance, (0.1, "gate", 50.0),
+     {0: FINITE, 2: FINITE}),
+    ("analyze_taper", analyze_taper, (GATE, DRAIN, 1e-12, 2e-13), {2: FINITE, 3: FINITE}),
+    (
+        "DesignOptions",
+        lambda z0, n, cap, f: DesignOptions(z0, n, None, cap, False, f),
+        (50.0, 4, 1e-12, 1e9),
+        {0: FINITE, 1: (True, "4", 4.0), 2: OPTIONAL, 3: OPTIONAL},
+    ),
+    (
+        "Network",
+        _network,
+        (50.0, 1e-12, 2e-9, 0.05, 50.0, 50.0),
+        {0: FINITE, 1: FINITE, 2: FINITE, 3: FINITE, 4: FINITE, 5: FINITE},
+    ),
+    ("s_parameters_at", s_parameters_at, (NET, 1e9), {1: FINITE}),
+    ("sweep", sweep, (NET, 1e8, 1e10, 11), {1: FINITE, 2: FINITE, 3: COUNTS}),
+]
+
+
+@pytest.fixture(params=ROWS, ids=[row[0] for row in ROWS])
+def row(request):
+    return request.param
+
+
+def test_valid_arguments_are_accepted(row):
+    _, func, args, _ = row
+    func(*args)
+
+
+def test_each_number_is_checked(row):
+    _, func, args, bad_values = row
+    missed = []
+    for position, values in bad_values.items():
+        for bad in values:
+            call = list(args)
+            call[position] = bad
+            try:
+                func(*call)
+            except DakitError as exc:
+                if not re.search("got " + re.escape(repr(bad)), str(exc)):
+                    missed.append((position, bad, f"message {str(exc)!r}"))
+            except Exception as exc:  # noqa: BLE001 - the failure under test
+                missed.append((position, bad, f"{type(exc).__name__}: {exc}"))
+            else:
+                missed.append((position, bad, "accepted"))
+    assert not missed, missed

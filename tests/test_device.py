@@ -5,6 +5,7 @@ import re
 import pytest
 
 from dakit import (
+    Catalog,
     CatalogError,
     Substrate,
     TransistorModel,
@@ -92,6 +93,32 @@ def test_substrate_refuses_non_numbers(field, bad):
     assert getattr(Substrate(**{**base, field: 1}), field) == 1
     with pytest.raises(CatalogError, match="got " + re.escape(repr(bad))):
         Substrate(**{**base, field: bad})
+
+
+@pytest.mark.parametrize("kwargs", [{"name": 123}, {"name": None}, {"reference": 5}])
+def test_transistor_refuses_non_string_name_and_reference(kwargs):
+    # a report written from such a model could not be read back
+    base = {"name": "x", "gm": 0.01, "cgs": 1e-12, "cds": 1e-13}
+    with pytest.raises(CatalogError, match="must be a string"):
+        TransistorModel(**{**base, **kwargs})
+
+
+@pytest.mark.parametrize("key", ["name", "reference"])
+def test_load_catalog_refuses_non_string_name_and_reference(key):
+    entry = {"name": "A", "gm_S": 0.05, "cgs_F": 1e-12, "cds_F": 1e-13, key: 5}
+    with pytest.raises(CatalogError, match="must be a string, got 5"):
+        load_catalog(json.dumps({"transistors": [entry]}))
+
+
+@pytest.mark.parametrize(
+    "transistors",
+    [("x",), [TransistorModel("x", 0.01, 1e-12, 1e-13)], None],
+    ids=["tuple of str", "list of models", "None"],
+)
+def test_catalog_refuses_anything_but_a_tuple_of_models(transistors):
+    # a list would leave the catalog unhashable, and a str has no name
+    with pytest.raises(CatalogError):
+        Catalog(transistors)
 
 
 def test_transistor_infinite_rds_is_valid():
