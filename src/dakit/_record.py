@@ -1,11 +1,15 @@
-"""Frozen value records, written out by hand instead of generated, and the
-one check of the numbers that enter the library.
+"""Frozen value records, and the one check of the values that enter the
+library.
 
-A record class lists its fields in __slots__, in constructor order. Its
-__init__ checks the arguments and stores each one with set_field, the
-only way to write a field. The base then gives what a frozen dataclass
-gives: equality within one class, a hash of the field values, the
-dataclass repr, and AttributeError on assignment or deletion.
+A record class lists its fields in __slots__, in constructor order, and
+set_field is the only way to write one. A record that defines no __init__
+gets a compiled one, as dataclasses and namedtuple build theirs: it takes
+the fields in slot order and stores each with set_field, and the optional
+class dict _defaults gives the defaults of its last fields. A record that
+checks its arguments or derives state writes its own __init__, which
+stores each field with set_field. The base then gives what a frozen
+dataclass gives: equality within one class, a hash of the field values,
+the dataclass repr, and AttributeError on assignment or deletion.
 
 A slot named with a leading "_" is no field: it holds state that
 __init__ derives from the fields. Equality, the hash, the repr and copies
@@ -15,11 +19,15 @@ Every record and public function checks each number it is given with
 positive, for a quantity in (0, inf), or in_range, for the few other
 ranges. Both accept an int or a float and refuse a bool, whatever else
 is not a number, NaN and anything out of range, with the caller's
-DakitError and the message "<what> must be <range>, got <value!r>". A
-guard on a value that a function derives from checked inputs, such as
-the reciprocal of an underflowing product, stays with that function.
+DakitError and the message "<what> must be <range>, got <value!r>".
+count checks a stage or point count, finite_complex a complex
+immittance and instance_of an argument that must be a record, in the
+same way. A guard on a value that a function derives from checked
+inputs, such as the reciprocal of an underflowing product, stays with
+that function.
 """
 
+import cmath
 import math
 import sys
 from operator import attrgetter
@@ -67,6 +75,41 @@ def in_range(x: object, what: str, error: type, rule: str) -> None:
         raise error(f"{what} must be {rule}, got {x!r}")
 
 
+def count(n: object, what: str, error: type, least: int = 1) -> None:
+    """Raise error unless n is an int of at least least; a bool is no count."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < least:
+        kind = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise error(f"{what} must be {kind}, got {n!r}")
+
+
+def finite_complex(x: object, what: str, error: type) -> None:
+    """Raise error unless x is a finite int, float or complex."""
+    if not ((isinstance(x, complex) or is_number(x)) and cmath.isfinite(x)):
+        raise error(f"{what} must be finite, got {x!r}")
+
+
+def instance_of(x: object, cls: type, what: str, error: type) -> None:
+    """Raise error unless x is a cls, such as the record a function reads."""
+    if not isinstance(x, cls):
+        raise error(f"{what} must be a {cls.__name__}, got {x!r}")
+
+
+def _storing_init(cls: type):
+    """Compile cls's __init__(self, <fields>), which only stores each field,
+    under a filename of its own, so that profiles and tracebacks tell the
+    records apart."""
+    fields, defaults = cls._fields, getattr(cls, "_defaults", {})
+    params = "".join(f", {f}=_defaults[{f!r}]" if f in defaults else f", {f}" for f in fields)
+    stores = "".join(f"\n    set_field(self, {f!r}, {f})" for f in fields)
+    name = f"{cls.__qualname__}.__init__"
+    code = compile(f"def __init__(self{params}):{stores}", f"<{cls.__module__}.{name}>", "exec")
+    namespace = {"__name__": cls.__module__, "set_field": set_field, "_defaults": defaults}
+    exec(code, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = name
+    return init
+
+
 class Record:
     __slots__ = ()
 
@@ -75,6 +118,9 @@ class Record:
         # record has at least two fields, so it is always a tuple
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls._values = attrgetter(*cls._fields)
+        # a subclass of a record inherits that record's __init__
+        if cls.__init__ is object.__init__:
+            cls.__init__ = _storing_init(cls)
 
     def __eq__(self, other: object):
         if other.__class__ is not self.__class__:
@@ -96,5 +142,6 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # copy and pickle rebuild a record through its checking __init__
+        # copy and pickle rebuild a record through its __init__, which
+        # takes the fields positionally
         return self.__class__, self._values(self)

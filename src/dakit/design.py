@@ -29,7 +29,7 @@ import json
 import math
 
 from . import device, gain as gain_mod, ladder, microstrip, taper as taper_mod
-from ._record import Record, positive, set_field
+from ._record import Record, count, instance_of, positive, set_field
 from .device import Substrate, TransistorModel, series_cap_for_target
 
 # screening and the survey live in device; the names stay bound here too,
@@ -40,7 +40,7 @@ from .errors import DakitError, DesignError
 from .gain import GainFigures
 from .ladder import LineCell
 from .microstrip import MicrostripLine
-from .taper import TaperProfile, TaperReport
+from .taper import TaperProfile
 
 MATCH_DRAIN = "match-drain"
 _SCHEMA = "design_report_v2"
@@ -79,8 +79,8 @@ class DesignOptions(Record):
     ) -> None:
         z0, n, pair, cap = system_impedance, stages, taper, series_cap
         positive(z0, "system impedance", DesignError)
-        if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
-            raise DesignError(f"stages must be a positive integer, got {n!r}")
+        if n is not None:
+            count(n, "stages", DesignError)
         if not (pair in (None, "ginzton") or _is_profile_pair(pair)):
             raise DesignError(f"taper must be None, 'ginzton' or a (gate, drain) pair: {pair!r}")
         if cap not in (None, MATCH_DRAIN):
@@ -125,52 +125,6 @@ class DesignReport(Record):
         "predicted_fc",
     )
 
-    def __init__(
-        self,
-        transistor: TransistorModel,
-        options: DesignOptions,
-        effective_cgs: float,
-        series_capacitor: float | None,
-        gain_penalty_factor: float,
-        stages: int,
-        gate_cell: LineCell,
-        drain_cell: LineCell,
-        gate_line: MicrostripLine,
-        drain_line: MicrostripLine,
-        velocity_mismatch: float,
-        phase_per_cell_gate: float,
-        phase_per_cell_drain: float,
-        design_frequency_hz: float,
-        gains: GainFigures,
-        taper: TaperReport | None,
-        taper_gate_profile: TaperProfile | None,
-        taper_drain_profile: TaperProfile | None,
-        gate_section_lines: tuple[MicrostripLine, ...] | None,
-        drain_section_lines: tuple[MicrostripLine, ...] | None,
-        predicted_fc: float,
-    ) -> None:
-        set_field(self, "transistor", transistor)
-        set_field(self, "options", options)
-        set_field(self, "effective_cgs", effective_cgs)
-        set_field(self, "series_capacitor", series_capacitor)
-        set_field(self, "gain_penalty_factor", gain_penalty_factor)
-        set_field(self, "stages", stages)
-        set_field(self, "gate_cell", gate_cell)
-        set_field(self, "drain_cell", drain_cell)
-        set_field(self, "gate_line", gate_line)
-        set_field(self, "drain_line", drain_line)
-        set_field(self, "velocity_mismatch", velocity_mismatch)
-        set_field(self, "phase_per_cell_gate", phase_per_cell_gate)
-        set_field(self, "phase_per_cell_drain", phase_per_cell_drain)
-        set_field(self, "design_frequency_hz", design_frequency_hz)
-        set_field(self, "gains", gains)
-        set_field(self, "taper", taper)
-        set_field(self, "taper_gate_profile", taper_gate_profile)
-        set_field(self, "taper_drain_profile", taper_drain_profile)
-        set_field(self, "gate_section_lines", gate_section_lines)
-        set_field(self, "drain_section_lines", drain_section_lines)
-        set_field(self, "predicted_fc", predicted_fc)
-
     @property
     def system_impedance(self) -> float:
         return self.gate_cell.z0
@@ -182,7 +136,12 @@ def synthesize_design(
     options: DesignOptions | None = None,
 ) -> DesignReport:
     """Produce the full design report for one device on one board."""
-    options = options or DesignOptions()
+    instance_of(t, TransistorModel, "transistor", DesignError)
+    instance_of(substrate, Substrate, "substrate", DesignError)
+    if options is None:
+        options = DesignOptions()
+    else:
+        instance_of(options, DesignOptions, "options", DesignError)
     z0 = options.system_impedance
     c_eff, cseries, penalty = _gate_loading(t, options.series_cap)
 
@@ -277,6 +236,7 @@ def report_to_json(report: DesignReport) -> str:
     convention) and an unbounded n_opt becomes null. The text is
     json.dumps(doc, indent=2, allow_nan=False) byte for byte.
     """
+    instance_of(report, DesignReport, "report", DesignError)
     out: list[str] = []
     _write_json(_report_doc(report), out, "\n")
     return "".join(out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 
-from ._record import Record, in_range, positive, set_field
+from ._record import Record, in_range, instance_of, positive, set_field
 from .errors import CatalogError, DesignError
 from .ladder import _inverse_pi_product, cutoff_frequency
 
@@ -113,24 +113,7 @@ class VerificationRow(Record):
         "gain_db",
         "achieved_band_ghz",
     )
-
-    def __init__(
-        self,
-        reference_tag: str,
-        effective_capacitance: float,
-        claimed_limit_hz: float,
-        pout_w: str = "",
-        pae_pct: str = "",
-        gain_db: str = "",
-        achieved_band_ghz: str = "",
-    ) -> None:
-        set_field(self, "reference_tag", reference_tag)
-        set_field(self, "effective_capacitance", effective_capacitance)
-        set_field(self, "claimed_limit_hz", claimed_limit_hz)
-        set_field(self, "pout_w", pout_w)
-        set_field(self, "pae_pct", pae_pct)
-        set_field(self, "gain_db", gain_db)
-        set_field(self, "achieved_band_ghz", achieved_band_ghz)
+    _defaults = {"pout_w": "", "pae_pct": "", "gain_db": "", "achieved_band_ghz": ""}
 
 
 class ScreeningResult(Record):
@@ -144,22 +127,7 @@ class ScreeningResult(Record):
         "gain_penalty_factor",
         "note",
     )
-
-    def __init__(
-        self,
-        name: str,
-        direct_pass: bool,
-        required_series_cap: float | None,
-        resulting_fc: float,
-        gain_penalty_factor: float,
-        note: str = "",
-    ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "direct_pass", direct_pass)
-        set_field(self, "required_series_cap", required_series_cap)
-        set_field(self, "resulting_fc", resulting_fc)
-        set_field(self, "gain_penalty_factor", gain_penalty_factor)
-        set_field(self, "note", note)
+    _defaults = {"note": ""}
 
 
 class Table1Check(Record):
@@ -172,20 +140,6 @@ class Table1Check(Record):
         "computed_limit_hz",
         "rel_error",
     )
-
-    def __init__(
-        self,
-        tag: str,
-        effective_capacitance: float,
-        claimed_limit_hz: float,
-        computed_limit_hz: float,
-        rel_error: float,
-    ) -> None:
-        set_field(self, "tag", tag)
-        set_field(self, "effective_capacitance", effective_capacitance)
-        set_field(self, "claimed_limit_hz", claimed_limit_hz)
-        set_field(self, "computed_limit_hz", computed_limit_hz)
-        set_field(self, "rel_error", rel_error)
 
     @property
     def passed(self) -> bool:
@@ -325,7 +279,7 @@ def series_cap_for_target(cgs: float, c_eff_target: float) -> tuple[float, float
 
 
 def screen_catalog(
-    catalog,
+    catalog: Catalog,
     f_target: float,
     z0: float = 50.0,
     allow_series: bool = False,
@@ -338,6 +292,7 @@ def screen_catalog(
     devices that still miss the target are kept with a note rather than
     dropped, so the ranking shows the whole field.
     """
+    instance_of(catalog, Catalog, "catalog", CatalogError)
     positive(f_target, "target cutoff", DesignError)
     results = []
     for t in catalog.transistors:

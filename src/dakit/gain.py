@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record, in_range, positive, set_field
+from ._record import Record, count, in_range, positive
 from .errors import DesignError
 
 _STAGE_MIN = 3
@@ -28,26 +28,12 @@ class GainFigures(Record):
 
     __slots__ = ("av", "gp_lossless", "gp_lossy", "n_opt_continuous", "n_recommended")
 
-    def __init__(
-        self,
-        av: float,
-        gp_lossless: float,
-        gp_lossy: float,
-        n_opt_continuous: float,
-        n_recommended: int,
-    ) -> None:
-        set_field(self, "av", av)
-        set_field(self, "gp_lossless", gp_lossless)
-        set_field(self, "gp_lossy", gp_lossy)
-        set_field(self, "n_opt_continuous", n_opt_continuous)
-        set_field(self, "n_recommended", n_recommended)
-
 
 def voltage_gain(gm: float, z0d: float, n: int) -> float:
     """Low-frequency voltage gain n*gm*z0d/2."""
     positive(gm, "gm", DesignError)
     positive(z0d, "drain line impedance", DesignError)
-    _check_stages(n)
+    count(n, "stage count", DesignError)
     return gm * z0d * n / 2.0
 
 
@@ -56,7 +42,7 @@ def power_gain_lossless(gm: float, z0g: float, z0d: float, n: int) -> float:
     positive(gm, "gm", DesignError)
     positive(z0g, "gate line impedance", DesignError)
     positive(z0d, "drain line impedance", DesignError)
-    _check_stages(n)
+    count(n, "stage count", DesignError)
     return gm * gm * z0g * z0d * n * n / 4.0
 
 
@@ -70,7 +56,7 @@ def power_gain_lossy(gm: float, z0g: float, z0d: float, ag: float, ad: float, n:
     positive(gm, "gm", DesignError)
     positive(z0g, "gate line impedance", DesignError)
     positive(z0d, "drain line impedance", DesignError)
-    _check_stages(n)
+    count(n, "stage count", DesignError)
     in_range(ag, "gate attenuation", DesignError, ">= 0 and finite")
     in_range(ad, "drain attenuation", DesignError, ">= 0 and finite")
     base = gm * gm * z0g * z0d / 4.0
@@ -122,8 +108,3 @@ def recommended_n(n_opt: float) -> int:
     rounded = math.floor(n_opt + 0.5)
     return min(_STAGE_MAX, max(_STAGE_MIN, rounded))
 
-
-def _check_stages(n: int) -> None:
-    # bool is an int, but True is no stage count
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DesignError(f"stage count must be a positive integer, got {n!r}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._record import Record, in_range, positive, set_field
+from ._record import Record, finite_complex, in_range, instance_of, positive, set_field
 from .errors import DesignError
 
 
@@ -51,8 +51,8 @@ class LineSection(Record):
     __slots__ = ("z_series", "y_shunt")
 
     def __init__(self, z_series: complex, y_shunt: complex) -> None:
-        if not (cmath.isfinite(z_series) and cmath.isfinite(y_shunt)):
-            raise DesignError(f"immittances must be finite, got {z_series} and {y_shunt}")
+        finite_complex(z_series, "immittances", DesignError)
+        finite_complex(y_shunt, "immittances", DesignError)
         set_field(self, "z_series", z_series)
         set_field(self, "y_shunt", y_shunt)
 
@@ -120,6 +120,7 @@ def gate_section(
     cell.capacitance/length, is normally neglected; the flag adds it back.
     """
     positive(f, "frequency", DesignError)
+    instance_of(cell, LineCell, "cell", DesignError)
     positive(length, "length", DesignError)
     in_range(ri, "ri", DesignError, ">= 0 and finite")
     positive(cgs, "cgs", DesignError)
@@ -145,6 +146,7 @@ def drain_section(
     physical length; rds = inf drops the conductance term.
     """
     positive(f, "frequency", DesignError)
+    instance_of(cell, LineCell, "cell", DesignError)
     positive(length, "length", DesignError)
     in_range(rds, "rds", DesignError, "positive")
     positive(cds, "cds", DesignError)
@@ -158,6 +160,7 @@ def drain_section(
 
 def propagation_constant(section: LineSection) -> complex:
     """Principal sqrt(z*y) per unit length, real part >= 0."""
+    instance_of(section, LineSection, "section", DesignError)
     g = cmath.sqrt(section.z_series * section.y_shunt)
     if g.real < 0:
         g = -g

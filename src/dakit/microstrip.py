@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record, in_range, positive, set_field
+from ._record import Record, in_range, instance_of, positive, set_field
 from .device import Substrate
 from .errors import GeometryError
 
@@ -27,10 +27,6 @@ class ImpedanceResult(Record):
     """A strip's impedance, and whether its w/h is in the fit window."""
 
     __slots__ = ("z0", "valid")
-
-    def __init__(self, z0: float, valid: bool) -> None:
-        set_field(self, "z0", z0)
-        set_field(self, "valid", valid)
 
 
 class MicrostripLine(Record):
@@ -66,6 +62,7 @@ class MicrostripLine(Record):
 def z0_of(width_mm: float, substrate: Substrate) -> ImpedanceResult:
     """Characteristic impedance of a strip; valid flags the w/h fit window."""
     positive(width_mm, "width", GeometryError)
+    instance_of(substrate, Substrate, "substrate", GeometryError)
     arg = 5.98 * substrate.h_mm / (0.8 * width_mm + substrate.t_mm)
     if arg <= 0:
         raise GeometryError("non-positive log argument; check h, w, t")
@@ -81,6 +78,7 @@ def width_for(z0: float, substrate: Substrate) -> float:
     and 1.25 = 1/0.8.
     """
     positive(z0, "impedance", GeometryError)
+    instance_of(substrate, Substrate, "substrate", GeometryError)
     w = 7.475 * substrate.h_mm * math.exp(-z0 * math.sqrt(substrate.er + 1.41) / 87.0)
     w -= 1.25 * substrate.t_mm
     if w <= 0:

@@ -81,7 +81,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from ._record import Record, in_range, positive, set_field
+from ._record import Record, count, in_range, instance_of, positive, set_field
 from .design import DesignReport
 from .errors import DesignError, SimulationError
 
@@ -105,28 +105,13 @@ _G, _C, _GAMMA = 0, 1, 2
 class Resistor(Record):
     __slots__ = ("a", "b", "ohms")
 
-    def __init__(self, a: int, b: int, ohms: float) -> None:
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "ohms", ohms)
-
 
 class Capacitor(Record):
     __slots__ = ("a", "b", "farads")
 
-    def __init__(self, a: int, b: int, farads: float) -> None:
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "farads", farads)
-
 
 class Inductor(Record):
     __slots__ = ("a", "b", "henries")
-
-    def __init__(self, a: int, b: int, henries: float) -> None:
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "henries", henries)
 
 
 class Vccs(Record):
@@ -134,20 +119,10 @@ class Vccs(Record):
 
     __slots__ = ("out_p", "out_m", "ctrl_p", "ctrl_m", "gm")
 
-    def __init__(self, out_p: int, out_m: int, ctrl_p: int, ctrl_m: int, gm: float) -> None:
-        set_field(self, "out_p", out_p)
-        set_field(self, "out_m", out_m)
-        set_field(self, "ctrl_p", ctrl_p)
-        set_field(self, "ctrl_m", ctrl_m)
-        set_field(self, "gm", gm)
-
 
 class Port(Record):
     __slots__ = ("node", "z0")
-
-    def __init__(self, node: int, z0: float = 50.0) -> None:
-        set_field(self, "node", node)
-        set_field(self, "z0", z0)
+    _defaults = {"z0": 50.0}
 
 
 class Network(Record):
@@ -225,13 +200,6 @@ class TwoPortSweep:
 class SweepMetrics(Record):
     __slots__ = ("low_freq_gain_db", "cutoff_hz", "worst_s11_db")
 
-    def __init__(
-        self, low_freq_gain_db: float, cutoff_hz: float | None, worst_s11_db: float
-    ) -> None:
-        set_field(self, "low_freq_gain_db", low_freq_gain_db)
-        set_field(self, "cutoff_hz", cutoff_hz)
-        set_field(self, "worst_s11_db", worst_s11_db)
-
 
 def build_network(report: DesignReport) -> Network:
     """Amplifier network from a design report.
@@ -245,6 +213,7 @@ def build_network(report: DesignReport) -> Network:
     node. Tapered reports size each stage's inductance from its profile
     section.
     """
+    instance_of(report, DesignReport, "report", DesignError)
     t = report.transistor
     n = report.stages
     z0 = report.system_impedance
@@ -298,6 +267,7 @@ def build_network(report: DesignReport) -> Network:
 
 def s_parameters_at(net: Network, f: float):
     """S-matrix of the network at a single frequency, as a nested tuple."""
+    instance_of(net, Network, "network", SimulationError)
     positive(f, "frequency", SimulationError)
     return _solve(net, [f])[0]
 
@@ -310,13 +280,12 @@ def sweep(
     spacing: str = LINEAR,
 ) -> TwoPortSweep:
     """Evaluate the network over a frequency grid, in grid order."""
+    instance_of(net, Network, "network", SimulationError)
     positive(f_start, "f_start", SimulationError)
     positive(f_stop, "f_stop", SimulationError)
     if not f_start < f_stop:
         raise SimulationError(f"need f_start < f_stop, got {f_start} and {f_stop}")
-    # bool is an int, but True is no point count
-    if isinstance(points, bool) or not isinstance(points, int) or points < 2:
-        raise SimulationError(f"need at least 2 points, got {points!r}")
+    count(points, "point count", SimulationError, 2)
     if spacing == LINEAR:
         step = (f_stop - f_start) / (points - 1)
         freqs = [f_start + k * step for k in range(points)]
@@ -342,6 +311,7 @@ def extract_metrics(swp: TwoPortSweep) -> SweepMetrics:
     never drops 3 dB inside the sweep, cutoff_hz is None and the input
     match is reported over the whole sweep instead.
     """
+    instance_of(swp, TwoPortSweep, "sweep", SimulationError)
     count = len(swp.frequencies)
     if not count or len(swp.s_matrices) != count:
         raise SimulationError(

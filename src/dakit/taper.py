@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._record import Record, in_range, positive, set_field
+from ._record import Record, count, in_range, instance_of, positive, set_field
 from .errors import DesignError
 from .ladder import cutoff_frequency
 
@@ -71,24 +71,6 @@ class TaperReport(Record):
         "fc_total",
     )
 
-    def __init__(
-        self,
-        gamma_gate: float,
-        gamma_drain: float,
-        z_gate: float,
-        z_drain: float,
-        fc_gate: float,
-        fc_drain: float,
-        fc_total: float,
-    ) -> None:
-        set_field(self, "gamma_gate", gamma_gate)
-        set_field(self, "gamma_drain", gamma_drain)
-        set_field(self, "z_gate", z_gate)
-        set_field(self, "z_drain", z_drain)
-        set_field(self, "fc_gate", fc_gate)
-        set_field(self, "fc_drain", fc_drain)
-        set_field(self, "fc_total", fc_total)
-
 
 def junction_gammas(profile: TaperProfile) -> tuple[float, ...]:
     """Reflection coefficient of every junction along the line, in order.
@@ -97,6 +79,7 @@ def junction_gammas(profile: TaperProfile) -> tuple[float, ...]:
     joins section 1), last for a drain profile (last section joins the
     load). Length always equals the section count.
     """
+    instance_of(profile, TaperProfile, "profile", DesignError)
     if profile.side == GATE:
         zs = (profile.terminal_impedance,) + profile.sections
     else:
@@ -127,9 +110,7 @@ def ginzton_profiles(n: int, z0: float) -> tuple[TaperProfile, TaperProfile]:
     Gate: z0/1 ... z0/(n+1), one extra section carrying the line past the
     last stage. Drain: n*z0/1 ... n*z0/n, matched to z0 at the output.
     """
-    # bool is an int, but True is no stage count
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DesignError(f"stage count must be a positive integer, got {n!r}")
+    count(n, "stage count", DesignError)
     positive(z0, "system impedance", DesignError)
     gate = TaperProfile(GATE, tuple(z0 / k for k in range(1, n + 2)), z0)
     drain = TaperProfile(DRAIN, tuple(n * z0 / k for k in range(1, n + 1)), z0)
@@ -162,6 +143,8 @@ def analyze_taper(
     Cutoffs use the equivalent impedances: fc = 1/(pi*Z_equiv*C); the band
     of the whole amplifier is the smaller of the two.
     """
+    instance_of(gate, TaperProfile, "gate profile", DesignError)
+    instance_of(drain, TaperProfile, "drain profile", DesignError)
     if gate.side != GATE or drain.side != DRAIN:
         raise DesignError("profiles must be a (gate, drain) pair")
     positive(cgs, "cgs", DesignError)

@@ -1,13 +1,13 @@
-"""Every public callable that takes a number refuses what is not one.
+"""Every public callable that takes a number or a record refuses what is
+not one.
 
-One row per callable: valid arguments, and for each numeric position the
-values it must refuse. A bool, a string and None are never a quantity;
-NaN and the infinities are refused wherever the range excludes them. Each
-refusal is a DakitError whose message names the value with its repr, so
-the CLI exits 1 with that message and never prints a traceback.
-
-LineSection is left out: its fields are complex immittances, which no
-quantity check covers.
+One row per callable: valid arguments, and for each numeric or record
+position the values it must refuse. A bool, a string and None are never a
+quantity; NaN and the infinities are refused wherever the range excludes
+them. Where a record is read, None, a string and a record of another class
+are refused. Each refusal is a DakitError whose message names the value
+with its repr, so the CLI exits 1 with that message and never prints a
+traceback.
 """
 
 import math
@@ -22,6 +22,7 @@ from dakit import (
     DesignOptions,
     Inductor,
     LineCell,
+    LineSection,
     MicrostripLine,
     Network,
     Port,
@@ -31,15 +32,18 @@ from dakit import (
     TransistorModel,
     Vccs,
     analyze_taper,
+    build_network,
     cell_for_impedance,
     cutoff_frequency,
     drain_loss_per_cell,
     drain_section,
     effective_gate_capacitance,
     equivalent_impedance,
+    extract_metrics,
     gate_loss_per_cell,
     gate_section,
     ginzton_profiles,
+    junction_gammas,
     line_constants,
     max_capacitance_for_bandwidth,
     n_opt_from_losses,
@@ -49,12 +53,15 @@ from dakit import (
     phase_shift,
     power_gain_lossless,
     power_gain_lossy,
+    propagation_constant,
     recommended_n,
+    report_to_json,
     s_parameters_at,
     screen_catalog,
     segment_length,
     series_cap_for_target,
     sweep,
+    synthesize_design,
     synthesize_strip,
     verify_table1,
     voltage_gain,
@@ -72,6 +79,10 @@ UP_TO_INF = NON_NUMBERS + (nan, -inf)
 # None stands for "not given" where a quantity is optional
 OPTIONAL = (True, "1", nan, inf, -inf)
 COUNTS = (True, "4", None, 4.0)
+# an immittance may be real or complex, but no part of it may be NaN or infinite
+COMPLEX = FINITE + (complex(1.0, nan), complex(inf, 1.0))
+# a record of another class is refused as surely as None
+NOT_RECORDS = (None, "x", Port(1, 50.0))
 
 FR4 = Substrate(4.4, 1.6, 0.035)
 CATALOG = Catalog((TransistorModel("GAN-1", 0.05, 1.79e-12, 2.983e-13),))
@@ -91,6 +102,8 @@ def _network(r, c, l, gm, z1, z2):
 
 
 NET = _network(50.0, 1e-12, 2e-9, 0.05, 50.0, 50.0)
+GAN = CATALOG.get("GAN-1")
+REPORT = synthesize_design(GAN, FR4)
 
 # (id, callable, valid arguments, {position: values to refuse there})
 ROWS = [
@@ -106,18 +119,22 @@ ROWS = [
     ("max_capacitance_for_bandwidth", max_capacitance_for_bandwidth, (1e9, 50.0),
      {0: FINITE, 1: FINITE}),
     ("series_cap_for_target", series_cap_for_target, (1.79e-12, 3e-13), {0: FINITE, 1: FINITE}),
-    ("screen_catalog", screen_catalog, (CATALOG, 1e10, 50.0, True), {1: FINITE, 2: FINITE}),
+    ("screen_catalog", screen_catalog, (CATALOG, 1e10, 50.0, True),
+     {0: NOT_RECORDS, 1: FINITE, 2: FINITE}),
     ("verify_table1", verify_table1, (50.0,), {0: FINITE}),
     ("LineCell", LineCell, (2e-9, 8e-13), {0: FINITE, 1: FINITE}),
+    ("LineSection", LineSection, (2j, 0.5 + 3j), {0: COMPLEX, 1: COMPLEX}),
     ("cell_for_impedance", cell_for_impedance, (50.0, 1e-12), {0: FINITE, 1: FINITE}),
     ("cutoff_frequency", cutoff_frequency, (50.0, 1e-12), {0: FINITE, 1: FINITE}),
     ("gate_loss_per_cell", gate_loss_per_cell, (1e9, 1.0, 1e-12, 50.0),
      {0: FINITE, 1: FINITE, 2: FINITE, 3: FINITE}),
     ("drain_loss_per_cell", drain_loss_per_cell, (50.0, 200.0), {0: FINITE, 1: UP_TO_INF}),
     ("gate_section", gate_section, (1e9, CELL, 0.5, 1.0, 1e-12),
-     {0: FINITE, 2: FINITE, 3: FINITE, 4: FINITE}),
+     {0: FINITE, 1: NOT_RECORDS, 2: FINITE, 3: FINITE, 4: FINITE}),
     ("drain_section", drain_section, (1e9, CELL, 0.5, 200.0, 1e-13),
-     {0: FINITE, 2: FINITE, 3: UP_TO_INF, 4: FINITE}),
+     {0: FINITE, 1: NOT_RECORDS, 2: FINITE, 3: UP_TO_INF, 4: FINITE}),
+    ("propagation_constant", propagation_constant, (LineSection(2j, 0.5 + 3j),),
+     {0: NOT_RECORDS}),
     ("voltage_gain", voltage_gain, (0.05, 50.0, 4), {0: FINITE, 1: FINITE, 2: COUNTS}),
     ("power_gain_lossless", power_gain_lossless, (0.05, 50.0, 50.0, 4),
      {0: FINITE, 1: FINITE, 2: FINITE, 3: COUNTS}),
@@ -129,13 +146,14 @@ ROWS = [
     ("recommended_n", recommended_n, (4.2,), {0: UP_TO_INF}),
     ("MicrostripLine", MicrostripLine, (3.0, 0.5, FR4, 50.0, 5.0, 2.0),
      {0: FINITE, 1: FINITE, 3: FINITE, 4: FINITE, 5: FINITE}),
-    ("z0_of", z0_of, (1.0, FR4), {0: FINITE}),
-    ("width_for", width_for, (50.0, FR4), {0: FINITE}),
+    ("z0_of", z0_of, (1.0, FR4), {0: FINITE, 1: NOT_RECORDS}),
+    ("width_for", width_for, (50.0, FR4), {0: FINITE, 1: NOT_RECORDS}),
     ("line_constants", line_constants, (50.0, 4.4), {0: FINITE, 1: FINITE}),
     ("segment_length", segment_length, (1e-9, 2.77), {0: FINITE, 1: FINITE}),
     ("phase_shift", phase_shift, (1.0, 1e9, 2.77, 1.1),
      {0: FINITE, 1: FINITE, 2: FINITE, 3: FINITE}),
-    ("synthesize_strip", synthesize_strip, (50.0, FR4, 1e-9), {0: FINITE, 2: FINITE}),
+    ("synthesize_strip", synthesize_strip, (50.0, FR4, 1e-9),
+     {0: FINITE, 1: NOT_RECORDS, 2: FINITE}),
     (
         "TaperProfile",
         lambda z, terminal: TaperProfile("gate", (50.0, z), terminal),
@@ -154,10 +172,12 @@ ROWS = [
         (-0.1,),
         {0: FINITE},
     ),
+    ("junction_gammas", junction_gammas, (GATE,), {0: NOT_RECORDS}),
     ("ginzton_profiles", ginzton_profiles, (4, 50.0), {0: COUNTS, 1: FINITE}),
     ("equivalent_impedance", equivalent_impedance, (0.1, "gate", 50.0),
      {0: FINITE, 2: FINITE}),
-    ("analyze_taper", analyze_taper, (GATE, DRAIN, 1e-12, 2e-13), {2: FINITE, 3: FINITE}),
+    ("analyze_taper", analyze_taper, (GATE, DRAIN, 1e-12, 2e-13),
+     {0: NOT_RECORDS, 1: NOT_RECORDS, 2: FINITE, 3: FINITE}),
     (
         "DesignOptions",
         lambda z0, n, cap, f: DesignOptions(z0, n, None, cap, False, f),
@@ -170,8 +190,18 @@ ROWS = [
         (50.0, 1e-12, 2e-9, 0.05, 50.0, 50.0),
         {0: FINITE, 1: FINITE, 2: FINITE, 3: FINITE, 4: FINITE, 5: FINITE},
     ),
-    ("s_parameters_at", s_parameters_at, (NET, 1e9), {1: FINITE}),
-    ("sweep", sweep, (NET, 1e8, 1e10, 11), {1: FINITE, 2: FINITE, 3: COUNTS}),
+    (
+        "synthesize_design",
+        synthesize_design,
+        (GAN, FR4, DesignOptions()),
+        # None stands for the default options
+        {0: NOT_RECORDS, 1: NOT_RECORDS, 2: (True, "x", Port(1, 50.0))},
+    ),
+    ("report_to_json", report_to_json, (REPORT,), {0: NOT_RECORDS}),
+    ("build_network", build_network, (REPORT,), {0: NOT_RECORDS}),
+    ("s_parameters_at", s_parameters_at, (NET, 1e9), {0: NOT_RECORDS, 1: FINITE}),
+    ("sweep", sweep, (NET, 1e8, 1e10, 11), {0: NOT_RECORDS, 1: FINITE, 2: FINITE, 3: COUNTS}),
+    ("extract_metrics", extract_metrics, (sweep(NET, 1e8, 1e10, 11),), {0: NOT_RECORDS}),
 ]
 
 

@@ -3,16 +3,21 @@ construction, equality, hashing, repr, immutability, copy and pickle. A
 network's stamped state is no field: it is left out of all of these."""
 
 import copy
+import importlib
+import inspect
 import math
 import pickle
+import pkgutil
 
 import numpy as np
 import pytest
 
+import dakit
 from dakit import (
     Capacitor,
     Catalog,
     DesignOptions,
+    DakitError,
     DesignReport,
     GainFigures,
     ImpedanceResult,
@@ -36,6 +41,7 @@ from dakit import (
     sweep,
     synthesize_design,
 )
+from dakit._record import Record
 from dakit.mna import _analyse
 
 _GAN = dict(
@@ -349,3 +355,64 @@ def test_plans_analysed_apart_compare_and_hash_without_raising(gan, fr4):
     assert first._plan == first._plan and first._plan != second._plan
     assert isinstance(hash(first._plan), int) and isinstance(hash(second._plan), int)
     assert first == second and hash(first) == hash(second)
+
+
+# the records whose __init__ Record compiles: they only store their fields
+STORING = (
+    DesignReport,
+    VerificationRow,
+    ScreeningResult,
+    Table1Check,
+    GainFigures,
+    ImpedanceResult,
+    Resistor,
+    Capacitor,
+    Inductor,
+    Vccs,
+    Port,
+    SweepMetrics,
+    TaperReport,
+)
+
+
+def _package_records():
+    for module in pkgutil.iter_modules(dakit.__path__):
+        importlib.import_module(f"dakit.{module.name}")
+    return {cls for cls in Record.__subclasses__() if cls.__module__.startswith("dakit.")}
+
+
+def test_every_record_is_a_case_and_takes_its_fields_in_order():
+    # __reduce__ rebuilds a record from its field values, positionally
+    records = _package_records()
+    assert records == {case[0] for case in CASES}
+    for cls in records:
+        assert list(inspect.signature(cls).parameters) == list(cls._fields), cls
+
+
+def test_only_the_storing_records_get_a_compiled_init_each_under_its_own_name():
+    filenames = {cls: cls.__init__.__code__.co_filename for cls in _package_records()}
+    compiled = {cls for cls, filename in filenames.items() if filename.startswith("<")}
+    assert compiled == set(STORING)
+    for cls in compiled:
+        assert filenames[cls] == f"<{cls.__module__}.{cls.__qualname__}.__init__>"
+        assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    # a subclass of a checking record keeps its check
+    with pytest.raises(DakitError):
+        type("Checked", (Substrate,), {})(True, 1.6)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda fields: ((), dict(list(fields.items())[1:])), id="missing"),
+        pytest.param(lambda fields: ((), {**fields, "unknown": 1}), id="unknown"),
+        pytest.param(lambda fields: ((*fields.values(), 1), {}), id="extra"),
+        pytest.param(lambda fields: ((next(iter(fields.values())),), fields), id="duplicate"),
+    ],
+)
+def test_compiled_init_refuses_a_bad_call_with_type_error(call):
+    for cls, fields, _, _ in CASES:
+        if cls in STORING:
+            args, kwargs = call(fields)
+            with pytest.raises(TypeError, match=rf"^{cls.__qualname__}\.__init__\(\) "):
+                cls(*args, **kwargs)
