@@ -312,11 +312,11 @@ def extract_metrics(swp: TwoPortSweep) -> SweepMetrics:
     match is reported over the whole sweep instead.
     """
     instance_of(swp, TwoPortSweep, "sweep", SimulationError)
-    count = len(swp.frequencies)
-    if not count or len(swp.s_matrices) != count:
+    n = len(swp.frequencies)
+    if not n or len(swp.s_matrices) != n:
         raise SimulationError(
             f"a sweep needs one S-matrix per frequency, at least one: got "
-            f"{len(swp.s_matrices)} for {count} frequencies"
+            f"{len(swp.s_matrices)} for {n} frequencies"
         )
     # 20 log10 |s|, -inf for a zero magnitude, inlined: S21 is read only up
     # to the cutoff and S11 only where f <= cutoff keeps it
@@ -327,7 +327,7 @@ def extract_metrics(swp: TwoPortSweep) -> SweepMetrics:
     threshold = ref - 3.0
     cutoff = None
     db_lo = ref
-    for i in range(1, count):
+    for i in range(1, n):
         mag = abs(mats[i][1][0])
         db = 20.0 * log10(mag) if mag else -inf
         if db <= threshold:
@@ -477,12 +477,12 @@ def _analyse(node_count: int, port1: int, port2: int, topology: tuple) -> _Plan:
     # number the slots, reactive ones first
     reactive = dict.fromkeys(entry for kind, entry, _, _ in stamps if kind != _G)
     slot = {entry: index for index, entry in enumerate({**reactive, **entries})}
-    count = len(slot)
+    slots = len(slot)
     kinds, stamped, elements, signs = zip(*stamps)
     return _Plan(
-        slots=count,
+        slots=slots,
         reactive=len(reactive),
-        stamp_slot=np.array(kinds, dtype=np.intp) * count
+        stamp_slot=np.array(kinds, dtype=np.intp) * slots
         + np.array([slot[e] for e in stamped], dtype=np.intp),
         stamp_element=np.array(elements, dtype=np.intp),
         stamp_sign=np.array(signs),
@@ -549,9 +549,9 @@ def _port_admittance(net: Network, freqs: list[float]):
     divide, multiply, subtract = np.divide, np.multiply, np.subtract
     for start in range(0, len(freqs), width):
         w = 2.0 * math.pi * np.array(freqs[start : start + width])
-        count = len(w)
+        size = len(w)
         # contiguous in a partial last block too, so no step copies it
-        y = work[: plan.slots * count].reshape(plan.slots, count)
+        y = work[: plan.slots * size].reshape(plan.slots, size)
         # Y = G + jwC + Gamma/(jw), the imaginary part only where C or
         # Gamma stamps; Gamma/w goes through the real part, which G then
         # overwrites
@@ -562,7 +562,7 @@ def _port_admittance(net: Network, freqs: list[float]):
         y.real = net._g[:, None]
         y.imag[reactive:] = 0.0
         rows = list(y)
-        scratch = np.empty(count, dtype=complex)
+        scratch = np.empty(size, dtype=complex)
         for kk, kjs, updates in plan.program:
             pivot = rows[kk]
             for kj in kjs:
@@ -575,17 +575,17 @@ def _port_admittance(net: Network, freqs: list[float]):
             raise SimulationError(f"singular nodal system at {freqs[start + zero[0]]} Hz")
         # "clip" writes straight into the strided out, where the default
         # mode would buffer; the port slots are always in range
-        y.take(plan.ports, axis=0, out=yp[:, start : start + count], mode="clip")
+        y.take(plan.ports, axis=0, out=yp[:, start : start + size], mode="clip")
     return yp
 
 
 def _chain(elements: list, nodes: list[int], cell_l: list[float]) -> None:
     """Series inductors down a line: half cells at the ends, merged middles."""
-    count = len(nodes) - 1
-    for i in range(count):
+    links = len(nodes) - 1
+    for i in range(links):
         if i == 0:
             value = cell_l[0] / 2.0
-        elif i == count - 1:
+        elif i == links - 1:
             value = cell_l[-1] / 2.0
         else:
             value = (cell_l[i - 1] + cell_l[i]) / 2.0

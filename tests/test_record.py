@@ -16,8 +16,8 @@ import dakit
 from dakit import (
     Capacitor,
     Catalog,
-    DesignOptions,
     DakitError,
+    DesignOptions,
     DesignReport,
     GainFigures,
     ImpedanceResult,
