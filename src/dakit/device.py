@@ -87,6 +87,7 @@ class Catalog(Record):
             if t.name in seen:
                 raise CatalogError(f"duplicate transistor name: {t.name!r}")
             seen.add(t.name)
+        instance_of(source, str, "catalog source", CatalogError)
         set_field(self, "transistors", transistors)
         set_field(self, "source", source)
 

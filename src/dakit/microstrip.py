@@ -45,6 +45,7 @@ class MicrostripLine(Record):
     ) -> None:
         positive(width_mm, "strip width", GeometryError)
         positive(length_cm, "strip length", GeometryError)
+        instance_of(substrate, Substrate, "substrate", GeometryError)
         positive(z0, "strip impedance", GeometryError)
         positive(l_nh_per_cm, "l'", GeometryError)
         positive(c_pf_per_cm, "c'", GeometryError)

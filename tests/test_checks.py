@@ -5,7 +5,7 @@ One row per callable: valid arguments, and for each numeric or record
 position the values it must refuse. A bool, a string and None are never a
 quantity; NaN and the infinities are refused wherever the range excludes
 them. Where a record is read, None, a string and a record of another class
-are refused. Each refusal is a DakitError whose message names the value
+are refused, and a source name must be a string. Each refusal is a DakitError whose message names the value
 with its repr, so the CLI exits 1 with that message and never prints a
 traceback.
 """
@@ -83,6 +83,8 @@ COUNTS = (True, "4", None, 4.0)
 COMPLEX = FINITE + (complex(1.0, nan), complex(inf, 1.0))
 # a record of another class is refused as surely as None
 NOT_RECORDS = (None, "x", Port(1, 50.0))
+# a name or source is text, never None, a number or bytes
+NOT_STRINGS = (None, 1, b"x")
 
 FR4 = Substrate(4.4, 1.6, 0.035)
 CATALOG = Catalog((TransistorModel("GAN-1", 0.05, 1.79e-12, 2.983e-13),))
@@ -114,6 +116,7 @@ ROWS = [
         {1: FINITE, 2: FINITE, 3: FINITE, 4: FINITE, 5: UP_TO_INF},
     ),
     ("Substrate", Substrate, (4.4, 1.6, 0.035), {0: FINITE, 1: FINITE, 2: FINITE}),
+    ("Catalog", Catalog, ((GAN,), "catalog.json"), {1: NOT_STRINGS}),
     ("effective_gate_capacitance", effective_gate_capacitance, (1e-12, 1e-13),
      {0: FINITE, 1: OPTIONAL}),
     ("max_capacitance_for_bandwidth", max_capacitance_for_bandwidth, (1e9, 50.0),
@@ -145,7 +148,7 @@ ROWS = [
      {0: FINITE, 1: FINITE, 2: FINITE, 3: FINITE, 4: FINITE}),
     ("recommended_n", recommended_n, (4.2,), {0: UP_TO_INF}),
     ("MicrostripLine", MicrostripLine, (3.0, 0.5, FR4, 50.0, 5.0, 2.0),
-     {0: FINITE, 1: FINITE, 3: FINITE, 4: FINITE, 5: FINITE}),
+     {0: FINITE, 1: FINITE, 2: NOT_RECORDS, 3: FINITE, 4: FINITE, 5: FINITE}),
     ("z0_of", z0_of, (1.0, FR4), {0: FINITE, 1: NOT_RECORDS}),
     ("width_for", width_for, (50.0, FR4), {0: FINITE, 1: NOT_RECORDS}),
     ("line_constants", line_constants, (50.0, 4.4), {0: FINITE, 1: FINITE}),

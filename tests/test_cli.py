@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import dakit
@@ -24,7 +24,7 @@ from dakit import (
     report_to_json,
     synthesize_design,
 )
-from dakit.cli import run, write_csv, write_touchstone
+from dakit.cli import _e9_rows, run, write_csv, write_touchstone
 
 CATALOG = {
     "transistors": [
@@ -665,12 +665,22 @@ class TestWriters:
         assert float(fields[1]) == 0.1
         assert float(fields[3]) == 2.0
 
-    def test_multi_block_sweep_rows_match_per_field_rendering(self):
+    # three of the benchmark's designs: S spans different magnitudes on each
+    @pytest.mark.parametrize(
+        "transistor, options",
+        [
+            ("GAN-1", {"series_cap": "match-drain"}),
+            ("PHEMT-1", {}),
+            ("GAN-1", {"series_cap": "match-drain", "taper": "ginzton"}),
+        ],
+        ids=["gan1-match-drain", "phemt1-lossy", "gan1-match-drain-ginzton"],
+    )
+    def test_multi_block_sweep_rows_match_per_field_rendering(self, transistor, options):
         from dakit.mna import _BLOCK, build_network, sweep
 
         catalog = load_catalog(json.dumps(CATALOG))
         report = synthesize_design(
-            catalog.get("GAN-1"), Substrate(4.4, 1.6, 0.035), DesignOptions(series_cap="match-drain")
+            catalog.get(transistor), Substrate(4.4, 1.6, 0.035), DesignOptions(**options)
         )
         swp = sweep(build_network(report), 10e6, 15e9, 2 * _BLOCK + 1)
         touchstone, csv = io.StringIO(), io.StringIO()
@@ -697,6 +707,92 @@ class TestWriters:
             assert csv_row == ",".join("%.9e" % x for x in fields)
         # the unilateral amplifier's S12 is exactly zero, which renders as -inf
         assert all(row.split(",")[3] == "-inf" for row in csv_rows[1:])
+
+
+def _percent_rows(rows, sep):
+    return "".join(sep.join("%.9e" % x for x in row) + "\n" for row in rows)
+
+
+def _render(values, sep=" "):
+    """_e9_rows of a one-row table, and the same row through "%.9e"."""
+    import numpy as np
+
+    return _e9_rows(np.array([values], dtype=np.float64), sep), _percent_rows([values], sep)
+
+
+@st.composite
+def _float_tables(draw):
+    fields = draw(st.integers(1, 9))
+    # any float (NaN, the infinities and subnormals too), and plenty inside
+    # the exponents the fast path takes
+    field = st.one_of(st.floats(), st.floats(-1e32, 1e32))
+    return draw(st.lists(st.lists(field, min_size=fields, max_size=fields), min_size=1, max_size=12))
+
+
+class TestE9Rows:
+    """The writers' kernel renders each field exactly as "%.9e" does."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_float_tables(), st.sampled_from([" ", ","]))
+    def test_any_float_table_renders_as_percent_9e(self, rows, sep):
+        import numpy as np
+
+        assert _e9_rows(np.array(rows, dtype=np.float64), sep) == _percent_rows(rows, sep)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(10**9, 10**10 - 1))
+    @example(10**9)
+    @example(10**9 + 1)
+    @example(10**10 - 2)
+    @example(10**10 - 1)
+    def test_exact_binary_ties_round_half_to_even(self, k):
+        # k + 0.5 is exact: the tenth digit rounds to even, and 9999999999.5
+        # carries to 1.000000000e+10
+        got, want = _render([k + 0.5, -(k + 0.5), (k + 0.5) / 2**20, (k + 0.5) * 2**40])
+        assert got == want
+
+    @pytest.mark.parametrize("exponent", [*range(-16, 35), -300, 300])
+    def test_carries_of_9_9999999995(self, exponent):
+        v = float(f"9.9999999995e{exponent}")
+        got, want = _render([v, -v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)])
+        assert got == want
+
+    def test_fast_path_exponent_borders(self):
+        # e = -14 and 32 are outside the fast path, -13 and 31 inside it
+        values = []
+        for v in (1e-14, 1e-13, 1e31, 1e32, 9.9999999999e-14, 9.9999999999e31, 9.99999999996e31):
+            values += [v, -v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)]
+        got, want = _render(values, ",")
+        assert got == want
+
+    def test_signed_zero_infinities_nan_and_extremes(self):
+        values = [-0.0, 0.0, math.inf, -math.inf, math.nan, 1e300, 1e-300, -1e300, -1e-300]
+        values += [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+        got, want = _render(values)
+        assert got == want
+        assert got.split()[:4] == ["-0.000000000e+00", "0.000000000e+00", "inf", "-inf"]
+
+    @pytest.mark.parametrize("off", [-1.0, 1.0])
+    def test_a_log10_a_decade_off_still_renders_exactly(self, monkeypatch, off):
+        # log10 only estimates the exponent: a value that one rescaling
+        # cannot bring into [1e9, 1e10] takes the fallback, and one it can
+        # takes its exponent from that rescaling
+        import numpy as np
+
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + off)
+        values = []
+        for k in range(-13, 32):
+            values += [10.0**k, 1.5 * 10.0**k, -9.87654321e-1 * 10.0**k]
+        got, want = _render(values)
+        assert got == want
+
+    def test_a_product_rounded_onto_a_tie_takes_the_fallback(self):
+        # 1.0000000005 is a little above the tie and 9.9999999995 a little
+        # below it, but |x|*1e9 rounds to the tie in both, where rint would
+        # round the wrong way; the fallback's "%.9e" rounds them right
+        got, want = _render([1.0000000005, 9.9999999995])
+        assert got == want == "1.000000001e+00 9.999999999e+00\n"
 
 
 # Runs in a fresh interpreter, because this test session has already loaded
