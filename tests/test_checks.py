@@ -5,9 +5,9 @@ One row per callable: valid arguments, and for each numeric or record
 position the values it must refuse. A bool, a string and None are never a
 quantity; NaN and the infinities are refused wherever the range excludes
 them. Where a record is read, None, a string and a record of another class
-are refused, and a source name must be a string. Each refusal is a DakitError whose message names the value
-with its repr, so the CLI exits 1 with that message and never prints a
-traceback.
+are refused, and a source name must be a string. Each refusal is a
+DakitError whose message names the value with its repr, so the CLI exits 1
+with that message and never prints a traceback.
 """
 
 import math

@@ -752,10 +752,12 @@ class TestE9Rows:
         got, want = _render([k + 0.5, -(k + 0.5), (k + 0.5) / 2**20, (k + 0.5) * 2**40])
         assert got == want
 
-    @pytest.mark.parametrize("exponent", [*range(-16, 35), -300, 300])
-    def test_carries_of_9_9999999995(self, exponent):
-        v = float(f"9.9999999995e{exponent}")
-        got, want = _render([v, -v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)])
+    def test_carries_of_9_9999999995(self):
+        values = []
+        for exponent in (*range(-16, 35), -300, 300):
+            v = float(f"9.9999999995e{exponent}")
+            values += [v, -v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)]
+        got, want = _render(values)
         assert got == want
 
     def test_fast_path_exponent_borders(self):
