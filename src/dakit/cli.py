@@ -21,7 +21,7 @@ import sys
 from itertools import chain
 from pathlib import Path
 
-from .errors import DakitError
+from .errors import DakitError, SimulationError
 
 # each handler imports the modules it runs, so a command compiles and
 # loads no more of the package than it uses, and only simulate loads the
@@ -62,10 +62,16 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def write_touchstone(swp: mna.TwoPortSweep, destination) -> None:
-    """Write a version-1 two-port Touchstone file (Hz, real/imaginary)."""
+    """Write a version-1 two-port Touchstone file (Hz, real/imaginary), whose
+    header names one reference impedance: a sweep whose ports differ is refused."""
     import numpy as np
 
     from ._e9 import e9_rows
+
+    if swp.reference_impedance is None:
+        raise SimulationError(
+            "a Touchstone v1 file has one reference impedance, but this sweep's ports differ"
+        )
 
     n = len(swp.frequencies)
     # S11, S12, S21, S22 of each point in turn

@@ -99,7 +99,13 @@ class DesignOptions(Record):
 
 class DesignReport(Record):
     """Complete synthesis result for one device on one board, with the
-    options it was synthesized under."""
+    options it was synthesized under.
+
+    gate_cells and drain_cells hold the n cells of each line that the
+    network stamps: n copies of gate_cell and drain_cell on a uniform
+    design, and the first n section cells of each line on a tapered one.
+    They stay out of the report document, which synthesizes them again.
+    """
 
     __slots__ = (
         "transistor",
@@ -110,6 +116,8 @@ class DesignReport(Record):
         "stages",
         "gate_cell",
         "drain_cell",
+        "gate_cells",
+        "drain_cells",
         "gate_line",
         "drain_line",
         "velocity_mismatch",
@@ -124,10 +132,6 @@ class DesignReport(Record):
         "drain_section_lines",
         "predicted_fc",
     )
-
-    @property
-    def system_impedance(self) -> float:
-        return self.gate_cell.z0
 
 
 def synthesize_design(
@@ -174,16 +178,20 @@ def synthesize_design(
         # the drain sections first of all: their n*z0 needs the narrowest
         # strips, so a board that cannot realize one is refused before any
         # other strip is built or the taper analysed
-        drain_strips = tuple(
-            _cell_and_strip(zk, substrate, t.cds, options)[1] for zk in drain_profile.sections
+        drain_cells, drain_strips = zip(
+            *(_cell_and_strip(zk, substrate, t.cds, options) for zk in drain_profile.sections)
         )
-        gate_strips = tuple(
-            _cell_and_strip(zk, substrate, c_eff, options)[1] for zk in gate_profile.sections
+        gate_cells, gate_strips = zip(
+            *(_cell_and_strip(zk, substrate, c_eff, options) for zk in gate_profile.sections)
         )
+        # the network stamps n gate cells; an (n+1)th section is a strip only
+        gate_cells = gate_cells[:n]
         taper_report = taper_mod.analyze_taper(gate_profile, drain_profile, c_eff, t.cds)
 
     gate_cell, gate_line = _cell_and_strip(z0, substrate, c_eff, options)
     drain_cell, drain_line = _cell_and_strip(z0, substrate, t.cds, options)
+    if taper_report is None:
+        gate_cells, drain_cells = (gate_cell,) * n, (drain_cell,) * n
 
     phase_g, phase_d = (
         microstrip.phase_shift(line.length_cm, f_design, line.l_nh_per_cm, line.c_pf_per_cm)
@@ -213,6 +221,8 @@ def synthesize_design(
         stages=n,
         gate_cell=gate_cell,
         drain_cell=drain_cell,
+        gate_cells=gate_cells,
+        drain_cells=drain_cells,
         gate_line=gate_line,
         drain_line=drain_line,
         velocity_mismatch=_velocity_mismatch(gate_cell, drain_cell),

@@ -82,8 +82,7 @@ class Catalog(Record):
             raise CatalogError(f"transistors must be a tuple, got {type(transistors).__name__}")
         seen = set()
         for t in transistors:
-            if not isinstance(t, TransistorModel):
-                raise CatalogError(f"not a TransistorModel: {t!r}")
+            instance_of(t, TransistorModel, "catalog entry", CatalogError)
             if t.name in seen:
                 raise CatalogError(f"duplicate transistor name: {t.name!r}")
             seen.add(t.name)

@@ -136,8 +136,7 @@ class Network(Record):
         if not isinstance(elements, tuple):
             raise DesignError(f"elements must be a tuple, got {elements!r}")
         for port in (port1, port2):
-            if not isinstance(port, Port):
-                raise DesignError(f"not a Port: {port!r}")
+            instance_of(port, Port, "port", DesignError)
             if type(port.node) is not int:
                 raise DesignError(f"port node must be an int, got {port.node!r}")
             positive(port.z0, "port reference impedance", DesignError)
@@ -190,11 +189,12 @@ class Network(Record):
 
 @dataclass(frozen=True)
 class TwoPortSweep:
-    """Frequencies with the S-matrix ((s11, s12), (s21, s22)) at each."""
+    """Frequencies with the S-matrix ((s11, s12), (s21, s22)) at each, and
+    the ports' common reference impedance, None if the two differ."""
 
     frequencies: tuple[float, ...]
     s_matrices: tuple[tuple[tuple[complex, complex], tuple[complex, complex]], ...]
-    reference_impedance: float
+    reference_impedance: float | None
 
 
 class SweepMetrics(Record):
@@ -210,15 +210,20 @@ def build_network(report: DesignReport) -> Network:
     output as port 2. Each stage hangs its input branch (optional series
     capacitor, then ri, then cgs to ground) off its gate node and its
     output (rds if finite, cds, and the controlled source) off its drain
-    node. Tapered reports size each stage's inductance from its profile
-    section.
+    node. Each line stamps the report's per-stage cells, so a tapered
+    line steps its inductance from stage to stage; the terminations and
+    ports are at the requested system impedance.
     """
     instance_of(report, DesignReport, "report", DesignError)
     t = report.transistor
     n = report.stages
-    z0 = report.system_impedance
-    l_gate = _cell_inductances(report, gate=True)
-    l_drain = _cell_inductances(report, gate=False)
+    z0 = report.options.system_impedance
+    # a report's constructor checks nothing, so an edited one may disagree
+    if not len(report.gate_cells) == len(report.drain_cells) == n:
+        raise DesignError(
+            f"report has {n} stages but {len(report.gate_cells)} gate and "
+            f"{len(report.drain_cells)} drain cells"
+        )
 
     counter = [1]
 
@@ -235,9 +240,9 @@ def build_network(report: DesignReport) -> Network:
     drain_nodes = [new_node() for _ in range(n)]
     p2 = new_node()
 
-    _chain(elements, [p1] + gate_nodes + [gate_term], l_gate)
+    _chain(elements, [p1] + gate_nodes + [gate_term], report.gate_cells)
     elements.append(Resistor(gate_term, 0, z0))
-    _chain(elements, [drain_term] + drain_nodes + [p2], l_drain)
+    _chain(elements, [drain_term] + drain_nodes + [p2], report.drain_cells)
     elements.append(Resistor(drain_term, 0, z0))
 
     for g_node, d_node in zip(gate_nodes, drain_nodes):
@@ -299,7 +304,7 @@ def sweep(
     return TwoPortSweep(
         frequencies=tuple(freqs),
         s_matrices=tuple(_solve(net, freqs)),
-        reference_impedance=net.port1.z0,
+        reference_impedance=net.port1.z0 if net.port1.z0 == net.port2.z0 else None,
     )
 
 
@@ -579,33 +584,10 @@ def _port_admittance(net: Network, freqs: list[float]):
     return yp
 
 
-def _chain(elements: list, nodes: list[int], cell_l: list[float]) -> None:
-    """Series inductors down a line: half cells at the ends, merged middles."""
-    links = len(nodes) - 1
-    for i in range(links):
-        if i == 0:
-            value = cell_l[0] / 2.0
-        elif i == links - 1:
-            value = cell_l[-1] / 2.0
-        else:
-            value = (cell_l[i - 1] + cell_l[i]) / 2.0
-        elements.append(Inductor(nodes[i], nodes[i + 1], value))
-
-
-def _cell_inductances(report: DesignReport, gate: bool) -> list[float]:
-    n = report.stages
-    if report.taper is None:
-        cell = report.gate_cell if gate else report.drain_cell
-        return [cell.inductance] * n
-    profile = report.taper_gate_profile if gate else report.taper_drain_profile
-    if profile is None:
-        raise DesignError("tapered report is missing its profiles")
-    sections = profile.sections
-    expected = (n, n + 1) if gate else (n,)
-    if len(sections) not in expected:
-        raise DesignError(
-            f"{'gate' if gate else 'drain'} profile has {len(sections)} sections "
-            f"for {n} stages"
-        )
-    c_load = report.effective_cgs if gate else report.transistor.cds
-    return [z * z * c_load for z in sections[:n]]
+def _chain(elements: list, nodes: list[int], cells: tuple) -> None:
+    """Series inductors down a line of cells: half cells at the ends,
+    merged middles."""
+    h = [cell.inductance for cell in cells]
+    values = [h[0] / 2.0, *[(a + b) / 2.0 for a, b in zip(h, h[1:])], h[-1] / 2.0]
+    for a, b, value in zip(nodes, nodes[1:], values):
+        elements.append(Inductor(a, b, value))

@@ -104,6 +104,8 @@ def _network(r, c, l, gm, z1, z2):
 
 
 NET = _network(50.0, 1e-12, 2e-9, 0.05, 50.0, 50.0)
+# a Network reads Port records, so a LineCell stands for a record of another class
+NOT_PORTS = (None, "x", CELL)
 GAN = CATALOG.get("GAN-1")
 REPORT = synthesize_design(GAN, FR4)
 
@@ -116,7 +118,12 @@ ROWS = [
         {1: FINITE, 2: FINITE, 3: FINITE, 4: FINITE, 5: UP_TO_INF},
     ),
     ("Substrate", Substrate, (4.4, 1.6, 0.035), {0: FINITE, 1: FINITE, 2: FINITE}),
-    ("Catalog", Catalog, ((GAN,), "catalog.json"), {1: NOT_STRINGS}),
+    (
+        "Catalog",
+        lambda entry, source: Catalog((entry,), source),
+        (GAN, "catalog.json"),
+        {0: NOT_RECORDS, 1: NOT_STRINGS},
+    ),
     ("effective_gate_capacitance", effective_gate_capacitance, (1e-12, 1e-13),
      {0: FINITE, 1: OPTIONAL}),
     ("max_capacitance_for_bandwidth", max_capacitance_for_bandwidth, (1e9, 50.0),
@@ -192,6 +199,12 @@ ROWS = [
         _network,
         (50.0, 1e-12, 2e-9, 0.05, 50.0, 50.0),
         {0: FINITE, 1: FINITE, 2: FINITE, 3: FINITE, 4: FINITE, 5: FINITE},
+    ),
+    (
+        "Network-ports",
+        lambda port1, port2: Network(3, NET.elements, port1, port2),
+        (Port(1, 50.0), Port(2, 50.0)),
+        {0: NOT_PORTS, 1: NOT_PORTS},
     ),
     (
         "synthesize_design",

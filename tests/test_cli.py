@@ -17,11 +17,16 @@ from hypothesis import strategies as st
 import dakit
 from dakit import (
     DesignOptions,
+    Network,
+    Port,
+    Resistor,
+    SimulationError,
     Substrate,
     TwoPortSweep,
     load_catalog,
     report_from_json,
     report_to_json,
+    sweep,
     synthesize_design,
 )
 from dakit._e9 import e9_rows
@@ -537,6 +542,24 @@ class TestSimulate:
         assert csv_lines[0] == "freq_hz,s11_db,s21_db,s12_db,s22_db,s21_phase_deg"
         assert len(csv_lines) == 1 + 41
 
+    def test_parasitics_reach_a_tapered_design(self, capsys, catalog_file, tmp_path):
+        metrics = []
+        for extra in ([], ["--include-parasitics"]):
+            path = tmp_path / f"tapered{len(extra)}.json"
+            design = ["design", "--catalog", catalog_file, "--transistor", "GAN-1"]
+            board = ["--er", "4.4", "--h", "1.6", "--t", "0.035"]
+            options = ["--series", "match-drain", "--taper", "ginzton", "--n", "4", *extra]
+            assert run([*design, *board, *options, "--out", str(path)]) == 0
+            capsys.readouterr()
+            span = ["--fstart", "1e7", "--fstop", "15e9", "--points", "401"]
+            assert run(["simulate", "--design", str(path), *span]) == 0
+            out = capsys.readouterr().out
+            metrics.append(dict(line.split(" = ") for line in out.splitlines()))
+        plain, padded = metrics
+        assert plain != padded
+        # the strips' own capacitance loads every section, so the band narrows
+        assert float(padded["cutoff_hz"]) < float(plain["cutoff_hz"])
+
     def test_byte_identical_reruns(self, design_json, tmp_path):
         paths = []
         for name in ("a.s2p", "b.s2p"):
@@ -654,6 +677,15 @@ class TestWriters:
         first = buf.getvalue().splitlines()[1].split(",")
         assert float(first[-1]) == 0.0
         assert math.isclose(float(first[2]), 20 * math.log10(2.0), rel_tol=1e-9)
+
+    def test_touchstone_refuses_ports_of_different_impedance(self):
+        # S22 of this sweep is referenced to 75 ohm, which a v1 header
+        # naming one impedance would mislabel
+        elements = (Resistor(1, 0, 100.0), Resistor(1, 2, 25.0), Resistor(2, 0, 150.0))
+        swp = sweep(Network(3, elements, Port(1, 50.0), Port(2, 75.0)), 1e6, 2e6, 2)
+        assert swp.reference_impedance is None
+        with pytest.raises(SimulationError, match="ports differ"):
+            write_touchstone(swp, io.StringIO())
 
     def test_touchstone_layout(self):
         buf = io.StringIO()

@@ -18,6 +18,7 @@ from dakit import (
     TaperProfile,
     TransistorModel,
     analyze_taper,
+    cell_for_impedance,
     cutoff_frequency,
     ginzton_profiles,
     max_capacitance_for_bandwidth,
@@ -26,6 +27,7 @@ from dakit import (
     screen_catalog,
     series_cap_for_target,
     synthesize_design,
+    synthesize_strip,
     verify_table1,
 )
 from dakit.design import _report_doc
@@ -204,7 +206,8 @@ class TestSynthesize:
         assert report.stages == 4
         assert report.series_capacitor is None
         assert report.gain_penalty_factor == 1.0
-        assert report.system_impedance == 50.0
+        assert report.gate_cells == (report.gate_cell,) * 4
+        assert report.drain_cells == (report.drain_cell,) * 4
         assert math.isclose(report.gate_cell.inductance, 4.475e-9, rel_tol=1e-12)
         assert math.isclose(
             report.drain_cell.inductance, 7.458333333333334e-10, rel_tol=1e-12
@@ -302,6 +305,40 @@ class TestSynthesize:
         assert padded.gate_cell.capacitance > plain.gate_cell.capacitance
         assert math.isclose(padded.gate_cell.z0, 50.0, rel_tol=1e-12)
         assert padded.predicted_fc < plain.predicted_fc
+
+    @pytest.mark.parametrize("series", [None, "match-drain"])
+    def test_tapered_cells_are_sized_at_each_section(self, gan, fr4, series):
+        # L = zk^2 * C per section; the gate line's (n+1)th section is a
+        # strip only
+        report = synthesize_design(
+            gan, fr4, DesignOptions(stages=4, taper="ginzton", series_cap=series)
+        )
+        gate_z, drain_z = report.taper_gate_profile.sections, report.taper_drain_profile.sections
+        assert len(gate_z) == 5
+        assert report.gate_cells == tuple(
+            cell_for_impedance(z, report.effective_cgs) for z in gate_z[:4]
+        )
+        assert report.drain_cells == tuple(cell_for_impedance(z, gan.cds) for z in drain_z)
+
+    @pytest.mark.parametrize("parasitics", [False, True])
+    def test_tapered_cells_are_the_ones_their_strips_realize(self, gan, fr4, parasitics):
+        options = DesignOptions(
+            stages=4, taper="ginzton", include_microstrip_parasitics=parasitics
+        )
+        report = synthesize_design(gan, fr4, options)
+        for cells, strips, profile, c_load in (
+            (report.gate_cells, report.gate_section_lines, report.taper_gate_profile, gan.cgs),
+            (report.drain_cells, report.drain_section_lines, report.taper_drain_profile, gan.cds),
+        ):
+            assert len(cells) == 4
+            for cell, strip, z in zip(cells, strips, profile.sections):
+                assert strip == synthesize_strip(z, fr4, cell.inductance)
+                assert math.isclose(cell.z0, z, rel_tol=1e-12)
+                # the strip's own capacitance loads the cell only with the flag
+                if parasitics:
+                    assert cell.capacitance > c_load
+                else:
+                    assert cell.capacitance == c_load
 
 
 class TestJsonRoundTrip:

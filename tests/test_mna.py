@@ -257,28 +257,33 @@ class TestBuildNetwork:
         assert sum(isinstance(e, Resistor) for e in net.elements) == 2 + 2 * 3
         assert sum(isinstance(e, Vccs) for e in net.elements) == 3
 
-    def test_tapered_drain_inductors(self, gan, fr4):
-        rep = synthesize_design(
-            gan, fr4, DesignOptions(stages=4, taper="ginzton", series_cap="match-drain")
+    @pytest.mark.parametrize("series", [None, "match-drain"], ids=["no-series", "match-drain"])
+    @pytest.mark.parametrize("parasitics", [False, True], ids=["plain", "parasitics"])
+    @pytest.mark.parametrize("taper", [None, "ginzton"], ids=["uniform", "ginzton"])
+    def test_line_chains_stamp_the_report_cells(self, gan, fr4, taper, parasitics, series):
+        options = DesignOptions(
+            stages=4, taper=taper, series_cap=series, include_microstrip_parasitics=parasitics
         )
+        rep = synthesize_design(gan, fr4, options)
         net = build_network(rep)
-        inductors = [e.henries for e in net.elements if isinstance(e, Inductor)]
-        gate_chain, drain_chain = inductors[:5], inductors[5:]
-        c_load = rep.transistor.cds
-        section_l = [z * z * c_load for z in rep.taper_drain_profile.sections]
-        expected = [
-            section_l[0] / 2.0,
-            (section_l[0] + section_l[1]) / 2.0,
-            (section_l[1] + section_l[2]) / 2.0,
-            (section_l[2] + section_l[3]) / 2.0,
-            section_l[3] / 2.0,
-        ]
-        for got, want in zip(drain_chain, expected):
-            assert math.isclose(got, want, rel_tol=1e-12)
-        # gate chain uses the first n of the n+1 tapered sections
-        gate_l = [z * z * rep.effective_cgs for z in rep.taper_gate_profile.sections[:4]]
-        assert math.isclose(gate_chain[0], gate_l[0] / 2.0, rel_tol=1e-12)
-        assert math.isclose(gate_chain[1], (gate_l[0] + gate_l[1]) / 2.0, rel_tol=1e-12)
+        inductors = [e for e in net.elements if isinstance(e, Inductor)]
+        for chain, cells in ((inductors[:5], rep.gate_cells), (inductors[5:], rep.drain_cells)):
+            l = [cell.inductance for cell in cells]
+            assert len(l) == 4
+            # half cells at the ends, adjacent halves merged in between
+            want = [l[0] / 2.0, *[(a + b) / 2.0 for a, b in zip(l, l[1:])], l[3] / 2.0]
+            assert [e.henries for e in chain] == want
+            assert all(a.b == b.a for a, b in zip(chain, chain[1:]))
+        # both terminations and both ports at the requested impedance
+        assert [e.ohms for e in net.elements if isinstance(e, Resistor)] == [50.0, 50.0]
+        assert net.port1.z0 == net.port2.z0 == 50.0
+
+    @pytest.mark.parametrize("stages", [3, 5])
+    def test_stage_count_must_match_the_cells(self, stages):
+        # an edited report: fewer stages than cells would stamp full cells
+        # at the line ends, more would leave the output port floating
+        with pytest.raises(DesignError, match=f"{stages} stages but 4 gate and 4 drain cells"):
+            build_network(replace(proto_amp(), stages=stages))
 
     def test_device_override(self):
         rep = proto_amp()

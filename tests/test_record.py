@@ -138,6 +138,8 @@ CASES = [
                     "stages",
                     "gate_cell",
                     "drain_cell",
+                    "gate_cells",
+                    "drain_cells",
                     "gate_line",
                     "drain_line",
                     "velocity_mismatch",
@@ -156,11 +158,11 @@ CASES = [
         },
         None,
         "DesignReport(transistor=0, options=1, effective_cgs=2, series_capacitor=3, "
-        "gain_penalty_factor=4, stages=5, gate_cell=6, drain_cell=7, gate_line=8, "
-        "drain_line=9, velocity_mismatch=10, phase_per_cell_gate=11, phase_per_cell_drain=12, "
-        "design_frequency_hz=13, gains=14, taper=15, taper_gate_profile=16, "
-        "taper_drain_profile=17, gate_section_lines=18, drain_section_lines=19, "
-        "predicted_fc=20)",
+        "gain_penalty_factor=4, stages=5, gate_cell=6, drain_cell=7, gate_cells=8, "
+        "drain_cells=9, gate_line=10, drain_line=11, velocity_mismatch=12, "
+        "phase_per_cell_gate=13, phase_per_cell_drain=14, design_frequency_hz=15, gains=16, "
+        "taper=17, taper_gate_profile=18, taper_drain_profile=19, gate_section_lines=20, "
+        "drain_section_lines=21, predicted_fc=22)",
     ),
     (
         LineCell,
