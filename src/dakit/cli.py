@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import chain
 from pathlib import Path
 
 from .errors import DakitError, SimulationError
@@ -74,12 +73,12 @@ def write_touchstone(swp: mna.TwoPortSweep, destination) -> None:
         )
 
     n = len(swp.frequencies)
-    # S11, S12, S21, S22 of each point in turn
-    s = np.fromiter(chain(*chain(*swp.s_matrices)), complex, 4 * n)
     table = np.empty((n, 9))
     table[:, 0] = swp.frequencies
-    # the columns are S11, S21, S12, S22 as re/im pairs
-    table[:, 1:] = s.view(np.float64).reshape(n, 4, 2)[:, [0, 2, 1, 3]].reshape(n, 8)
+    # S holds S11, S12, S21, S22 of each point in turn; the columns are S11,
+    # S21, S12, S22 as re/im pairs
+    s = swp.s_matrices.view(np.float64).reshape(n, 4, 2)
+    table[:, 1:] = s[:, [0, 2, 1, 3]].reshape(n, 8)
     header = f"! two-port S-parameters\n# HZ S RI R {swp.reference_impedance:g}\n"
     _write_text(destination, header + e9_rows(table, " "))
 
@@ -93,22 +92,20 @@ def write_csv(swp: mna.TwoPortSweep, destination) -> None:
 
     from ._e9 import e9_rows
 
+    n = len(swp.frequencies)
+    # S11, S21, S12, S22 of each point; numpy's hypot is the libm hypot that
+    # abs(complex) calls, so the magnitudes are abs's bit for bit, while the
+    # dB and the phase stay with math, which numpy's log10 and arctan2 do
+    # not match to the last bit
+    s = swp.s_matrices.reshape(n, 4)[:, [0, 2, 1, 3]]
+    mags = np.hypot(s.real, s.imag).ravel().tolist()
     log10, inf, degrees, atan2 = math.log10, math.inf, math.degrees, math.atan2
-    values: list[float] = []
-    add = values.extend
-    for f, ((s11, s12), (s21, s22)) in zip(swp.frequencies, swp.s_matrices):
-        m11, m21, m12, m22 = abs(s11), abs(s21), abs(s12), abs(s22)
-        add(
-            (
-                f,
-                20.0 * log10(m11) if m11 else -inf,
-                20.0 * log10(m21) if m21 else -inf,
-                20.0 * log10(m12) if m12 else -inf,
-                20.0 * log10(m22) if m22 else -inf,
-                degrees(atan2(s21.imag, s21.real)),
-            )
-        )
-    table = np.array(values, dtype=np.float64).reshape(-1, 6)
+    dbs = [20.0 * log10(m) if m else -inf for m in mags]
+    s21 = s[:, 1]
+    table = np.empty((n, 6))
+    table[:, 0] = swp.frequencies
+    table[:, 1:5] = np.fromiter(dbs, np.float64, 4 * n).reshape(n, 4)
+    table[:, 5] = list(map(degrees, map(atan2, s21.imag.tolist(), s21.real.tolist())))
     header = "freq_hz,s11_db,s21_db,s12_db,s22_db,s21_phase_deg\n"
     _write_text(destination, header + e9_rows(table, ","))
 

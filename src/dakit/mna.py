@@ -36,9 +36,11 @@ impedances and y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
 
     S = (I - y') (I + y')^-1,
 
-written out in closed form for the 2x2 case. The port-system and
-finiteness checks run on that sweep-wide S too, and the nested result
-tuples are built in C from its four rows.
+written out in closed form for the 2x2 case, straight into a read-only
+(frequencies, 2, 2) complex128 array. The port-system and finiteness
+checks run on that sweep-wide S too. That array is what a TwoPortSweep
+holds, and extract_metrics and the writers read it with whole-array
+calls: S is never unpacked point by point.
 
 There is no pivoting. The order is the passive-branch (R, L or C)
 breadth-first distance from the two ports, farthest node first, ties by
@@ -61,9 +63,9 @@ a frequency of the sweep, not of a block. Pivots are checked block by
 block, before S is formed, so a zero pivot anywhere in the sweep is
 reported ahead of a port-system or S error at a lower frequency.
 
-Determinism: same inputs give the same bytes; a sweep entry equals
-s_parameters_at at that frequency bit for bit, because every operation
-acts on each frequency alone. Results are not bit-identical to the dense
+Determinism: same inputs give the same bytes; a sweep entry has the same
+bytes as s_parameters_at at that frequency, because every operation acts
+on each frequency alone. Results are not bit-identical to the dense
 LU solver that came before; they agree within 1e-10 relative to
 max(1, max|S|).
 
@@ -81,9 +83,14 @@ import functools
 import math
 from dataclasses import dataclass
 
-from ._record import Record, count, in_range, instance_of, positive, set_field
+from ._record import Record, count, finite_complex, in_range, instance_of, positive, set_field
 from .design import DesignReport
 from .errors import DesignError, SimulationError
+
+# numpy loads on first use; type checkers take any TYPE_CHECKING as true
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import numpy
 
 LINEAR = "linear"
 LOG = "log"
@@ -187,14 +194,72 @@ class Network(Record):
         set_field(self, "_gamma", gamma[: plan.reactive])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoPortSweep:
-    """Frequencies with the S-matrix ((s11, s12), (s21, s22)) at each, and
-    the ports' common reference impedance, None if the two differ."""
+    """Frequencies, the S-matrix at each, and the ports' common reference
+    impedance, None if the two differ.
+
+    s_matrices is one read-only complex128 array of shape (n, 2, 2), whose
+    entry k is ((s11, s12), (s21, s22)) at frequencies[k]. The constructor
+    keeps such an array, as sweep makes it; any other S, such as nested
+    tuples, is checked entry by entry and copied into one. Sweeps compare
+    and hash by their frequencies, the bytes of S and the reference
+    impedance, and copy and pickle through the constructor.
+    """
 
     frequencies: tuple[float, ...]
-    s_matrices: tuple[tuple[tuple[complex, complex], tuple[complex, complex]], ...]
+    s_matrices: numpy.ndarray
     reference_impedance: float | None
+
+    def __post_init__(self) -> None:
+        import numpy as np
+
+        freqs, s, z0 = self.frequencies, self.s_matrices, self.reference_impedance
+        instance_of(freqs, tuple, "frequencies", SimulationError)
+        for f in freqs:
+            positive(f, "frequency", SimulationError)
+        if z0 is not None:
+            positive(z0, "reference impedance", SimulationError)
+        own = (
+            s.__class__ is np.ndarray
+            and s.dtype == complex
+            and s.flags.c_contiguous
+            and not s.flags.writeable
+        )
+        if not own:
+            # as objects, so that numpy takes no bool or str for a number
+            s = np.array(s, dtype=object)
+        if not freqs or s.shape != (len(freqs), 2, 2):
+            raise SimulationError(
+                f"a sweep needs one S-matrix per frequency, at least one, each "
+                f"2x2: got {self.s_matrices!r}"
+            )
+        if own:
+            if not np.isfinite(s).all():
+                finite_complex(s[~np.isfinite(s)][0].item(), "S-parameter", SimulationError)
+            return
+        for value in s.flat:
+            finite_complex(value, "S-parameter", SimulationError)
+        s = s.astype(complex)
+        s.flags.writeable = False
+        set_field(self, "s_matrices", s)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.frequencies == other.frequencies
+            and self.reference_impedance == other.reference_impedance
+            and self.s_matrices.tobytes() == other.s_matrices.tobytes()
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.frequencies, self.s_matrices.tobytes(), self.reference_impedance))
+
+    def __reduce__(self):
+        # a copied or unpickled array is writeable again, so the constructor
+        # makes it read-only
+        return self.__class__, (self.frequencies, self.s_matrices, self.reference_impedance)
 
 
 class SweepMetrics(Record):
@@ -271,7 +336,8 @@ def build_network(report: DesignReport) -> Network:
 
 
 def s_parameters_at(net: Network, f: float):
-    """S-matrix of the network at a single frequency, as a nested tuple."""
+    """S-matrix of the network at a single frequency, as a read-only (2, 2)
+    complex128 array."""
     instance_of(net, Network, "network", SimulationError)
     positive(f, "frequency", SimulationError)
     return _solve(net, [f])[0]
@@ -303,7 +369,7 @@ def sweep(
     freqs[-1] = f_stop
     return TwoPortSweep(
         frequencies=tuple(freqs),
-        s_matrices=tuple(_solve(net, freqs)),
+        s_matrices=_solve(net, freqs),
         reference_impedance=net.port1.z0 if net.port1.z0 == net.port2.z0 else None,
     )
 
@@ -317,23 +383,24 @@ def extract_metrics(swp: TwoPortSweep) -> SweepMetrics:
     match is reported over the whole sweep instead.
     """
     instance_of(swp, TwoPortSweep, "sweep", SimulationError)
-    n = len(swp.frequencies)
-    if not n or len(swp.s_matrices) != n:
-        raise SimulationError(
-            f"a sweep needs one S-matrix per frequency, at least one: got "
-            f"{len(swp.s_matrices)} for {n} frequencies"
-        )
+    import numpy as np
+
+    # |S11| and |S21| of every point in one call, from the (n, 2) view of
+    # S's first column: numpy's hypot is the libm hypot that abs(complex)
+    # calls, so these are abs's values bit for bit
+    first_column = swp.s_matrices[:, :, 0]
+    s11_mags, s21_mags = np.hypot(first_column.real, first_column.imag).T.tolist()
     # 20 log10 |s|, -inf for a zero magnitude, inlined: S21 is read only up
     # to the cutoff and S11 only where f <= cutoff keeps it
     log10, inf = math.log10, math.inf
-    freqs, mats = swp.frequencies, swp.s_matrices
-    mag = abs(mats[0][1][0])
+    freqs = swp.frequencies
+    mag = s21_mags[0]
     ref = 20.0 * log10(mag) if mag else -inf
     threshold = ref - 3.0
     cutoff = None
     db_lo = ref
-    for i in range(1, n):
-        mag = abs(mats[i][1][0])
+    for i in range(1, len(freqs)):
+        mag = s21_mags[i]
         db = 20.0 * log10(mag) if mag else -inf
         if db <= threshold:
             if db == threshold:
@@ -345,8 +412,7 @@ def extract_metrics(swp: TwoPortSweep) -> SweepMetrics:
         db_lo = db
     if cutoff is not None:
         # a hand-built sweep need not be in frequency order, so filter
-        mats = [m for f, m in zip(freqs, mats) if f <= cutoff]
-    s11_mags = [abs(m[0][0]) for m in mats]
+        s11_mags = [mag for f, mag in zip(freqs, s11_mags) if f <= cutoff]
     worst = max([20.0 * log10(mag) if mag else -inf for mag in s11_mags])
     return SweepMetrics(low_freq_gain_db=ref, cutoff_hz=cutoff, worst_s11_db=worst)
 
@@ -505,8 +571,9 @@ def _analyse(node_count: int, port1: int, port2: int, topology: tuple) -> _Plan:
     )
 
 
-def _solve(net: Network, freqs: list[float]) -> list:
-    """S-matrices at the frequencies, as nested tuples."""
+def _solve(net: Network, freqs: list[float]):
+    """S-matrices at the frequencies, as one read-only (frequencies, 2, 2)
+    complex128 array."""
     import numpy as np
 
     # a zero pivot turns its frequency's entries into inf and nan, and so
@@ -514,26 +581,31 @@ def _solve(net: Network, freqs: list[float]) -> list:
     # does; pivots are checked block by block, and S once it is formed
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the blocks' buffers are freed on return, before S is formed
-        s = _port_admittance(net, freqs)
+        yp = _port_admittance(net, freqs)
         # S = (I - y')(I + y')^-1 with y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
-        # written out for 2x2, once over the whole sweep; S takes the place
-        # of Yp's rows
+        # written out for 2x2, once over the whole sweep, into the rows
+        # S11, S12, S21 and S22 of a (4, frequencies) view of the result
         z1, z2 = net.port1.z0, net.port2.z0
         cross = math.sqrt(z1 * z2)
-        a, b, c, d = s[0] * z1, s[1] * cross, s[2] * cross, s[3] * z2
-        det = (1.0 + a) * (1.0 + d) - b * c
-        zero = np.flatnonzero(det == 0)
-        if zero.size:
+        a, b, c, d = yp[0] * z1, yp[1] * cross, yp[2] * cross, yp[3] * z2
+        # 1 + a, 1 + d and bc appear twice each, and are formed once
+        ap, dp, bc = 1.0 + a, 1.0 + d, b * c
+        det = ap * dp - bc
+        if not det.all():
+            zero = np.flatnonzero(det == 0)
             raise SimulationError(f"singular port system at {freqs[zero[0]]} Hz")
-        s[0] = ((1.0 - a) * (1.0 + d) + b * c) / det
-        s[1] = -2.0 * b / det
-        s[2] = -2.0 * c / det
-        s[3] = ((1.0 + a) * (1.0 - d) + b * c) / det
+        s = np.empty((len(freqs), 2, 2), dtype=complex)
+        rows = s.reshape(-1, 4).T
+        divide = np.divide
+        divide((1.0 - a) * dp + bc, det, out=rows[0])
+        divide(-2.0 * b, det, out=rows[1])
+        divide(-2.0 * c, det, out=rows[2])
+        divide(ap * (1.0 - d) + bc, det, out=rows[3])
         if not np.isfinite(s).all():
-            bad = np.flatnonzero(~np.isfinite(s).all(axis=0))[0]
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=0))[0]
             raise SimulationError(f"non-finite S-parameters at {freqs[bad]} Hz")
-    s11, s12, s21, s22 = s.tolist()
-    return list(zip(zip(s11, s12), zip(s21, s22)))
+    s.flags.writeable = False
+    return s
 
 
 def _port_admittance(net: Network, freqs: list[float]):

@@ -30,6 +30,7 @@ from dakit import (
     Substrate,
     TaperProfile,
     TransistorModel,
+    TwoPortSweep,
     Vccs,
     analyze_taper,
     build_network,
@@ -108,6 +109,20 @@ NET = _network(50.0, 1e-12, 2e-9, 0.05, 50.0, 50.0)
 NOT_PORTS = (None, "x", CELL)
 GAN = CATALOG.get("GAN-1")
 REPORT = synthesize_design(GAN, FR4)
+
+# a sweep holds one 2x2 complex S-matrix per frequency, at least one; S is
+# checked as a whole, each of its entries as an immittance
+FREQS = (1e9, 2e9)
+MATRIX = ((0.1 + 0j, 0j), (1 + 0j, 0j))
+NOT_MATRICES = (
+    None, "x", ((1, 2),), (MATRIX,), (MATRIX,) * 3, ((MATRIX[0],),) * 2,
+    (((1, 2, 3), (4, 5, 6)),) * 2, ((MATRIX, MATRIX),) * 2,
+)
+
+
+def _sweep_with_entry(value):
+    return TwoPortSweep(FREQS, (((value, 0j), (1 + 0j, 0j)), MATRIX), 50.0)
+
 
 # (id, callable, valid arguments, {position: values to refuse there})
 ROWS = [
@@ -218,6 +233,19 @@ ROWS = [
     ("s_parameters_at", s_parameters_at, (NET, 1e9), {0: NOT_RECORDS, 1: FINITE}),
     ("sweep", sweep, (NET, 1e8, 1e10, 11), {0: NOT_RECORDS, 1: FINITE, 2: FINITE, 3: COUNTS}),
     ("extract_metrics", extract_metrics, (sweep(NET, 1e8, 1e10, 11),), {0: NOT_RECORDS}),
+    (
+        "TwoPortSweep",
+        TwoPortSweep,
+        (FREQS, (MATRIX,) * 2, 50.0),
+        {0: (None, "x", list(FREQS)), 1: NOT_MATRICES, 2: OPTIONAL + (0.0, -50.0)},
+    ),
+    (
+        "TwoPortSweep-frequency",
+        lambda f: TwoPortSweep((1e9, f), (MATRIX,) * 2, None),
+        (2e9,),
+        {0: FINITE + (0.0, -1e9)},
+    ),
+    ("TwoPortSweep-S-entry", _sweep_with_entry, (0.1 + 0j,), {0: COMPLEX}),
 ]
 
 

@@ -728,8 +728,9 @@ class TestWriters:
         assert ts_rows[:2] == ["! two-port S-parameters", "# HZ S RI R 50"]
         assert csv_rows[0] == "freq_hz,s11_db,s21_db,s12_db,s22_db,s21_phase_deg"
         assert len(ts_rows) == 2 + len(swp.frequencies) and len(csv_rows) == 1 + len(swp.frequencies)
+        # Python complex values, so that abs below is CPython's
         for f, ((s11, s12), (s21, s22)), ts_row, csv_row in zip(
-            swp.frequencies, swp.s_matrices, ts_rows[2:], csv_rows[1:]
+            swp.frequencies, swp.s_matrices.tolist(), ts_rows[2:], csv_rows[1:]
         ):
             fields = [f]
             for s in (s11, s21, s12, s22):
@@ -740,6 +741,35 @@ class TestWriters:
             assert csv_row == ",".join("%.9e" % x for x in fields)
         # the unilateral amplifier's S12 is exactly zero, which renders as -inf
         assert all(row.split(",")[3] == "-inf" for row in csv_rows[1:])
+
+
+_MAX = sys.float_info.max
+_TINY = 5e-324
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), min_size=1, max_size=32))
+@example([complex(_TINY, _TINY), complex(_TINY, 0.0), complex(-0.0, 2.2250738585072014e-308)])
+@example([complex(_MAX, 0.0), complex(_MAX / 2.0, -_MAX / 2.0), complex(-_MAX, _TINY)])
+@example([complex(_MAX, _MAX), complex(1e308, 1e308), complex(3.0, 4.0), 0j])
+def test_numpy_hypot_is_abs_bit_for_bit(values):
+    """extract_metrics and write_csv take |S| from numpy's hypot of the real
+    and imaginary parts, on the premise that it is the libm hypot which
+    CPython's abs(complex) calls. Should this fail on some build, the
+    magnitudes go back to abs, point by point."""
+    import numpy as np
+
+    z = np.array(values, dtype=np.complex128)
+    want = []
+    for v in values:
+        try:
+            want.append(abs(v))
+        except OverflowError:
+            # abs refuses a magnitude past the largest float; hypot rounds it to inf
+            want.append(math.inf)
+    with np.errstate(over="ignore"):
+        got = np.hypot(z.real, z.imag)
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def _percent_rows(rows, sep):

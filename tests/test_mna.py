@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -370,6 +373,58 @@ class TestSweep:
         net = build_network(proto_amp())
         assert sweep(net, 10e6, 10e9, 21) == sweep(net, 10e6, 10e9, 21)
 
+    def test_s_is_one_read_only_array(self):
+        net = build_network(proto_amp())
+        swp = sweep(net, 10e6, 10e9, 21)
+        assert swp.s_matrices.shape == (21, 2, 2)
+        assert swp.s_matrices.dtype == np.complex128
+        with pytest.raises(ValueError, match="read-only"):
+            swp.s_matrices[0, 1, 0] = 0.0
+        single = s_parameters_at(net, 10e6)
+        assert single.shape == (2, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            single[1, 0] = 0.0
+
+    def test_sweeps_of_one_network_compare_and_hash_equal(self):
+        net = build_network(proto_amp())
+        first, second = sweep(net, 10e6, 10e9, 21), sweep(net, 10e6, 10e9, 21)
+        assert first.s_matrices is not second.s_matrices
+        assert first == second and hash(first) == hash(second)
+        # nested lists of Python complex are converted once, to the same bytes
+        rebuilt = TwoPortSweep(first.frequencies, first.s_matrices.tolist(), 50.0)
+        assert rebuilt == first and hash(rebuilt) == hash(first)
+        assert not rebuilt.s_matrices.flags.writeable
+
+    def test_sweep_one_ulp_apart_compares_unequal(self):
+        swp = sweep(build_network(proto_amp()), 10e6, 10e9, 21)
+        s = swp.s_matrices.copy()
+        s21 = complex(s[7, 1, 0])
+        s[7, 1, 0] = complex(math.nextafter(s21.real, math.inf), s21.imag)
+        nudged = TwoPortSweep(swp.frequencies, s, swp.reference_impedance)
+        assert nudged != swp
+        # the constructor copied the writeable array it was given
+        s[7, 1, 0] = s21
+        assert nudged != swp
+        assert swp != dataclasses.replace(swp, reference_impedance=75.0)
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_stay_read_only(self, clone):
+        swp = sweep(pi_pad(), 1e8, 1e9, 3)
+        copied = clone(swp)
+        assert copied == swp
+        assert not copied.s_matrices.flags.writeable
+
+    def test_non_finite_array_refused(self):
+        swp = sweep(pi_pad(), 1e8, 1e9, 3)
+        s = swp.s_matrices.copy()
+        s[2, 0, 1] = complex(1.0, math.nan)
+        s.flags.writeable = False
+        with pytest.raises(SimulationError, match=re.escape("got (1+nanj)")):
+            TwoPortSweep(swp.frequencies, s, 50.0)
+
 
 def dense_reference(net: Network, f: float) -> np.ndarray:
     # per-frequency solve of the whole nodal system: both ports terminated
@@ -414,7 +469,8 @@ class TestBatchedKernel:
         for net in (build_network(proto_amp()), build_network(lossy_series_amp(fr4))):
             swp = sweep(net, 10e6, 15e9, 2 * _BLOCK + 1, spacing)
             for f, s in zip(swp.frequencies, swp.s_matrices):
-                assert s == s_parameters_at(net, f)
+                # bytes, not ==, also tell -0.0 from 0.0
+                assert s.tobytes() == s_parameters_at(net, f).tobytes()
 
     # 16, 17 and 33 straddle a 16-wide block, 128 and 129 a 128-wide one:
     # they stay as grids that fill part of one block, beside the boundaries
@@ -668,11 +724,11 @@ class TestMetrics:
 
     @pytest.mark.parametrize("points, matrices", [(0, 0), (2, 1), (1, 2)])
     def test_misshapen_sweep_rejected(self, points, matrices):
-        # an empty sweep has no reference gain; zip would cut the longer short
+        # an empty sweep has no reference gain; zip would cut the longer
+        # short: the constructor refuses both
         mats = (((0.1 + 0j, 0j), (1 + 0j, 0j)),) * matrices
-        swp = TwoPortSweep(tuple(1e9 * (k + 1) for k in range(points)), mats, 50.0)
         with pytest.raises(SimulationError, match="one S-matrix per frequency"):
-            extract_metrics(swp)
+            TwoPortSweep(tuple(1e9 * (k + 1) for k in range(points)), mats, 50.0)
 
     # values frozen from the per-point dB lists that extract_metrics used
     # before it took one pass
