@@ -91,21 +91,16 @@ def write_csv(swp: mna.TwoPortSweep, destination) -> None:
     import numpy as np
 
     from ._e9 import e9_rows
+    from .mna import _db
 
     n = len(swp.frequencies)
-    # S11, S21, S12, S22 of each point; numpy's hypot is the libm hypot that
-    # abs(complex) calls, so the magnitudes are abs's bit for bit, while the
-    # dB and the phase stay with math, which numpy's log10 and arctan2 do
-    # not match to the last bit
-    s = swp.s_matrices.reshape(n, 4)[:, [0, 2, 1, 3]]
-    mags = np.hypot(s.real, s.imag).ravel().tolist()
-    log10, inf, degrees, atan2 = math.log10, math.inf, math.degrees, math.atan2
-    dbs = [20.0 * log10(m) if m else -inf for m in mags]
-    s21 = s[:, 1]
+    # S11, S21, S12, S22, each over every point; the phase stays with math,
+    # which numpy's arctan2 does not match to the last bit
+    s = swp.s_matrices.reshape(n, 4).T[[0, 2, 1, 3]]
     table = np.empty((n, 6))
     table[:, 0] = swp.frequencies
-    table[:, 1:5] = np.fromiter(dbs, np.float64, 4 * n).reshape(n, 4)
-    table[:, 5] = list(map(degrees, map(atan2, s21.imag.tolist(), s21.real.tolist())))
+    table[:, 1:5] = np.fromiter(_db(s), np.float64, 4 * n).reshape(4, n).T
+    table[:, 5] = list(map(math.degrees, map(math.atan2, s[1].imag.tolist(), s[1].real.tolist())))
     header = "freq_hz,s11_db,s21_db,s12_db,s22_db,s21_phase_deg\n"
     _write_text(destination, header + e9_rows(table, ","))
 

@@ -29,7 +29,7 @@ import json
 import math
 
 from . import device, gain as gain_mod, ladder, microstrip, taper as taper_mod
-from ._record import Record, count, instance_of, positive, set_field
+from ._record import Record, count, instance_of, positive
 from .device import Substrate, TransistorModel, series_cap_for_target
 
 # screening and the survey live in device; the names stay bound here too,
@@ -67,34 +67,33 @@ class DesignOptions(Record):
         "include_microstrip_parasitics",
         "design_frequency_hz",
     )
+    _defaults = {
+        "system_impedance": 50.0,
+        "stages": None,
+        "taper": None,
+        "series_cap": None,
+        "include_microstrip_parasitics": False,
+        "design_frequency_hz": None,
+    }
 
-    def __init__(
-        self,
-        system_impedance: float = 50.0,
-        stages: int | None = None,
-        taper: object = None,
-        series_cap: object = None,
-        include_microstrip_parasitics: bool = False,
-        design_frequency_hz: float | None = None,
-    ) -> None:
-        z0, n, pair, cap = system_impedance, stages, taper, series_cap
-        positive(z0, "system impedance", DesignError)
+    def __post_init__(self) -> None:
+        n, pair, cap, f = self.stages, self.taper, self.series_cap, self.design_frequency_hz
+        positive(self.system_impedance, "system impedance", DesignError)
         if n is not None:
             count(n, "stages", DesignError)
         if not (pair in (None, "ginzton") or _is_profile_pair(pair)):
-            raise DesignError(f"taper must be None, 'ginzton' or a (gate, drain) pair: {pair!r}")
+            raise DesignError(
+                f"taper must be None, 'ginzton' or a (gate, drain) pair, got {pair!r}"
+            )
         if cap not in (None, MATCH_DRAIN):
             positive(cap, "series_cap in farads", DesignError)
-        if not isinstance(include_microstrip_parasitics, bool):
-            raise DesignError("include_microstrip_parasitics must be True or False")
-        if design_frequency_hz is not None:
-            positive(design_frequency_hz, "design frequency", DesignError)
-        set_field(self, "system_impedance", system_impedance)
-        set_field(self, "stages", stages)
-        set_field(self, "taper", taper)
-        set_field(self, "series_cap", series_cap)
-        set_field(self, "include_microstrip_parasitics", include_microstrip_parasitics)
-        set_field(self, "design_frequency_hz", design_frequency_hz)
+        parasitics = self.include_microstrip_parasitics
+        if not isinstance(parasitics, bool):
+            raise DesignError(
+                f"include_microstrip_parasitics must be True or False, got {parasitics!r}"
+            )
+        if f is not None:
+            positive(f, "design frequency", DesignError)
 
 
 class DesignReport(Record):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 
-from ._record import Record, in_range, instance_of, positive, set_field
+from ._record import Record, in_range, instance_of, positive
 from .errors import CatalogError, DesignError
 from .ladder import _inverse_pi_product, cutoff_frequency
 
@@ -22,73 +22,57 @@ class TransistorModel(Record):
     """Unilateral FET small-signal model used throughout the toolkit."""
 
     __slots__ = ("name", "gm", "cgs", "cds", "ri", "rds", "reference")
+    _defaults = {"ri": 0.0, "rds": math.inf, "reference": ""}
 
-    def __init__(
-        self,
-        name: str,
-        gm: float,
-        cgs: float,
-        cds: float,
-        ri: float = 0.0,
-        rds: float = math.inf,
-        reference: str = "",
-    ) -> None:
+    def __post_init__(self) -> None:
+        name, reference = self.name, self.reference
         if not isinstance(name, str):
             raise CatalogError(f"transistor name must be a string, got {name!r}")
         if not name:
-            raise CatalogError("transistor name must be non-empty")
+            raise CatalogError(f"transistor name must be non-empty, got {name!r}")
         if not isinstance(reference, str):
             raise CatalogError(f"{name}: reference must be a string, got {reference!r}")
         try:
-            positive(gm, "gm", CatalogError)
-            positive(cgs, "cgs", CatalogError)
-            positive(cds, "cds", CatalogError)
-            in_range(ri, "ri", CatalogError, ">= 0 and finite")
-            in_range(rds, "rds", CatalogError, "positive")
+            positive(self.gm, "gm", CatalogError)
+            positive(self.cgs, "cgs", CatalogError)
+            positive(self.cds, "cds", CatalogError)
+            in_range(self.ri, "ri", CatalogError, ">= 0 and finite")
+            in_range(self.rds, "rds", CatalogError, "positive")
         except CatalogError as exc:
             # the name is formatted into a message only when one is raised
             raise CatalogError(f"{name}: {exc}") from None
-        set_field(self, "name", name)
-        set_field(self, "gm", gm)
-        set_field(self, "cgs", cgs)
-        set_field(self, "cds", cds)
-        set_field(self, "ri", ri)
-        set_field(self, "rds", rds)
-        set_field(self, "reference", reference)
 
 
 class Substrate(Record):
     """Board stackup: relative permittivity, height and copper thickness in mm."""
 
     __slots__ = ("er", "h_mm", "t_mm")
+    _defaults = {"t_mm": 0.0}
 
-    def __init__(self, er: float, h_mm: float, t_mm: float = 0.0) -> None:
-        in_range(er, "relative permittivity", CatalogError, ">= 1 and finite")
-        positive(h_mm, "substrate height", CatalogError)
-        in_range(t_mm, "conductor thickness", CatalogError, ">= 0 and finite")
-        set_field(self, "er", er)
-        set_field(self, "h_mm", h_mm)
-        set_field(self, "t_mm", t_mm)
+    def __post_init__(self) -> None:
+        in_range(self.er, "relative permittivity", CatalogError, ">= 1 and finite")
+        positive(self.h_mm, "substrate height", CatalogError)
+        in_range(self.t_mm, "conductor thickness", CatalogError, ">= 0 and finite")
 
 
 class Catalog(Record):
     """Named collection of transistor models loaded from one source."""
 
     __slots__ = ("transistors", "source")
+    _defaults = {"source": ""}
 
-    def __init__(self, transistors: tuple[TransistorModel, ...], source: str = "") -> None:
+    def __post_init__(self) -> None:
+        transistors = self.transistors
         # a tuple, so that the catalog hashes
         if not isinstance(transistors, tuple):
-            raise CatalogError(f"transistors must be a tuple, got {type(transistors).__name__}")
+            raise CatalogError(f"transistors must be a tuple, got {transistors!r}")
         seen = set()
         for t in transistors:
             instance_of(t, TransistorModel, "catalog entry", CatalogError)
             if t.name in seen:
                 raise CatalogError(f"duplicate transistor name: {t.name!r}")
             seen.add(t.name)
-        instance_of(source, str, "catalog source", CatalogError)
-        set_field(self, "transistors", transistors)
-        set_field(self, "source", source)
+        instance_of(self.source, str, "catalog source", CatalogError)
 
     def get(self, name: str) -> TransistorModel:
         for t in self.transistors:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._record import Record, finite_complex, in_range, instance_of, positive, set_field
+from ._record import Record, finite_complex, in_range, instance_of, positive
 from .errors import DesignError
 
 
@@ -25,7 +25,8 @@ class LineCell(Record):
 
     __slots__ = ("inductance", "capacitance")
 
-    def __init__(self, inductance: float, capacitance: float) -> None:
+    def __post_init__(self) -> None:
+        inductance, capacitance = self.inductance, self.capacitance
         positive(inductance, "cell inductance", DesignError)
         positive(capacitance, "cell capacitance", DesignError)
         # z0 and fc need L/C and L*C as positive finite floats, which
@@ -33,8 +34,6 @@ class LineCell(Record):
         ratio, product = inductance / capacitance, inductance * capacitance
         if not (0 < ratio < math.inf and 0 < product < math.inf):
             raise DesignError(f"cell L = {inductance} H and C = {capacitance} F are out of range")
-        set_field(self, "inductance", inductance)
-        set_field(self, "capacitance", capacitance)
 
     @property
     def z0(self) -> float:
@@ -50,11 +49,9 @@ class LineSection(Record):
 
     __slots__ = ("z_series", "y_shunt")
 
-    def __init__(self, z_series: complex, y_shunt: complex) -> None:
-        finite_complex(z_series, "immittances", DesignError)
-        finite_complex(y_shunt, "immittances", DesignError)
-        set_field(self, "z_series", z_series)
-        set_field(self, "y_shunt", y_shunt)
+    def __post_init__(self) -> None:
+        finite_complex(self.z_series, "immittances", DesignError)
+        finite_complex(self.y_shunt, "immittances", DesignError)
 
 
 def cell_for_impedance(z0: float, capacitance: float) -> LineCell:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record, in_range, instance_of, positive, set_field
+from ._record import Record, in_range, instance_of, positive
 from .device import Substrate
 from .errors import GeometryError
 
@@ -34,30 +34,17 @@ class MicrostripLine(Record):
 
     __slots__ = ("width_mm", "length_cm", "substrate", "z0", "l_nh_per_cm", "c_pf_per_cm")
 
-    def __init__(
-        self,
-        width_mm: float,
-        length_cm: float,
-        substrate: Substrate,
-        z0: float,
-        l_nh_per_cm: float,
-        c_pf_per_cm: float,
-    ) -> None:
-        positive(width_mm, "strip width", GeometryError)
-        positive(length_cm, "strip length", GeometryError)
-        instance_of(substrate, Substrate, "substrate", GeometryError)
+    def __post_init__(self) -> None:
+        z0, l_nh_per_cm, c_pf_per_cm = self.z0, self.l_nh_per_cm, self.c_pf_per_cm
+        positive(self.width_mm, "strip width", GeometryError)
+        positive(self.length_cm, "strip length", GeometryError)
+        instance_of(self.substrate, Substrate, "substrate", GeometryError)
         positive(z0, "strip impedance", GeometryError)
         positive(l_nh_per_cm, "l'", GeometryError)
         positive(c_pf_per_cm, "c'", GeometryError)
         expected_c = 1000.0 * l_nh_per_cm / (z0 * z0)
         if abs(expected_c - c_pf_per_cm) > 1e-9 * abs(expected_c):
             raise GeometryError("inconsistent distributed constants: c' != 1000*l'/z0^2")
-        set_field(self, "width_mm", width_mm)
-        set_field(self, "length_cm", length_cm)
-        set_field(self, "substrate", substrate)
-        set_field(self, "z0", z0)
-        set_field(self, "l_nh_per_cm", l_nh_per_cm)
-        set_field(self, "c_pf_per_cm", c_pf_per_cm)
 
 
 def z0_of(width_mm: float, substrate: Substrate) -> ImpedanceResult:

@@ -137,7 +137,8 @@ class Network(Record):
 
     __slots__ = ("node_count", "elements", "port1", "port2", "_plan", "_g", "_c", "_gamma")
 
-    def __init__(self, node_count: int, elements: tuple, port1: Port, port2: Port) -> None:
+    def __post_init__(self) -> None:
+        node_count, elements, port1, port2 = self.node_count, self.elements, self.port1, self.port2
         if type(node_count) is not int:
             raise DesignError(f"node count must be an int, got {node_count!r}")
         if not isinstance(elements, tuple):
@@ -156,7 +157,7 @@ class Network(Record):
                 in_range(e.gm, "transconductance", DesignError, "finite")
                 entry = (_G, e.out_p, e.out_m, e.ctrl_p, e.ctrl_m)
                 if set(map(type, entry)) != {int}:
-                    raise DesignError(f"element nodes must be ints: {e}")
+                    raise DesignError(f"element nodes must be ints, got {e!r}")
                 topology.append(entry)
                 values.append(e.gm)
                 continue
@@ -170,12 +171,12 @@ class Network(Record):
                 kind, value = _G, e.ohms
                 positive(value, "resistance", DesignError)
             else:
-                raise DesignError(f"unknown element type: {e!r}")
+                raise DesignError(f"unknown element type, got {e!r}")
             # a bool or float node equals its int, and would even share its
             # cached plan
             a, b = e.a, e.b
             if type(a) is not int or type(b) is not int:
-                raise DesignError(f"element nodes must be ints: {e}")
+                raise DesignError(f"element nodes must be ints, got {e!r}")
             topology.append((kind, a, b))
             values.append(value if kind == _C else 1.0 / value)
         import numpy as np
@@ -184,10 +185,6 @@ class Network(Record):
         plan = _analyse(node_count, port1.node, port2.node, tuple(topology))
         weights = np.array(values)[plan.stamp_element] * plan.stamp_sign
         g, c, gamma = np.bincount(plan.stamp_slot, weights, 3 * plan.slots).reshape(3, -1)
-        set_field(self, "node_count", node_count)
-        set_field(self, "elements", elements)
-        set_field(self, "port1", port1)
-        set_field(self, "port2", port2)
         set_field(self, "_plan", plan)
         set_field(self, "_g", g)
         set_field(self, "_c", c[: plan.reactive])
@@ -374,6 +371,17 @@ def sweep(
     )
 
 
+def _db(s: numpy.ndarray) -> list[float]:
+    """20 log10 |s| of each entry of the complex array s, as one flat list in
+    C order, -inf where |s| is 0. numpy's hypot is the libm hypot that
+    abs(complex) calls, so |s| is abs's bit for bit; the dB stay with
+    math.log10, which numpy's log10 does not match to the last bit."""
+    import numpy as np
+
+    log10, inf = math.log10, math.inf
+    return [20.0 * log10(m) if m else -inf for m in np.hypot(s.real, s.imag).ravel().tolist()]
+
+
 def extract_metrics(swp: TwoPortSweep) -> SweepMetrics:
     """Low-frequency gain, -3 dB cutoff, and worst in-band input match.
 
@@ -383,37 +391,26 @@ def extract_metrics(swp: TwoPortSweep) -> SweepMetrics:
     match is reported over the whole sweep instead.
     """
     instance_of(swp, TwoPortSweep, "sweep", SimulationError)
-    import numpy as np
-
-    # |S11| and |S21| of every point in one call, from the (n, 2) view of
-    # S's first column: numpy's hypot is the libm hypot that abs(complex)
-    # calls, so these are abs's values bit for bit
-    first_column = swp.s_matrices[:, :, 0]
-    s11_mags, s21_mags = np.hypot(first_column.real, first_column.imag).T.tolist()
-    # 20 log10 |s|, -inf for a zero magnitude, inlined: S21 is read only up
-    # to the cutoff and S11 only where f <= cutoff keeps it
-    log10, inf = math.log10, math.inf
     freqs = swp.frequencies
-    mag = s21_mags[0]
-    ref = 20.0 * log10(mag) if mag else -inf
+    # S11 and S21 of each point in turn, from S's first column
+    dbs = _db(swp.s_matrices[:, :, 0])
+    s11_dbs, s21_dbs = dbs[0::2], dbs[1::2]
+    ref = s21_dbs[0]
     threshold = ref - 3.0
     cutoff = None
-    db_lo = ref
     for i in range(1, len(freqs)):
-        mag = s21_mags[i]
-        db = 20.0 * log10(mag) if mag else -inf
+        db = s21_dbs[i]
         if db <= threshold:
             if db == threshold:
                 cutoff = freqs[i]
             else:
-                f_lo, f_hi = freqs[i - 1], freqs[i]
+                f_lo, f_hi, db_lo = freqs[i - 1], freqs[i], s21_dbs[i - 1]
                 cutoff = f_lo + (db_lo - threshold) * (f_hi - f_lo) / (db_lo - db)
             break
-        db_lo = db
     if cutoff is not None:
         # a hand-built sweep need not be in frequency order, so filter
-        s11_mags = [mag for f, mag in zip(freqs, s11_mags) if f <= cutoff]
-    worst = max([20.0 * log10(mag) if mag else -inf for mag in s11_mags])
+        s11_dbs = [db for f, db in zip(freqs, s11_dbs) if f <= cutoff]
+    worst = max(s11_dbs)
     return SweepMetrics(low_freq_gain_db=ref, cutoff_hz=cutoff, worst_s11_db=worst)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._record import Record, count, in_range, instance_of, positive, set_field
+from ._record import Record, count, in_range, instance_of, positive
 from .errors import DesignError
 from .ladder import cutoff_frequency
 
@@ -39,23 +39,20 @@ class TaperProfile(Record):
     """
 
     __slots__ = ("side", "sections", "terminal_impedance")
+    _defaults = {"terminal_impedance": 50.0}
 
-    def __init__(
-        self, side: str, sections: tuple[float, ...], terminal_impedance: float = 50.0
-    ) -> None:
+    def __post_init__(self) -> None:
+        side, sections = self.side, self.sections
         if side not in (GATE, DRAIN):
             raise DesignError(f"side must be {GATE!r} or {DRAIN!r}, got {side!r}")
         # a tuple, so that the profile hashes and junction_gammas can extend it
         if not isinstance(sections, tuple):
-            raise DesignError(f"sections must be a tuple, got {type(sections).__name__}")
+            raise DesignError(f"sections must be a tuple, got {sections!r}")
         if not sections:
-            raise DesignError("profile needs at least one section")
+            raise DesignError(f"profile needs at least one section, got {sections!r}")
         for z in sections:
             positive(z, "section impedances", DesignError)
-        positive(terminal_impedance, "terminal impedance", DesignError)
-        set_field(self, "side", side)
-        set_field(self, "sections", sections)
-        set_field(self, "terminal_impedance", terminal_impedance)
+        positive(self.terminal_impedance, "terminal impedance", DesignError)
 
 
 class TaperReport(Record):

@@ -130,7 +130,7 @@ ROWS = [
         "TransistorModel",
         TransistorModel,
         ("x", 0.01, 1e-12, 1e-13, 1.0, 200.0),
-        {1: FINITE, 2: FINITE, 3: FINITE, 4: FINITE, 5: UP_TO_INF},
+        {0: NOT_STRINGS + ("",), 1: FINITE, 2: FINITE, 3: FINITE, 4: FINITE, 5: UP_TO_INF},
     ),
     ("Substrate", Substrate, (4.4, 1.6, 0.035), {0: FINITE, 1: FINITE, 2: FINITE}),
     (
@@ -139,6 +139,8 @@ ROWS = [
         (GAN, "catalog.json"),
         {0: NOT_RECORDS, 1: NOT_STRINGS},
     ),
+    # a catalog's entries are a tuple, so that it hashes
+    ("Catalog-transistors", Catalog, ((GAN,),), {0: (None, "x", [GAN])}),
     ("effective_gate_capacitance", effective_gate_capacitance, (1e-12, 1e-13),
      {0: FINITE, 1: OPTIONAL}),
     ("max_capacitance_for_bandwidth", max_capacitance_for_bandwidth, (1e9, 50.0),
@@ -186,6 +188,12 @@ ROWS = [
         {0: FINITE, 1: FINITE},
     ),
     (
+        "TaperProfile-sections",
+        lambda sections: TaperProfile("gate", sections),
+        ((50.0, 25.0),),
+        {0: (None, [50.0, 25.0], ())},
+    ),
+    (
         "overall_gamma",
         lambda g, theta: overall_gamma((0.1, g), theta),
         (-0.1, 1.0),
@@ -205,15 +213,29 @@ ROWS = [
      {0: NOT_RECORDS, 1: NOT_RECORDS, 2: FINITE, 3: FINITE}),
     (
         "DesignOptions",
-        lambda z0, n, cap, f: DesignOptions(z0, n, None, cap, False, f),
-        (50.0, 4, 1e-12, 1e9),
-        {0: FINITE, 1: (True, "4", 4.0), 2: OPTIONAL, 3: OPTIONAL},
+        DesignOptions,
+        (50.0, 4, None, 1e-12, False, 1e9),
+        {
+            0: FINITE,
+            1: (True, "4", 4.0),
+            2: ("x", GATE, (GATE, GATE), [GATE, DRAIN]),
+            3: OPTIONAL,
+            4: (None, 0, "False"),
+            5: OPTIONAL,
+        },
     ),
     (
         "Network",
         _network,
         (50.0, 1e-12, 2e-9, 0.05, 50.0, 50.0),
         {0: FINITE, 1: FINITE, 2: FINITE, 3: FINITE, 4: FINITE, 5: FINITE},
+    ),
+    (
+        "Network-elements",
+        lambda element: Network(3, NET.elements + (element,), NET.port1, NET.port2),
+        (Resistor(2, 0, 75.0),),
+        {0: (None, "x", CELL, Resistor(1.0, 0, 50.0), Capacitor(True, 0, 1e-12),
+             Vccs(2, 0, 1.0, 0, 0.05))},
     ),
     (
         "Network-ports",

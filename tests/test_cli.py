@@ -698,8 +698,18 @@ class TestWriters:
         assert float(fields[1]) == 0.1
         assert float(fields[3]) == 2.0
 
+    @staticmethod
+    def multi_block_sweep(transistor, options):
+        from dakit.mna import _BLOCK, build_network, sweep
+
+        catalog = load_catalog(json.dumps(CATALOG))
+        report = synthesize_design(
+            catalog.get(transistor), Substrate(4.4, 1.6, 0.035), DesignOptions(**options)
+        )
+        return sweep(build_network(report), 10e6, 15e9, 2 * _BLOCK + 1)
+
     # three of the benchmark's designs: S spans different magnitudes on each
-    @pytest.mark.parametrize(
+    three_designs = pytest.mark.parametrize(
         "transistor, options",
         [
             ("GAN-1", {"series_cap": "match-drain"}),
@@ -708,14 +718,10 @@ class TestWriters:
         ],
         ids=["gan1-match-drain", "phemt1-lossy", "gan1-match-drain-ginzton"],
     )
-    def test_multi_block_sweep_rows_match_per_field_rendering(self, transistor, options):
-        from dakit.mna import _BLOCK, build_network, sweep
 
-        catalog = load_catalog(json.dumps(CATALOG))
-        report = synthesize_design(
-            catalog.get(transistor), Substrate(4.4, 1.6, 0.035), DesignOptions(**options)
-        )
-        swp = sweep(build_network(report), 10e6, 15e9, 2 * _BLOCK + 1)
+    @three_designs
+    def test_multi_block_sweep_rows_match_per_field_rendering(self, transistor, options):
+        swp = self.multi_block_sweep(transistor, options)
         touchstone, csv = io.StringIO(), io.StringIO()
         write_touchstone(swp, touchstone)
         write_csv(swp, csv)
@@ -741,6 +747,30 @@ class TestWriters:
             assert csv_row == ",".join("%.9e" % x for x in fields)
         # the unilateral amplifier's S12 is exactly zero, which renders as -inf
         assert all(row.split(",")[3] == "-inf" for row in csv_rows[1:])
+
+    @three_designs
+    def test_csv_db_and_phase_are_cpythons_bit_for_bit(self, transistor, options, monkeypatch):
+        # the rendered CSV has 10 digits, which cannot tell numpy's abs or
+        # log10 from CPython's; the table handed to the formatter can
+        import dakit._e9
+
+        tables = []
+        monkeypatch.setattr(dakit._e9, "e9_rows", lambda table, sep: tables.append(table) or "")
+        swp = self.multi_block_sweep(transistor, options)
+        write_csv(swp, io.StringIO())
+        (table,) = tables
+
+        def db(s):
+            return 20.0 * math.log10(abs(s)) if abs(s) else -math.inf
+
+        expected = [
+            [f, db(s11), db(s21), db(s12), db(s22), math.degrees(math.atan2(s21.imag, s21.real))]
+            # Python complex values, so that abs is CPython's
+            for f, ((s11, s12), (s21, s22)) in zip(swp.frequencies, swp.s_matrices.tolist())
+        ]
+        assert [list(map(float.hex, row)) for row in table.tolist()] == [
+            list(map(float.hex, row)) for row in expected
+        ]
 
 
 _MAX = sys.float_info.max

@@ -359,24 +359,6 @@ def test_plans_analysed_apart_compare_and_hash_without_raising(gan, fr4):
     assert first == second and hash(first) == hash(second)
 
 
-# the records whose __init__ Record compiles: they only store their fields
-STORING = (
-    DesignReport,
-    VerificationRow,
-    ScreeningResult,
-    Table1Check,
-    GainFigures,
-    ImpedanceResult,
-    Resistor,
-    Capacitor,
-    Inductor,
-    Vccs,
-    Port,
-    SweepMetrics,
-    TaperReport,
-)
-
-
 def _package_records():
     for module in pkgutil.iter_modules(dakit.__path__):
         importlib.import_module(f"dakit.{module.name}")
@@ -391,30 +373,110 @@ def test_every_record_is_a_case_and_takes_its_fields_in_order():
         assert list(inspect.signature(cls).parameters) == list(cls._fields), cls
 
 
-def test_only_the_storing_records_get_a_compiled_init_each_under_its_own_name():
-    filenames = {cls: cls.__init__.__code__.co_filename for cls in _package_records()}
-    compiled = {cls for cls, filename in filenames.items() if filename.startswith("<")}
-    assert compiled == set(STORING)
-    for cls in compiled:
-        assert filenames[cls] == f"<{cls.__module__}.{cls.__qualname__}.__init__>"
-        assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+def test_every_record_gets_a_compiled_init_under_its_own_name():
+    for cls in _package_records():
+        # the __init__ in the class's own dict is the compiled one, so no
+        # record writes its own
+        init = vars(cls)["__init__"]
+        assert init.__code__.co_filename == f"<{cls.__module__}.{cls.__qualname__}.__init__>"
+        assert init.__qualname__ == f"{cls.__qualname__}.__init__"
     # a subclass of a checking record keeps its check
     with pytest.raises(DakitError):
         type("Checked", (Substrate,), {})(True, 1.6)
 
 
+# every record's signature: parameter names in order, with their defaults;
+# every parameter is positional-or-keyword, as __reduce__ needs
+SIGNATURES = {
+    TransistorModel: "name, gm, cgs, cds, ri=0.0, rds=inf, reference=''",
+    Substrate: "er, h_mm, t_mm=0.0",
+    Catalog: "transistors, source=''",
+    VerificationRow: (
+        "reference_tag, effective_capacitance, claimed_limit_hz, pout_w='', pae_pct='', "
+        "gain_db='', achieved_band_ghz=''"
+    ),
+    DesignOptions: (
+        "system_impedance=50.0, stages=None, taper=None, series_cap=None, "
+        "include_microstrip_parasitics=False, design_frequency_hz=None"
+    ),
+    ScreeningResult: (
+        "name, direct_pass, required_series_cap, resulting_fc, gain_penalty_factor, note=''"
+    ),
+    Table1Check: "tag, effective_capacitance, claimed_limit_hz, computed_limit_hz, rel_error",
+    DesignReport: (
+        "transistor, options, effective_cgs, series_capacitor, gain_penalty_factor, stages, "
+        "gate_cell, drain_cell, gate_cells, drain_cells, gate_line, drain_line, "
+        "velocity_mismatch, phase_per_cell_gate, phase_per_cell_drain, design_frequency_hz, "
+        "gains, taper, taper_gate_profile, taper_drain_profile, gate_section_lines, "
+        "drain_section_lines, predicted_fc"
+    ),
+    LineCell: "inductance, capacitance",
+    LineSection: "z_series, y_shunt",
+    TaperProfile: "side, sections, terminal_impedance=50.0",
+    TaperReport: "gamma_gate, gamma_drain, z_gate, z_drain, fc_gate, fc_drain, fc_total",
+    GainFigures: "av, gp_lossless, gp_lossy, n_opt_continuous, n_recommended",
+    MicrostripLine: "width_mm, length_cm, substrate, z0, l_nh_per_cm, c_pf_per_cm",
+    ImpedanceResult: "z0, valid",
+    Resistor: "a, b, ohms",
+    Capacitor: "a, b, farads",
+    Inductor: "a, b, henries",
+    Vccs: "out_p, out_m, ctrl_p, ctrl_m, gm",
+    Port: "node, z0=50.0",
+    Network: "node_count, elements, port1, port2",
+    SweepMetrics: "low_freq_gain_db, cutoff_hz, worst_s11_db",
+}
+
+
+def test_each_record_keeps_its_parameter_names_kinds_and_defaults():
+    assert set(SIGNATURES) == _package_records()
+    for cls, expected in SIGNATURES.items():
+        params = inspect.signature(cls).parameters.values()
+        assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}, cls
+        rendered = ", ".join(
+            p.name if p.default is p.empty else f"{p.name}={p.default!r}" for p in params
+        )
+        assert rendered == expected, cls
+
+
+# the records that check their fields
+CHECKED = [case[:2] for case in CASES if hasattr(case[0], "__post_init__")]
+
+
+@pytest.mark.parametrize("cls, fields", CHECKED, ids=[cls.__name__ for cls, _ in CHECKED])
+def test_copies_of_a_checked_record_are_checked_again(cls, fields):
+    record = cls(**fields)
+    # a first field forced to None, past the frozen record's guard
+    object.__setattr__(record, cls._fields[0], None)
+    for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        with pytest.raises(DakitError, match="got None$"):
+            clone(record)
+
+
+def _drop_a_required_field(cls, fields):
+    """The call without its first field that has no default, or None when
+    every field has one, as in DesignOptions."""
+    required = [name for name in fields if name not in getattr(cls, "_defaults", {})]
+    if not required:
+        return None
+    return (), {name: value for name, value in fields.items() if name != required[0]}
+
+
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(lambda fields: ((), dict(list(fields.items())[1:])), id="missing"),
-        pytest.param(lambda fields: ((), {**fields, "unknown": 1}), id="unknown"),
-        pytest.param(lambda fields: ((*fields.values(), 1), {}), id="extra"),
-        pytest.param(lambda fields: ((next(iter(fields.values())),), fields), id="duplicate"),
+        pytest.param(_drop_a_required_field, id="missing"),
+        pytest.param(lambda cls, fields: ((), {**fields, "unknown": 1}), id="unknown"),
+        pytest.param(lambda cls, fields: ((*fields.values(), 1), {}), id="extra"),
+        pytest.param(
+            lambda cls, fields: ((next(iter(fields.values())),), fields), id="duplicate"
+        ),
     ],
 )
 def test_compiled_init_refuses_a_bad_call_with_type_error(call):
     for cls, fields, _, _ in CASES:
-        if cls in STORING:
-            args, kwargs = call(fields)
-            with pytest.raises(TypeError, match=rf"^{cls.__qualname__}\.__init__\(\) "):
-                cls(*args, **kwargs)
+        bad = call(cls, fields)
+        if bad is None:
+            continue
+        args, kwargs = bad
+        with pytest.raises(TypeError, match=rf"^{cls.__qualname__}\.__init__\(\) "):
+            cls(*args, **kwargs)
