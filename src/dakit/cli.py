@@ -91,16 +91,16 @@ def write_csv(swp: mna.TwoPortSweep, destination) -> None:
     import numpy as np
 
     from ._e9 import e9_rows
-    from .mna import _db
 
     n = len(swp.frequencies)
-    # S11, S21, S12, S22, each over every point; the phase stays with math,
-    # which numpy's arctan2 does not match to the last bit
-    s = swp.s_matrices.reshape(n, 4).T[[0, 2, 1, 3]]
+    # the sweep's dB are S11, S12, S21 and S22 of each point; the columns
+    # are S11, S21, S12, S22. The phase stays with math, which numpy's
+    # arctan2 does not match to the last bit
+    s21 = swp.s_matrices[:, 1, 0]
     table = np.empty((n, 6))
     table[:, 0] = swp.frequencies
-    table[:, 1:5] = np.fromiter(_db(s), np.float64, 4 * n).reshape(4, n).T
-    table[:, 5] = list(map(math.degrees, map(math.atan2, s[1].imag.tolist(), s[1].real.tolist())))
+    table[:, 1:5] = swp.s_db[:, [0, 2, 1, 3]]
+    table[:, 5] = list(map(math.degrees, map(math.atan2, s21.imag.tolist(), s21.real.tolist())))
     header = "freq_hz,s11_db,s21_db,s12_db,s22_db,s21_phase_deg\n"
     _write_text(destination, header + e9_rows(table, ","))
 

@@ -70,7 +70,7 @@ class Catalog(Record):
         for t in transistors:
             instance_of(t, TransistorModel, "catalog entry", CatalogError)
             if t.name in seen:
-                raise CatalogError(f"duplicate transistor name: {t.name!r}")
+                raise CatalogError(f"duplicate transistor name, got {t.name!r}")
             seen.add(t.name)
         instance_of(self.source, str, "catalog source", CatalogError)
 

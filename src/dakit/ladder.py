@@ -33,7 +33,9 @@ class LineCell(Record):
         # extreme values underflow or overflow
         ratio, product = inductance / capacitance, inductance * capacitance
         if not (0 < ratio < math.inf and 0 < product < math.inf):
-            raise DesignError(f"cell L = {inductance} H and C = {capacitance} F are out of range")
+            raise DesignError(
+                f"cell L (H) and C (F) are out of range, got {(inductance, capacitance)!r}"
+            )
 
     @property
     def z0(self) -> float:

@@ -44,7 +44,9 @@ class MicrostripLine(Record):
         positive(c_pf_per_cm, "c'", GeometryError)
         expected_c = 1000.0 * l_nh_per_cm / (z0 * z0)
         if abs(expected_c - c_pf_per_cm) > 1e-9 * abs(expected_c):
-            raise GeometryError("inconsistent distributed constants: c' != 1000*l'/z0^2")
+            raise GeometryError(
+                f"inconsistent distributed constants: c' != 1000*l'/z0^2, got {c_pf_per_cm!r}"
+            )
 
 
 def z0_of(width_mm: float, substrate: Substrate) -> ImpedanceResult:

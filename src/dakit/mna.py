@@ -40,7 +40,9 @@ written out in closed form for the 2x2 case, straight into a read-only
 (frequencies, 2, 2) complex128 array. The port-system and finiteness
 checks run on that sweep-wide S too. That array is what a TwoPortSweep
 holds, and extract_metrics and the writers read it with whole-array
-calls: S is never unpacked point by point.
+calls: S is never unpacked point by point. A sweep computes the dB of
+each entry of S once, on first use, as its s_db table, which
+extract_metrics and the CSV writer share.
 
 There is no pivoting. The order is the passive-branch (R, L or C)
 breadth-first distance from the two ports, farthest node first, ties by
@@ -198,10 +200,11 @@ class TwoPortSweep:
 
     s_matrices is one read-only complex128 array of shape (n, 2, 2), whose
     entry k is ((s11, s12), (s21, s22)) at frequencies[k]. The constructor
-    keeps such an array, as sweep makes it; any other S, such as nested
-    tuples, is checked entry by entry and copied into one. Sweeps compare
-    and hash by their frequencies, the bytes of S and the reference
-    impedance, and copy and pickle through the constructor.
+    keeps such an array; any other S, such as nested tuples, is checked
+    entry by entry and copied into one. Sweeps compare and hash by their
+    frequencies, the bytes of S and the reference impedance, and copy and
+    pickle through the constructor. sweep stores what it made without the
+    constructor's checks, which it has made itself.
     """
 
     frequencies: tuple[float, ...]
@@ -213,8 +216,12 @@ class TwoPortSweep:
 
         freqs, s, z0 = self.frequencies, self.s_matrices, self.reference_impedance
         instance_of(freqs, tuple, "frequencies", SimulationError)
-        for f in freqs:
-            positive(f, "frequency", SimulationError)
+        # positive, finite floats pass in three C loops; otherwise positive
+        # runs over them and names the first that fails
+        floats = [*map(type, freqs)].count(float) == len(freqs)
+        if not (floats and 0.0 < min(freqs, default=1.0) and sum(freqs) < math.inf):
+            for f in freqs:
+                positive(f, "frequency", SimulationError)
         if z0 is not None:
             positive(z0, "reference impedance", SimulationError)
         own = (
@@ -240,6 +247,30 @@ class TwoPortSweep:
         s = s.astype(complex)
         s.flags.writeable = False
         set_field(self, "s_matrices", s)
+
+    @classmethod
+    def _made(cls, frequencies, s_matrices, reference_impedance) -> TwoPortSweep:
+        """The sweep of values that their maker has checked: sweep's grid,
+        positive and finite from checked ends, and the S of _solve, which
+        refuses one that is not finite."""
+        swp = object.__new__(cls)
+        set_field(swp, "frequencies", frequencies)
+        set_field(swp, "s_matrices", s_matrices)
+        set_field(swp, "reference_impedance", reference_impedance)
+        return swp
+
+    @functools.cached_property
+    def s_db(self) -> numpy.ndarray:
+        """20 log10 |S|, -inf where |S| is 0, as a read-only (n, 4) float64
+        array whose row k holds S11, S12, S21 and S22 at frequencies[k].
+
+        Computed on first use and kept, so that extract_metrics and
+        write_csv take each entry's dB once a sweep. It is no field: a
+        copy, an unpickled sweep or a dataclasses.replace computes its own.
+        """
+        db = _db(self.s_matrices).reshape(-1, 4)
+        db.flags.writeable = False
+        return db
 
     def __eq__(self, other: object):
         if other.__class__ is not self.__class__:
@@ -364,22 +395,27 @@ def sweep(
         raise SimulationError(f"spacing must be {LINEAR!r} or {LOG!r}, got {spacing!r}")
     freqs[0] = f_start
     freqs[-1] = f_stop
-    return TwoPortSweep(
-        frequencies=tuple(freqs),
-        s_matrices=_solve(net, freqs),
-        reference_impedance=net.port1.z0 if net.port1.z0 == net.port2.z0 else None,
+    return TwoPortSweep._made(
+        tuple(freqs),
+        _solve(net, freqs),
+        net.port1.z0 if net.port1.z0 == net.port2.z0 else None,
     )
 
 
-def _db(s: numpy.ndarray) -> list[float]:
-    """20 log10 |s| of each entry of the complex array s, as one flat list in
-    C order, -inf where |s| is 0. numpy's hypot is the libm hypot that
-    abs(complex) calls, so |s| is abs's bit for bit; the dB stay with
-    math.log10, which numpy's log10 does not match to the last bit."""
+def _db(s: numpy.ndarray) -> numpy.ndarray:
+    """20 log10 |s| of each entry of the complex array s, as a float64 array
+    of s's shape, -inf where |s| is 0, which costs no log10. numpy's hypot
+    is the libm hypot that abs(complex) calls, so |s| is abs's bit for bit;
+    the log10 stay with math's, which numpy's does not match to the last
+    bit, mapped over the nonzero magnitudes. numpy's multiply by 20 is
+    Python's, one IEEE rounding."""
     import numpy as np
 
-    log10, inf = math.log10, math.inf
-    return [20.0 * log10(m) if m else -inf for m in np.hypot(s.real, s.imag).ravel().tolist()]
+    m = np.hypot(s.real, s.imag)
+    db = np.full(m.shape, -math.inf)
+    nonzero = m != 0.0
+    db[nonzero] = 20.0 * np.array(list(map(math.log10, m[nonzero].tolist())))
+    return db
 
 
 def extract_metrics(swp: TwoPortSweep) -> SweepMetrics:
@@ -392,9 +428,7 @@ def extract_metrics(swp: TwoPortSweep) -> SweepMetrics:
     """
     instance_of(swp, TwoPortSweep, "sweep", SimulationError)
     freqs = swp.frequencies
-    # S11 and S21 of each point in turn, from S's first column
-    dbs = _db(swp.s_matrices[:, :, 0])
-    s11_dbs, s21_dbs = dbs[0::2], dbs[1::2]
+    s11_dbs, s21_dbs = swp.s_db[:, 0].tolist(), swp.s_db[:, 2].tolist()
     ref = s21_dbs[0]
     threshold = ref - 3.0
     cutoff = None

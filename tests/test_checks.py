@@ -141,6 +141,13 @@ ROWS = [
     ),
     # a catalog's entries are a tuple, so that it hashes
     ("Catalog-transistors", Catalog, ((GAN,),), {0: (None, "x", [GAN])}),
+    # the second entry's name must differ from the first's
+    (
+        "Catalog-names",
+        lambda name: Catalog((GAN, TransistorModel(name, 0.08, 1.4e-13, 5e-14))),
+        ("PHEMT-1",),
+        {0: ("GAN-1",)},
+    ),
     ("effective_gate_capacitance", effective_gate_capacitance, (1e-12, 1e-13),
      {0: FINITE, 1: OPTIONAL}),
     ("max_capacitance_for_bandwidth", max_capacitance_for_bandwidth, (1e9, 50.0),
@@ -150,6 +157,13 @@ ROWS = [
      {0: NOT_RECORDS, 1: FINITE, 2: FINITE}),
     ("verify_table1", verify_table1, (50.0,), {0: FINITE}),
     ("LineCell", LineCell, (2e-9, 8e-13), {0: FINITE, 1: FINITE}),
+    # L and C each in range, but L/C or L*C overflows or underflows
+    (
+        "LineCell-pair",
+        lambda pair: LineCell(*pair),
+        ((2e-9, 8e-13),),
+        {0: ((1e-300, 1e300), (1e300, 1e-300), (1e200, 1e200), (1e-200, 1e-200))},
+    ),
     ("LineSection", LineSection, (2j, 0.5 + 3j), {0: COMPLEX, 1: COMPLEX}),
     ("cell_for_impedance", cell_for_impedance, (50.0, 1e-12), {0: FINITE, 1: FINITE}),
     ("cutoff_frequency", cutoff_frequency, (50.0, 1e-12), {0: FINITE, 1: FINITE}),
@@ -171,8 +185,9 @@ ROWS = [
     ("n_opt_from_params", n_opt_from_params, (1e9, 1.0, 1e-12, 200.0, 50.0),
      {0: FINITE, 1: FINITE, 2: FINITE, 3: FINITE, 4: FINITE}),
     ("recommended_n", recommended_n, (4.2,), {0: UP_TO_INF}),
+    # c' = 1000*l'/z0^2 = 2.0, so any other c' is inconsistent with l' and z0
     ("MicrostripLine", MicrostripLine, (3.0, 0.5, FR4, 50.0, 5.0, 2.0),
-     {0: FINITE, 1: FINITE, 2: NOT_RECORDS, 3: FINITE, 4: FINITE, 5: FINITE}),
+     {0: FINITE, 1: FINITE, 2: NOT_RECORDS, 3: FINITE, 4: FINITE, 5: FINITE + (1.0, 2.1)}),
     ("z0_of", z0_of, (1.0, FR4), {0: FINITE, 1: NOT_RECORDS}),
     ("width_for", width_for, (50.0, FR4), {0: FINITE, 1: NOT_RECORDS}),
     ("line_constants", line_constants, (50.0, 4.4), {0: FINITE, 1: FINITE}),

@@ -874,6 +874,39 @@ class TestE9Rows:
         got, want = _render([1.0000000005, 9.9999999995])
         assert got == want == "1.000000001e+00 9.999999999e+00\n"
 
+    @pytest.mark.parametrize("fields, sep", [(9, " "), (6, ","), (9, ","), (6, " ")])
+    @pytest.mark.parametrize("kind", ["every-value", "fast-path-only"])
+    def test_a_multi_block_table_renders_as_percent_9e(self, fields, sep, kind):
+        # hypothesis draws at most 12 rows; the writers pass 2*_BLOCK + 1 for
+        # a multi-block sweep. Every kind of value lands at a row end and in
+        # the middle of a long text. The fast-path-only table has about one
+        # NUL a field, which bytes.replace drops; the other has infinities and
+        # fallbacks, whose NULs bytes.translate drops
+        import numpy as np
+
+        from dakit.mna import _BLOCK
+
+        values = [0.0, -0.0]
+        for exponent in range(-13, 32):
+            for mantissa in ("1", "1.234567891", "4.999999999", "9.87654321", "9.999999999"):
+                values += [float(f"{mantissa}e{exponent}"), -float(f"{mantissa}e{exponent}")]
+        if kind == "every-value":
+            values += [math.inf, -math.inf, math.nan, -math.nan]
+            # subnormals and the exponents of three digits, either sign
+            values += [5e-324, -5e-324, 2.5e-320, -1.1e-310, 2.2250738585072014e-308]
+            values += [1e-300, -1e-300, 1.5e-150, -3.3e200, 1e300, 1.7976931348623157e308]
+            for exponent in (-14, 32):
+                values += [float(f"1.234567891e{exponent}"), -float(f"9.8e{exponent}")]
+            # near ties, the carry to the next exponent among them
+            for exponent in range(-14, 33):
+                v = float(f"9.9999999995e{exponent}")
+                values += [v, -v, math.nextafter(v, 0.0), float(f"1.0000000005e{exponent}")]
+            values += [1234567890.5, -(9876543210.5 / 2**20)]
+        rows = 2 * _BLOCK + 1
+        # the values repeat down the table, each time a field further along
+        table = np.resize(np.array(values), rows * fields).reshape(rows, fields)
+        assert e9_rows(table, sep) == _percent_rows(table.tolist(), sep)
+
 
 # Runs in a fresh interpreter, because this test session has already loaded
 # numpy. Each command runs in turn, simulate last, and the probe records

@@ -29,7 +29,7 @@ from dakit import (
     sweep,
     synthesize_design,
 )
-from dakit.mna import _BLOCK, _analyse
+from dakit.mna import _BLOCK, _analyse, _db
 from records import replace
 
 # matched symmetric pi attenuator, voltage ratio A: shunt z0(A+1)/(A-1),
@@ -424,6 +424,110 @@ class TestSweep:
         s.flags.writeable = False
         with pytest.raises(SimulationError, match=re.escape("got (1+nanj)")):
             TwoPortSweep(swp.frequencies, s, 50.0)
+
+    def test_a_sweep_equals_the_checked_sweep_of_its_values(self):
+        # sweep stores its grid and S without the constructor's checks
+        swp = sweep(build_network(proto_amp()), 10e6, 10e9, 21, spacing=LOG)
+        rebuilt = TwoPortSweep(swp.frequencies, swp.s_matrices, swp.reference_impedance)
+        assert rebuilt == swp and rebuilt.s_matrices is swp.s_matrices
+
+    @pytest.mark.parametrize(
+        "freqs, bad",
+        [((1e9, 2, -3.0), -3.0), ((1e9, 2e9, math.nan), math.nan), ((True, 2e9), True),
+         ((1e308, 1e308, 1e308), None), ((1e9, 0.0, 3e9), 0.0), ((1e9, "2e9"), "2e9")],
+    )
+    def test_the_first_bad_frequency_is_named(self, freqs, bad):
+        # ints, and floats whose sum overflows, pass as positive passes them
+        s = (((0.1 + 0j, 0j), (1 + 0j, 0j)),) * len(freqs)
+        if bad is None:
+            assert TwoPortSweep(freqs, s, 50.0).frequencies == freqs
+            return
+        message = f"frequency must be positive and finite, got {bad!r}"
+        with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+            TwoPortSweep(freqs, s, 50.0)
+
+
+class TestDbTable:
+    """A sweep computes the dB of each |S| entry once, on first use."""
+
+    @staticmethod
+    def amp_sweep(points):
+        return sweep(build_network(proto_amp()), 10e6, 15e9, points)
+
+    def test_the_table_is_db_of_s_bit_for_bit_and_kept(self):
+        swp = self.amp_sweep(2 * _BLOCK + 1)
+        table = swp.s_db
+        assert table is swp.s_db
+        assert table.shape == (2 * _BLOCK + 1, 4) and table.dtype == np.float64
+        assert not table.flags.writeable
+        assert table.tobytes() == _db(swp.s_matrices).tobytes()
+
+        def db(s):
+            return 20.0 * math.log10(abs(s)) if abs(s) else -math.inf
+
+        # S11, S12, S21 and S22 of each point, from CPython's abs and log10
+        want = [[db(s) for s in (*row1, *row2)] for row1, row2 in swp.s_matrices.tolist()]
+        assert [list(map(float.hex, row)) for row in table.tolist()] == [
+            list(map(float.hex, row)) for row in want
+        ]
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s)), dataclasses.replace],
+        ids=["copy", "deepcopy", "pickle", "replace"],
+    )
+    def test_a_copy_computes_its_own_table(self, clone):
+        swp = self.amp_sweep(21)
+        table = swp.s_db
+        copied = clone(swp)
+        assert "s_db" not in vars(copied)
+        assert copied.s_db is not table
+        assert copied.s_db.tobytes() == table.tobytes()
+
+    def test_a_replaced_s_gets_the_table_of_its_own_s(self):
+        swp = self.amp_sweep(21)
+        table = swp.s_db
+        halved = dataclasses.replace(swp, s_matrices=swp.s_matrices * 0.5)
+        assert halved.s_db.tobytes() == _db(halved.s_matrices).tobytes()
+        assert halved.s_db.tobytes() != table.tobytes()
+
+    @pytest.mark.parametrize("points", [3, 2 * _BLOCK + 1])
+    def test_metrics_and_csv_take_each_db_once(self, points, monkeypatch):
+        import io
+
+        from dakit import mna
+        from dakit.cli import write_csv
+
+        def outputs(swp, csv_first):
+            csv = io.StringIO()
+            if csv_first:
+                write_csv(swp, csv)
+            metrics = repr(extract_metrics(swp))
+            if not csv_first:
+                write_csv(swp, csv)
+            return metrics, csv.getvalue()
+
+        swp, other = self.amp_sweep(points), self.amp_sweep(points)
+        logs = []
+
+        class CountingMath:
+            inf = math.inf
+
+            @staticmethod
+            def log10(x):
+                logs.append(x)
+                return math.log10(x)
+
+        monkeypatch.setattr(mna, "math", CountingMath)
+        metrics, csv = outputs(swp, csv_first=False)
+        # S12 of the unilateral amplifier is 0, which costs no log10
+        assert swp.s_matrices[:, 0, 1].tolist() == [0j] * points
+        assert len(logs) == 3 * points
+        # the same bytes whichever reader fills the table, and as from a
+        # sweep that the constructor checked
+        assert outputs(other, csv_first=True) == (metrics, csv)
+        rebuilt = TwoPortSweep(swp.frequencies, swp.s_matrices.tolist(), 50.0)
+        assert outputs(rebuilt, csv_first=False) == (metrics, csv)
 
 
 def dense_reference(net: Network, f: float) -> np.ndarray:
