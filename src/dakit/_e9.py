@@ -7,19 +7,20 @@ so that the commands that write no sweep do not compile it.
 Each field is built as a packed 17-byte record: a sign byte, "-" or NUL,
 then two little-endian 64-bit words. The first holds "d.dddddd" and the
 second "ddde+xx" and the separator, so that a field's text is its record
-without its NULs. The digits are looked up whole in a table of the 10000
-four-digit strings, three lookups a field. The records of the whole table
-then lose their NULs in one pass over their bytes: bytes.replace when
-there are few, about one a field (the sign of each positive value), and
-bytes.translate when an infinity's twelve make them many, as in a column
-of -inf dB; replace costs about 20 ns a NUL and translate about 1 ns a
-byte, whatever it drops.
+without its NULs. Each word is the OR of two words looked up in tables of
+spelled-out digits: the first four digits and the point in a table of
+10000, the next three and the last three in tables of 1000, and the
+exponent in one of 46. The records of the whole table then lose their
+NULs in one pass over their bytes: bytes.replace when there are few,
+about one a field (the sign of each positive value), and bytes.translate
+when they are many, as an infinity leaves 12 and a fallback 15 (a column
+of -inf dB, say). replace costs about 20 ns a NUL and translate about
+1 ns a byte, whatever it drops.
 """
 
 from __future__ import annotations
 
-# the lookup tables, built on the first call: see _tables
-_TABLES = None
+import functools
 
 
 def e9_rows(table, sep: str) -> str:
@@ -50,8 +51,9 @@ def e9_rows(table, sep: str) -> str:
     # NaN and the infinities run through as NaN and inf, and cast to
     # meaningless digits, which their own records replace
     with np.errstate(invalid="ignore"):
-        # k = 32 - e indexes the factors: the estimate from the binary
-        # exponent, which is 0 for a zero, so that 0 renders as 0e+00
+        # k = 32 - e indexes the tables, first for the estimate from the
+        # biased binary exponent; a zero's is 0, which gives k = 32, e = 0
+        # and, with q = 0, the digits of 0.000000000e+00
         k = k_of.take(a.view(np.int64) >> 52)
         q = a * up.take(k) / down.take(k)
         k -= q > 1e10
@@ -76,9 +78,9 @@ def e9_rows(table, sep: str) -> str:
     others = np.flatnonzero(~fast)
     # zeros keep the digits they have; infinities and fallbacks keep only
     # their separator
-    a = a[others]
-    inf = others[a == np.inf]
-    slow = others[(a != 0.0) & (a != np.inf)]
+    magnitude = a[others]
+    inf = others[magnitude == np.inf]
+    slow = others[(magnitude != 0.0) & (magnitude != np.inf)]
     separator = np.uint64(0xFF << 56)
     w0[inf] = int.from_bytes(b"inf", "little")
     w1[inf] &= separator
@@ -98,46 +100,52 @@ def e9_rows(table, sep: str) -> str:
     return text.decode("ascii")
 
 
+@functools.cache
 def _tables():
-    """The lookup tables of e9_rows, built on its first call.
+    """The lookup tables of e9_rows, built on its first call, each word as
+    its eight bytes, all read-only.
 
-    lead[n] holds "d.ddd" for the four digits of n < 10000, middle[n] the
-    three digits of n < 1000 at bytes 5..7 of a word and last[n] at bytes
-    0..2. For k = 32 - e, 0 <= k <= 45, exponent[k] holds "e+xx" at bytes
-    3..6, and |x|*up[k]/down[k] is q: both factors are exact, one of them
-    1.0, so that q takes one rounding, and up[0] is NaN, so that e = 32
-    and above take the fallback. k_of[E] is k of e's estimate for the
-    biased binary exponent E, clipped to 1..45 as e is to -13..31, and 32
-    for a zero. record_type is the packed 17-byte field.
+    lead[n] holds "d.ddd" for the four digits of n < 10000, last[n] the
+    three digits of n < 1000 at bytes 0..2 and middle[n] at bytes 5..7.
+    For k = 32 - e, 0 <= k <= 45, exponent[k] holds "e+xx" at bytes 3..6,
+    and |x|*up[k]/down[k] is q: both factors are exact, one of them 1.0,
+    so that q takes one rounding, and up[0] is NaN, so that e = 32 and
+    above take the fallback. k_of[E] is k of e's estimate for the biased
+    binary exponent E, clipped to 1..45 as e is to -13..31, and 32 for a
+    zero. record_type is the packed 17-byte field.
     """
-    global _TABLES
-    if _TABLES is None:
-        import numpy as np
+    import numpy as np
 
-        u = np.uint64
-        n = np.arange(10000, dtype=u)
-        # "0000" .. "9999", the first digit in the lowest byte
-        quad = u(0)
-        for place in range(4):
-            digit = n // u(10 ** (3 - place)) % u(10) + u(ord("0"))
-            quad = quad | digit << u(8 * place)
-        lead = quad & u(0xFF) | u(ord(".") << 8) | quad >> u(8) << u(16)
-        last = quad[:1000] >> u(8)
-        e = 32 - np.arange(46)
-        exponent = (
-            u(ord("e") << 24)
-            | np.where(e < 0, u(ord("-")), u(ord("+"))) << u(32)
-            | quad[np.abs(e)] >> u(16) << u(40)
-        )
-        tens = [float(10**i) for i in range(23)]
-        up = np.array([np.nan] + [1.0] * 23 + tens[1:])
-        down = np.array([1.0] + tens[::-1] + [1.0] * 22)
-        estimate = np.floor((np.arange(2048) - 1023) * 0.3010299956639812)
-        k_of = np.clip(32 - estimate, 1, 45).astype(np.intp)
-        k_of[0] = 32
-        record_type = np.dtype(
-            {"names": ["sign", "w0", "w1"], "formats": ["u1", "<u8", "<u8"],
-             "offsets": [0, 1, 9], "itemsize": 17}
-        )
-        _TABLES = lead, last << u(40), last, exponent, up, down, k_of, record_type
-    return _TABLES
+    def spelled(count, at):
+        """A row of eight bytes for each n < 10**count: n's digits, first
+        digit first, at the bytes at, and NULs."""
+        rows = np.zeros((10,) * count + (8,), np.uint8)
+        for place, byte in enumerate(at):
+            shape = [1] * count
+            shape[place] = 10
+            rows[..., byte] = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8).reshape(shape)
+        return rows.reshape(-1, 8)
+
+    lead = spelled(4, (0, 2, 3, 4))
+    lead[:, 1] = ord(".")
+    middle = spelled(3, (5, 6, 7))
+    last = spelled(3, (0, 1, 2))
+    e = 32 - np.arange(46)
+    exponent = spelled(2, (5, 6))[np.abs(e)]
+    exponent[:, 3] = ord("e")
+    exponent[:, 4] = np.where(e < 0, ord("-"), ord("+"))
+    tens = [float(10**i) for i in range(23)]
+    up = np.array([np.nan] + [1.0] * 23 + tens[1:])
+    down = np.array([1.0] + tens[::-1] + [1.0] * 22)
+    estimate = np.floor((np.arange(2048) - 1023) * 0.3010299956639812)
+    k_of = np.clip(32 - estimate, 1, 45).astype(np.intp)
+    k_of[0] = 32
+    record_type = np.dtype(
+        {"names": ["sign", "w0", "w1"], "formats": ["u1", "<u8", "<u8"],
+         "offsets": [0, 1, 9], "itemsize": 17}
+    )
+    words = [table.view("<u8").ravel() for table in (lead, middle, last, exponent)]
+    tables = *words, up, down, k_of
+    for table in tables:
+        table.flags.writeable = False
+    return *tables, record_type
