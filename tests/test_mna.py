@@ -529,6 +529,24 @@ class TestDbTable:
         rebuilt = TwoPortSweep(swp.frequencies, swp.s_matrices.tolist(), 50.0)
         assert outputs(rebuilt, csv_first=False) == (metrics, csv)
 
+        # and as per point from CPython's abs, log10, atan2 and degrees
+        def db(s):
+            return 20.0 * math.log10(abs(s)) if abs(s) else -math.inf
+
+        rows, s11_dbs, s21_dbs = [], [], []
+        for f, ((s11, s12), (s21, s22)) in zip(swp.frequencies, swp.s_matrices.tolist()):
+            phase = math.degrees(math.atan2(s21.imag, s21.real))
+            fields = (f, db(s11), db(s21), db(s12), db(s22), phase)
+            rows.append(",".join("%.9e" % v for v in fields))
+            s11_dbs.append(db(s11))
+            s21_dbs.append(db(s21))
+        assert csv.splitlines()[1:] == rows
+        m = extract_metrics(swp)
+        assert m.low_freq_gain_db.hex() == s21_dbs[0].hex()
+        cutoff = math.inf if m.cutoff_hz is None else m.cutoff_hz
+        in_band = [d for f, d in zip(swp.frequencies, s11_dbs) if f <= cutoff]
+        assert m.worst_s11_db.hex() == max(in_band).hex()
+
 
 def dense_reference(net: Network, f: float) -> np.ndarray:
     # per-frequency solve of the whole nodal system: both ports terminated
