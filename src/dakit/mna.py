@@ -216,12 +216,8 @@ class TwoPortSweep:
 
         freqs, s, z0 = self.frequencies, self.s_matrices, self.reference_impedance
         instance_of(freqs, tuple, "frequencies", SimulationError)
-        # positive, finite floats pass in three C loops; otherwise positive
-        # runs over them and names the first that fails
-        floats = [*map(type, freqs)].count(float) == len(freqs)
-        if not (floats and 0.0 < min(freqs, default=1.0) and sum(freqs) < math.inf):
-            for f in freqs:
-                positive(f, "frequency", SimulationError)
+        for f in freqs:
+            positive(f, "frequency", SimulationError)
         if z0 is not None:
             positive(z0, "reference impedance", SimulationError)
         own = (

@@ -879,9 +879,8 @@ class TestE9Rows:
     def test_a_multi_block_table_renders_as_percent_9e(self, fields, sep, kind):
         # hypothesis draws at most 12 rows; the writers pass 2*_BLOCK + 1 for
         # a multi-block sweep. Every kind of value lands at a row end and in
-        # the middle of a long text. The fast-path-only table has about one
-        # NUL a field, which bytes.replace drops; the other has infinities and
-        # fallbacks, whose NULs bytes.translate drops
+        # the middle of a long text; the fast-path-only table's text is never
+        # split for a fallback
         import numpy as np
 
         from dakit.mna import _BLOCK
