@@ -24,25 +24,29 @@ A Network is stamped once, at construction: one pass over its elements
 checks their values and collects its topology, the analysis refuses a bad
 topology with DesignError or returns the plan, and the values are stamped
 into the plan's slots as G, C and Gamma, which the network keeps with its
-plan. A solve then works through the sweep _BLOCK frequencies at a time.
-A block holds Y at its frequencies as one contiguous (slots, frequencies)
-array, assembled from those arrays; the program runs on its rows and
-eliminates the internal nodes, leaving the 2x2 port admittance Yp in the
-port slots, and the block's pivots are checked. The block then copies
-its four Yp rows (Y11, Y12, Y21, Y22) into a (4, frequencies) array for
-the whole sweep, and its buffer serves the next block. Only after the
-last block is S formed, once over the whole sweep: with real reference
-impedances and y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
+plan. A solve forms w once over the sweep's frequencies, one read-only
+float64 array, and cuts them into blocks of equal width, the last one
+no wider: as few as keep each block's work buffer within _BUDGET bytes,
+so the block count follows the plan's slot count, not a fixed number of
+frequencies. A block holds Y at its frequencies as one contiguous
+(slots, frequencies) array, assembled from those arrays; the program runs
+on its rows, which are made once per block width, and eliminates the
+internal nodes, leaving the 2x2 port admittance Yp in the port slots, and
+the block's pivots are checked. The block then copies its four Yp rows
+(Y11, Y12, Y21, Y22) into a (4, frequencies) array for the whole sweep,
+and its buffer serves the next block. Only after the last block is S
+formed, once over the whole sweep: with real reference impedances and
+y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
 
     S = (I - y') (I + y')^-1,
 
 written out in closed form for the 2x2 case, straight into a read-only
 (frequencies, 2, 2) complex128 array. The port-system and finiteness
-checks run on that sweep-wide S too. That array is what a TwoPortSweep
-holds, and extract_metrics and the writers read it with whole-array
-calls: S is never unpacked point by point. A sweep computes the dB of
-each entry of S once, on first use, as its s_db table, which
-extract_metrics and the CSV writer share.
+checks run on that sweep-wide S too. That array and the frequencies are
+what a TwoPortSweep holds, and extract_metrics and the writers read them
+with whole-array calls: neither is unpacked point by point. A sweep
+computes the dB of each entry of S once, on first use, as its s_db
+table, which extract_metrics and the CSV writer share.
 
 There is no pivoting. The order is the passive-branch (R, L or C)
 breadth-first distance from the two ports, farthest node first, ties by
@@ -97,15 +101,16 @@ if TYPE_CHECKING:
 LINEAR = "linear"
 LOG = "log"
 
-# frequencies per elimination pass: each step of the program is one numpy
-# call per row, so longer blocks spread the call overhead. On the 1001-point
-# benchmark sweeps, 128 ran 10% faster than 64 at no more peak RSS. With S
-# formed once per sweep, 256 solves the four benchmark designs 17-22%
-# faster than 128 (minima of 150 interleaved sweeps, 2-vCPU Xeon) for
-# 0.4 MB more peak RSS in a sweep-dense loop (35.6 against 35.2 MB), about
-# what the parent's 128 took. A block is kept contiguous: a strided
-# partial last block had numpy copy all of it, 1 MB more.
-_BLOCK = 256
+# bytes of a block's (slots, frequencies) complex128 work buffer, at most:
+# each step of the program is one numpy call per row and each block one
+# assembly of Y, so the fewest blocks spread both. At 1 MiB the 17-node
+# benchmark designs solve 1001 points in one block, the 23-node one in two
+# and the 41-node one in four, and their sweeps took 409, 404, 594 and
+# 1473 us, against 456, 438, 653 and 1810 at 512 KiB and 534, 500, 787
+# and 2691 at 256 KiB (minima of 100 interleaved sweeps, 2-vCPU Xeon).
+# 2 MiB took 7% less in all, for twice the buffer. A block is kept
+# contiguous: a strided partial last block had numpy copy all of it.
+_BUDGET = 1 << 20
 
 # stamp kinds: which of G, C and Gamma an element's value goes to
 _G, _C, _GAMMA = 0, 1, 2
@@ -198,16 +203,21 @@ class TwoPortSweep:
     """Frequencies, the S-matrix at each, and the ports' common reference
     impedance, None if the two differ.
 
-    s_matrices is one read-only complex128 array of shape (n, 2, 2), whose
+    frequencies is one read-only, C-contiguous float64 array of shape (n,),
+    and s_matrices one read-only complex128 array of shape (n, 2, 2), whose
     entry k is ((s11, s12), (s21, s22)) at frequencies[k]. The constructor
-    keeps such an array; any other S, such as nested tuples, is checked
-    entry by entry and copied into one. Sweeps compare and hash by their
-    frequencies, the bytes of S and the reference impedance, and copy and
-    pickle through the constructor. sweep stores what it made without the
-    constructor's checks, which it has made itself.
+    keeps such arrays, once it has checked that the frequencies are
+    positive and finite and S finite. Another 1-D float64 array of
+    frequencies, such as a copy's, is copied into one, and a tuple is
+    checked point by point and converted; any other S, such as nested
+    tuples, is checked entry by entry and copied into one. Sweeps compare
+    and hash by the bytes of their frequencies and of S and by the
+    reference impedance, and copy and pickle through the constructor.
+    sweep stores what it made without the constructor's checks, which it
+    has made itself.
     """
 
-    frequencies: tuple[float, ...]
+    frequencies: numpy.ndarray
     s_matrices: numpy.ndarray
     reference_impedance: float | None
 
@@ -215,9 +225,21 @@ class TwoPortSweep:
         import numpy as np
 
         freqs, s, z0 = self.frequencies, self.s_matrices, self.reference_impedance
-        instance_of(freqs, tuple, "frequencies", SimulationError)
-        for f in freqs:
-            positive(f, "frequency", SimulationError)
+        if freqs.__class__ is np.ndarray and freqs.dtype == float and freqs.ndim == 1:
+            if freqs.flags.writeable or not freqs.flags.c_contiguous:
+                freqs = freqs.copy()
+            good = (freqs > 0.0) & np.isfinite(freqs)
+            if not good.all():
+                # a Python float, so that the message reads as a tuple's
+                positive(freqs[~good][0].item(), "frequency", SimulationError)
+        else:
+            instance_of(freqs, tuple, "frequencies", SimulationError)
+            for f in freqs:
+                positive(f, "frequency", SimulationError)
+            freqs = np.array(freqs, dtype=float)
+        if freqs is not self.frequencies:
+            freqs.flags.writeable = False
+            set_field(self, "frequencies", freqs)
         if z0 is not None:
             positive(z0, "reference impedance", SimulationError)
         own = (
@@ -229,7 +251,7 @@ class TwoPortSweep:
         if not own:
             # as objects, so that numpy takes no bool or str for a number
             s = np.array(s, dtype=object)
-        if not freqs or s.shape != (len(freqs), 2, 2):
+        if not len(freqs) or s.shape != (len(freqs), 2, 2):
             raise SimulationError(
                 f"a sweep needs one S-matrix per frequency, at least one, each "
                 f"2x2: got {self.s_matrices!r}"
@@ -246,9 +268,9 @@ class TwoPortSweep:
 
     @classmethod
     def _made(cls, frequencies, s_matrices, reference_impedance) -> TwoPortSweep:
-        """The sweep of values that their maker has checked: sweep's grid,
-        positive and finite from checked ends, and the S of _solve, which
-        refuses one that is not finite."""
+        """The sweep of values that their maker has checked: sweep's
+        read-only grid, positive and finite from checked ends, and the S of
+        _solve, which refuses one that is not finite."""
         swp = object.__new__(cls)
         set_field(swp, "frequencies", frequencies)
         set_field(swp, "s_matrices", s_matrices)
@@ -272,17 +294,19 @@ class TwoPortSweep:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (
-            self.frequencies == other.frequencies
-            and self.reference_impedance == other.reference_impedance
+            self.reference_impedance == other.reference_impedance
+            and self.frequencies.tobytes() == other.frequencies.tobytes()
             and self.s_matrices.tobytes() == other.s_matrices.tobytes()
         )
 
     def __hash__(self) -> int:
-        return hash((self.frequencies, self.s_matrices.tobytes(), self.reference_impedance))
+        return hash(
+            (self.frequencies.tobytes(), self.s_matrices.tobytes(), self.reference_impedance)
+        )
 
     def __reduce__(self):
         # a copied or unpickled array is writeable again, so the constructor
-        # makes it read-only
+        # copies it into a read-only one
         return self.__class__, (self.frequencies, self.s_matrices, self.reference_impedance)
 
 
@@ -364,7 +388,9 @@ def s_parameters_at(net: Network, f: float):
     complex128 array."""
     instance_of(net, Network, "network", SimulationError)
     positive(f, "frequency", SimulationError)
-    return _solve(net, [f])[0]
+    import numpy as np
+
+    return _solve(net, np.array([f], dtype=float))[0]
 
 
 def sweep(
@@ -374,7 +400,14 @@ def sweep(
     points: int,
     spacing: str = LINEAR,
 ) -> TwoPortSweep:
-    """Evaluate the network over a frequency grid, in grid order."""
+    """Evaluate the network over a frequency grid, in grid order.
+
+    The grid is one read-only float64 array, each point rounded as CPython
+    rounds f_start + k*step, or exp(log(f_start) + k*lstep) for a log grid;
+    its ends are f_start and f_stop themselves.
+    """
+    import numpy as np
+
     instance_of(net, Network, "network", SimulationError)
     positive(f_start, "f_start", SimulationError)
     positive(f_stop, "f_stop", SimulationError)
@@ -383,16 +416,21 @@ def sweep(
     count(points, "point count", SimulationError, 2)
     if spacing == LINEAR:
         step = (f_stop - f_start) / (points - 1)
-        freqs = [f_start + k * step for k in range(points)]
+        # k*step, then + f_start: the two roundings of f_start + k*step
+        freqs = np.arange(points) * step + f_start
     elif spacing == LOG:
-        lstep = (math.log(f_stop) - math.log(f_start)) / (points - 1)
-        freqs = [math.exp(math.log(f_start) + k * lstep) for k in range(points)]
+        log_start = math.log(f_start)
+        lstep = (math.log(f_stop) - log_start) / (points - 1)
+        # numpy's exp does not match math's to the last bit
+        exponents = (np.arange(points) * lstep + log_start).tolist()
+        freqs = np.fromiter(map(math.exp, exponents), float, points)
     else:
         raise SimulationError(f"spacing must be {LINEAR!r} or {LOG!r}, got {spacing!r}")
     freqs[0] = f_start
     freqs[-1] = f_stop
+    freqs.flags.writeable = False
     return TwoPortSweep._made(
-        tuple(freqs),
+        freqs,
         _solve(net, freqs),
         net.port1.z0 if net.port1.z0 == net.port2.z0 else None,
     )
@@ -403,14 +441,16 @@ def _db(s: numpy.ndarray) -> numpy.ndarray:
     of s's shape, -inf where |s| is 0, which costs no log10. numpy's hypot
     is the libm hypot that abs(complex) calls, so |s| is abs's bit for bit;
     the log10 stay with math's, which numpy's does not match to the last
-    bit, mapped over the nonzero magnitudes. numpy's multiply by 20 is
-    Python's, one IEEE rounding."""
+    bit, mapped over the nonzero magnitudes straight into an array. numpy's
+    multiply by 20 is Python's, one IEEE rounding, and keeps -inf."""
     import numpy as np
 
     m = np.hypot(s.real, s.imag)
     db = np.full(m.shape, -math.inf)
     nonzero = m != 0.0
-    db[nonzero] = 20.0 * np.array(list(map(math.log10, m[nonzero].tolist())))
+    mags = m[nonzero]
+    db[nonzero] = np.fromiter(map(math.log10, mags.tolist()), float, mags.size)
+    db *= 20.0
     return db
 
 
@@ -423,25 +463,25 @@ def extract_metrics(swp: TwoPortSweep) -> SweepMetrics:
     match is reported over the whole sweep instead.
     """
     instance_of(swp, TwoPortSweep, "sweep", SimulationError)
-    freqs = swp.frequencies
-    s11_dbs, s21_dbs = swp.s_db[:, 0].tolist(), swp.s_db[:, 2].tolist()
-    ref = s21_dbs[0]
+    freqs, db = swp.frequencies, swp.s_db
+    s21 = db[:, 2]
+    ref = float(s21[0])
     threshold = ref - 3.0
-    cutoff = None
-    for i in range(1, len(freqs)):
-        db = s21_dbs[i]
-        if db <= threshold:
-            if db == threshold:
-                cutoff = freqs[i]
-            else:
-                f_lo, f_hi, db_lo = freqs[i - 1], freqs[i], s21_dbs[i - 1]
-                cutoff = f_lo + (db_lo - threshold) * (f_hi - f_lo) / (db_lo - db)
-            break
-    if cutoff is not None:
+    # the first point after the first that is at or below the threshold
+    below = s21 <= threshold
+    below[0] = False
+    i = int(below.argmax())
+    if below[i]:
+        (f_lo, f_hi), (db_lo, db_hi) = freqs[i - 1 : i + 1].tolist(), s21[i - 1 : i + 1].tolist()
+        if db_hi == threshold:
+            cutoff = f_hi
+        else:
+            cutoff = f_lo + (db_lo - threshold) * (f_hi - f_lo) / (db_lo - db_hi)
         # a hand-built sweep need not be in frequency order, so filter
-        s11_dbs = [db for f, db in zip(freqs, s11_dbs) if f <= cutoff]
-    worst = max(s11_dbs)
-    return SweepMetrics(low_freq_gain_db=ref, cutoff_hz=cutoff, worst_s11_db=worst)
+        worst = db[:, 0].max(where=freqs <= cutoff, initial=-math.inf)
+    else:
+        cutoff, worst = None, db[:, 0].max()
+    return SweepMetrics(low_freq_gain_db=ref, cutoff_hz=cutoff, worst_s11_db=float(worst))
 
 
 class _Plan:
@@ -598,9 +638,9 @@ def _analyse(node_count: int, port1: int, port2: int, topology: tuple) -> _Plan:
     )
 
 
-def _solve(net: Network, freqs: list[float]):
-    """S-matrices at the frequencies, as one read-only (frequencies, 2, 2)
-    complex128 array."""
+def _solve(net: Network, freqs: numpy.ndarray):
+    """S-matrices at the float64 array of frequencies, as one read-only
+    (frequencies, 2, 2) complex128 array."""
     import numpy as np
 
     # a zero pivot turns its frequency's entries into inf and nan, and so
@@ -620,7 +660,7 @@ def _solve(net: Network, freqs: list[float]):
         det = ap * dp - bc
         if not det.all():
             zero = np.flatnonzero(det == 0)
-            raise SimulationError(f"singular port system at {freqs[zero[0]]} Hz")
+            raise SimulationError(f"singular port system at {freqs[zero[0]].item()} Hz")
         s = np.empty((len(freqs), 2, 2), dtype=complex)
         rows = s.reshape(-1, 4).T
         divide = np.divide
@@ -630,16 +670,26 @@ def _solve(net: Network, freqs: list[float]):
         divide(ap * (1.0 - d) + bc, det, out=rows[3])
         if not np.isfinite(s).all():
             bad = np.flatnonzero(~np.isfinite(rows).all(axis=0))[0]
-            raise SimulationError(f"non-finite S-parameters at {freqs[bad]} Hz")
+            raise SimulationError(f"non-finite S-parameters at {freqs[bad].item()} Hz")
     s.flags.writeable = False
     return s
 
 
-def _port_admittance(net: Network, freqs: list[float]):
+def _block_width(plan: _Plan, points: int) -> int:
+    """Width of the blocks that a sweep of points solves in: as few blocks
+    of equal width, the last one no wider, as keep each block's
+    (slots, width) complex128 buffer within _BUDGET bytes. A plan too large
+    for the budget solves one frequency at a time."""
+    widest = max(1, _BUDGET // (16 * plan.slots))
+    blocks = -(-points // widest)
+    return -(-points // blocks)
+
+
+def _port_admittance(net: Network, freqs: numpy.ndarray):
     """Rows Y11, Y12, Y21 and Y22 of Yp, as a (4, frequencies) array.
 
-    Each block of _BLOCK frequencies assembles Y, runs the program on it
-    and checks its pivots, which are never written after their own
+    Each block of _block_width frequencies assembles Y, runs the program
+    on it and checks its pivots, which are never written after their own
     elimination; then it copies out the four port rows. It runs under
     _solve's errstate.
     """
@@ -647,26 +697,34 @@ def _port_admittance(net: Network, freqs: list[float]):
 
     plan = net._plan
     reactive = plan.reactive
-    width = min(len(freqs), _BLOCK)
+    points = len(freqs)
+    width = _block_width(plan, points)
     work = np.empty(plan.slots * width, dtype=complex)
-    yp = np.empty((4, len(freqs)), dtype=complex)
+    yp = np.empty((4, points), dtype=complex)
+    w = 2.0 * math.pi * freqs
+    g = net._g[:, None]
     divide, multiply, subtract = np.divide, np.multiply, np.subtract
-    for start in range(0, len(freqs), width):
-        w = 2.0 * math.pi * np.array(freqs[start : start + width])
-        size = len(w)
-        # contiguous in a partial last block too, so no step copies it
-        y = work[: plan.slots * size].reshape(plan.slots, size)
+    size = 0
+    for start in range(0, points, width):
+        block = w[start : start + width]
+        if len(block) != size:
+            # the first block, or a narrower last one
+            size = len(block)
+            # contiguous in a partial last block too, so no step copies it
+            y = work[: plan.slots * size].reshape(plan.slots, size)
+            y_real, y_imag = y.real, y.imag
+            real_reactive, imag_reactive = y_real[:reactive], y_imag[:reactive]
+            imag_resistive = y_imag[reactive:]
+            rows = list(y)
+            scratch = np.empty(size, dtype=complex)
         # Y = G + jwC + Gamma/(jw), the imaginary part only where C or
         # Gamma stamps; Gamma/w goes through the real part, which G then
         # overwrites
-        y_reactive = y.imag[:reactive]
-        multiply.outer(net._c, w, out=y_reactive)
-        divide.outer(net._gamma, w, out=y.real[:reactive])
-        subtract(y_reactive, y.real[:reactive], out=y_reactive)
-        y.real = net._g[:, None]
-        y.imag[reactive:] = 0.0
-        rows = list(y)
-        scratch = np.empty(size, dtype=complex)
+        multiply.outer(net._c, block, out=imag_reactive)
+        divide.outer(net._gamma, block, out=real_reactive)
+        subtract(imag_reactive, real_reactive, out=imag_reactive)
+        y_real[...] = g
+        imag_resistive[...] = 0.0
         for kk, kjs, updates in plan.program:
             pivot = rows[kk]
             for kj in kjs:
@@ -676,7 +734,9 @@ def _port_admittance(net: Network, freqs: list[float]):
                 subtract(rows[ij], scratch, rows[ij])
         zero = np.flatnonzero((y[plan.pivots] == 0).any(axis=0))
         if zero.size:
-            raise SimulationError(f"singular nodal system at {freqs[start + zero[0]]} Hz")
+            raise SimulationError(
+                f"singular nodal system at {freqs[start + zero[0]].item()} Hz"
+            )
         # "clip" writes straight into the strided out, where the default
         # mode would buffer; the port slots are always in range
         y.take(plan.ports, axis=0, out=yp[:, start : start + size], mode="clip")

@@ -700,13 +700,16 @@ class TestWriters:
 
     @staticmethod
     def multi_block_sweep(transistor, options):
-        from dakit.mna import _BLOCK, build_network, sweep
+        from blocks import block_points
+        from dakit.mna import build_network, sweep
 
         catalog = load_catalog(json.dumps(CATALOG))
         report = synthesize_design(
             catalog.get(transistor), Substrate(4.4, 1.6, 0.035), DesignOptions(**options)
         )
-        return sweep(build_network(report), 10e6, 15e9, 2 * _BLOCK + 1)
+        net = build_network(report)
+        # three solve blocks, the last one partial
+        return sweep(net, 10e6, 15e9, block_points(net, 3))
 
     # three of the benchmark's designs: S spans different magnitudes on each
     three_designs = pytest.mark.parametrize(
@@ -877,13 +880,11 @@ class TestE9Rows:
     @pytest.mark.parametrize("fields, sep", [(9, " "), (6, ","), (9, ","), (6, " ")])
     @pytest.mark.parametrize("kind", ["every-value", "fast-path-only"])
     def test_a_multi_block_table_renders_as_percent_9e(self, fields, sep, kind):
-        # hypothesis draws at most 12 rows; the writers pass 2*_BLOCK + 1 for
-        # a multi-block sweep. Every kind of value lands at a row end and in
+        # hypothesis draws at most 12 rows; the writers pass 1001 for each
+        # sweep-dense sweep. Every kind of value lands at a row end and in
         # the middle of a long text; the fast-path-only table's text is never
         # split for a fallback
         import numpy as np
-
-        from dakit.mna import _BLOCK
 
         values = [0.0, -0.0]
         for exponent in range(-13, 32):
@@ -901,7 +902,7 @@ class TestE9Rows:
                 v = float(f"9.9999999995e{exponent}")
                 values += [v, -v, math.nextafter(v, 0.0), float(f"1.0000000005e{exponent}")]
             values += [1234567890.5, -(9876543210.5 / 2**20)]
-        rows = 2 * _BLOCK + 1
+        rows = 1001
         # the values repeat down the table, each time a field further along
         table = np.resize(np.array(values), rows * fields).reshape(rows, fields)
         assert e9_rows(table, sep) == _percent_rows(table.tolist(), sep)

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import re
+import types
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from dakit import (
     sweep,
     synthesize_design,
 )
-from dakit.mna import _BLOCK, _analyse, _db
+from dakit.mna import _BUDGET, _analyse, _block_width, _db
+from blocks import block_points, points_for
 from records import replace
 
 # matched symmetric pi attenuator, voltage ratio A: shunt z0(A+1)/(A-1),
@@ -354,6 +356,26 @@ class TestSweep:
         with pytest.raises(SimulationError, match=r"non-finite S-parameters at 1e-300 Hz"):
             sweep(lc_ladder(), 1e-300, 1e9, 5)
 
+    @pytest.mark.parametrize("points", [2, 3, 1001, 4001])
+    @pytest.mark.parametrize("f_start, f_stop", [(10e6, 15e9), (1e4, 1e10), (0.3, 7.0)])
+    def test_grid_is_cpythons_per_point_formula(self, points, f_start, f_stop):
+        step = (f_stop - f_start) / (points - 1)
+        lstep = (math.log(f_stop) - math.log(f_start)) / (points - 1)
+        grids = {
+            LINEAR: [f_start + k * step for k in range(points)],
+            LOG: [math.exp(math.log(f_start) + k * lstep) for k in range(points)],
+        }
+        for spacing, grid in grids.items():
+            freqs = sweep(pi_pad(), f_start, f_stop, points, spacing).frequencies
+            assert freqs.__class__ is np.ndarray and freqs.dtype == np.float64
+            assert freqs.shape == (points,) and freqs.flags.c_contiguous
+            assert not freqs.flags.writeable
+            # the ends are the requested ones, whatever the formula gives
+            assert freqs[0].hex() == float(f_start).hex()
+            assert freqs[-1].hex() == float(f_stop).hex()
+            inner = freqs[1:-1].tolist()
+            assert list(map(float.hex, inner)) == list(map(float.hex, grid[1:-1]))
+
     def test_linear_grid(self):
         swp = sweep(pi_pad(), 1e8, 1e9, 10)
         assert swp.frequencies[0] == 1e8
@@ -394,6 +416,14 @@ class TestSweep:
         rebuilt = TwoPortSweep(first.frequencies, first.s_matrices.tolist(), 50.0)
         assert rebuilt == first and hash(rebuilt) == hash(first)
         assert not rebuilt.s_matrices.flags.writeable
+        # and so are a tuple of frequencies and nested tuples of S
+        nested = TwoPortSweep(
+            tuple(first.frequencies.tolist()),
+            tuple(tuple(map(tuple, m)) for m in first.s_matrices.tolist()),
+            50.0,
+        )
+        assert nested == first and hash(nested) == hash(first)
+        assert not nested.frequencies.flags.writeable
 
     def test_sweep_one_ulp_apart_compares_unequal(self):
         swp = sweep(build_network(proto_amp()), 10e6, 10e9, 21)
@@ -406,16 +436,47 @@ class TestSweep:
         s[7, 1, 0] = s21
         assert nudged != swp
         assert swp != dataclasses.replace(swp, reference_impedance=75.0)
+        # a frequency one ulp off, from an array or a tuple
+        freqs = swp.frequencies.copy()
+        freqs[7] = math.nextafter(freqs[7], math.inf)
+        for nudged in (freqs, tuple(freqs.tolist())):
+            assert TwoPortSweep(nudged, swp.s_matrices, 50.0) != swp
+        # the constructor copied the writeable array of frequencies too
+        moved = TwoPortSweep(freqs, swp.s_matrices, 50.0)
+        freqs[7] = swp.frequencies[7]
+        assert moved != swp and not moved.frequencies.flags.writeable
 
     @pytest.mark.parametrize(
-        "clone", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
-        ids=["copy", "deepcopy", "pickle"],
+        "clone",
+        [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s)), dataclasses.replace],
+        ids=["copy", "deepcopy", "pickle", "replace"],
     )
     def test_copies_stay_read_only(self, clone):
         swp = sweep(pi_pad(), 1e8, 1e9, 3)
         copied = clone(swp)
-        assert copied == swp
+        assert copied == swp and hash(copied) == hash(swp)
         assert not copied.s_matrices.flags.writeable
+        freqs = copied.frequencies
+        assert freqs.__class__ is np.ndarray and freqs.dtype == np.float64
+        assert freqs.flags.c_contiguous and not freqs.flags.writeable
+
+    @pytest.mark.parametrize("bad", [0.0, -3.0, math.nan, math.inf, -math.inf])
+    def test_the_first_bad_frequency_of_an_array_is_named(self, bad):
+        # as a Python float, as the tuple's check names it
+        s = (((0.1 + 0j, 0j), (1 + 0j, 0j)),) * 4
+        freqs = np.array([1e9, 2e9, bad, -1.0])
+        freqs.flags.writeable = False
+        message = f"frequency must be positive and finite, got {bad!r}"
+        with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+            TwoPortSweep(freqs, s, 50.0)
+
+    @pytest.mark.parametrize(
+        "freqs", [np.array([1, 2]), np.array([[1e9, 2e9]]), [1e9, 2e9]], ids=["int", "2-D", "list"]
+    )
+    def test_frequencies_of_another_type_are_refused(self, freqs):
+        s = (((0.1 + 0j, 0j), (1 + 0j, 0j)),) * 2
+        with pytest.raises(SimulationError, match="^frequencies must be a tuple, got "):
+            TwoPortSweep(freqs, s, 50.0)
 
     def test_non_finite_array_refused(self):
         swp = sweep(pi_pad(), 1e8, 1e9, 3)
@@ -440,7 +501,8 @@ class TestSweep:
         # ints pass as positive passes them
         s = (((0.1 + 0j, 0j), (1 + 0j, 0j)),) * len(freqs)
         if bad is None:
-            assert TwoPortSweep(freqs, s, 50.0).frequencies == freqs
+            got = TwoPortSweep(freqs, s, 50.0).frequencies.tolist()
+            assert list(map(float.hex, got)) == [float(f).hex() for f in freqs]
             return
         message = f"frequency must be positive and finite, got {bad!r}"
         with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
@@ -455,10 +517,11 @@ class TestDbTable:
         return sweep(build_network(proto_amp()), 10e6, 15e9, points)
 
     def test_the_table_is_db_of_s_bit_for_bit_and_kept(self):
-        swp = self.amp_sweep(2 * _BLOCK + 1)
+        points = block_points(build_network(proto_amp()), 3)
+        swp = self.amp_sweep(points)
         table = swp.s_db
         assert table is swp.s_db
-        assert table.shape == (2 * _BLOCK + 1, 4) and table.dtype == np.float64
+        assert table.shape == (points, 4) and table.dtype == np.float64
         assert not table.flags.writeable
         assert table.tobytes() == _db(swp.s_matrices).tobytes()
 
@@ -491,12 +554,14 @@ class TestDbTable:
         assert halved.s_db.tobytes() == _db(halved.s_matrices).tobytes()
         assert halved.s_db.tobytes() != table.tobytes()
 
-    @pytest.mark.parametrize("points", [3, 2 * _BLOCK + 1])
+    @pytest.mark.parametrize("points", [3, 513, "3-partial"])
     def test_metrics_and_csv_take_each_db_once(self, points, monkeypatch):
         import io
 
         from dakit import mna
         from dakit.cli import write_csv
+
+        points = points_for(build_network(proto_amp()), points)
 
         def outputs(swp, csv_first):
             csv = io.StringIO()
@@ -589,23 +654,25 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("spacing", [LINEAR, LOG])
     def test_sweep_matches_single_frequency_bits(self, spacing, fr4):
         for net in (build_network(proto_amp()), build_network(lossy_series_amp(fr4))):
-            swp = sweep(net, 10e6, 15e9, 2 * _BLOCK + 1, spacing)
+            swp = sweep(net, 10e6, 15e9, block_points(net, 3), spacing)
             for f, s in zip(swp.frequencies, swp.s_matrices):
                 # bytes, not ==, also tell -0.0 from 0.0
                 assert s.tobytes() == s_parameters_at(net, f).tobytes()
 
-    # 16, 17 and 33 straddle a 16-wide block, 128 and 129 a 128-wide one:
-    # they stay as grids that fill part of one block, beside the boundaries
-    # of the current _BLOCK
+    # 16, 17 and 33 straddle a 16-wide block, 128 and 129 a 128-wide one,
+    # 256, 257 and 513 the 256-wide blocks of a fixed width: they stay as
+    # grids within one block, beside each network's own boundaries, where
+    # one block is full, and where two and three blocks end in a partial one
     @pytest.mark.parametrize(
-        "points", [2, 16, 17, 33, 128, 129, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+        "points", [2, 16, 17, 33, 128, 129, 256, 257, 513, "1-full", "2-partial", "3-partial"]
     )
     @pytest.mark.parametrize("spacing", [LINEAR, LOG])
     def test_grid_matches_dense_reference(self, points, spacing, fr4):
         nets = (build_network(proto_amp()), build_network(lossy_series_amp(fr4)), lc_ladder())
         for net in nets:
-            swp = sweep(net, 10e6, 15e9, points, spacing)
-            assert len(swp.s_matrices) == points
+            count = points_for(net, points)
+            swp = sweep(net, 10e6, 15e9, count, spacing)
+            assert len(swp.s_matrices) == count
             for f, s in zip(swp.frequencies, swp.s_matrices):
                 want = dense_reference(net, f)
                 err = np.max(np.abs(np.array(s) - want))
@@ -626,21 +693,28 @@ class TestBatchedKernel:
         tank = (Inductor(3, 0, 1.0), Capacitor(3, 0, 1.0))
         net = Network(4, (Resistor(1, 0, 50.0), Resistor(2, 0, 50.0)) + tank, Port(1), Port(2))
         with pytest.raises(SimulationError, match=f"nodal system at {f_res} Hz"):
-            sweep(net, f_res / 10.0, f_res, _BLOCK + 2)
+            sweep(net, f_res / 10.0, f_res, block_points(net, 2))
 
     # S forms once over the whole sweep, after the blocks: each error names
-    # the sweep's own frequency when its point ends the second block or is
-    # the one point of a partial last block, where the index within its
-    # block would name another frequency
-    @pytest.mark.parametrize("points", [2 * _BLOCK, 2 * _BLOCK + 1])
+    # the sweep's own frequency when its point ends a full second block or
+    # a partial second or third block, where the index within its block
+    # would name another frequency. 512 and 513 points, which ended the
+    # second and third blocks of a fixed 256-wide partition, stay as grids
+    # within one block
+    past_the_first_block = pytest.mark.parametrize(
+        "points", [512, 513, "2-full", "2-partial", "3-partial"]
+    )
+
+    @past_the_first_block
     def test_zero_pivot_past_the_first_block_names_frequency(self, points):
         f_res = 1.0 / (2.0 * math.pi)
         tank = (Inductor(3, 0, 1.0), Capacitor(3, 0, 1.0))
         net = Network(4, (Resistor(1, 0, 50.0), Resistor(2, 0, 50.0)) + tank, Port(1), Port(2))
+        points = points_for(net, points)
         with pytest.raises(SimulationError, match=f"^singular nodal system at {f_res} Hz$"):
             sweep(net, f_res / 10.0, f_res, points)
 
-    @pytest.mark.parametrize("points", [2 * _BLOCK, 2 * _BLOCK + 1])
+    @past_the_first_block
     def test_singular_port_past_the_first_block_names_frequency(self, points):
         # -1 S on port 1 and a 1 H, 1 F tank: 1 + z1*Y11 = 0 at w = 1 rad/s only
         f_res = 1.0 / (2.0 * math.pi)
@@ -651,15 +725,21 @@ class TestBatchedKernel:
             Port(1, 1.0),
             Port(2),
         )
+        points = points_for(net, points)
         with pytest.raises(SimulationError, match=f"^singular port system at {f_res} Hz$"):
             sweep(net, f_res / 10.0, f_res, points)
 
-    @pytest.mark.parametrize("points", [2 * _BLOCK, 2 * _BLOCK + 1])
+    @past_the_first_block
     def test_non_finite_s_past_the_first_block_names_frequency(self, points):
         # w = 2 pi f overflows at the last point, 1e308 Hz, and S turns NaN;
-        # the point before it is near 2.6e307 Hz, where w is still finite
+        # w is still finite at the point before it, which is below 2.8e307
+        # Hz when the grid has at most 540 points: a ladder of 100 sections
+        # has narrow blocks, so that three of them take fewer
+        net = lc_ladder(100)
+        points = points_for(net, points)
+        assert points <= 540
         with pytest.raises(SimulationError, match=r"^non-finite S-parameters at 1e\+308 Hz$"):
-            sweep(lc_ladder(), 1e10, 1e308, points, LOG)
+            sweep(net, 1e10, 1e308, points, LOG)
 
     def test_singular_port_system_names_frequency(self):
         # a transconductance of -2 S across the 1 S port-1 load: 1 + z1*Y11 = 0
@@ -671,6 +751,41 @@ class TestBatchedKernel:
         )
         with pytest.raises(SimulationError, match=r"port system at 1000000000\.0 Hz"):
             s_parameters_at(net, 1e9)
+
+
+class TestPartition:
+    """A sweep is solved in as few blocks of equal width as keep each block's
+    work buffer within _BUDGET bytes, the last block no wider."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.integers(1, 100_000), st.integers(1, 10**6))
+    def test_blocks_are_equal_and_within_the_budget(self, slots, points):
+        width = _block_width(types.SimpleNamespace(slots=slots), points)
+        # the blocks of the solve's loop
+        sizes = [min(width, points - start) for start in range(0, points, width)]
+        assert all(size == width for size in sizes[:-1]) and 1 <= sizes[-1] <= width
+        assert sum(sizes) == points
+        # a (slots, width) complex128 buffer; a plan whose one frequency
+        # is over the budget solves one frequency at a time
+        assert slots * width * 16 <= _BUDGET or width == 1
+        # one block fewer of the widest that the budget allows would not do
+        widest = max(1, _BUDGET // (16 * slots))
+        assert (len(sizes) - 1) * widest < points
+
+    @pytest.mark.parametrize("spacing", [LINEAR, LOG])
+    def test_each_point_of_one_two_and_more_blocks_is_its_single_solve(self, spacing, fr4):
+        cases = (
+            (build_network(proto_amp()), 1001, 1),
+            (build_network(lossy_series_amp(fr4)), 1501, 2),
+            (lc_ladder(100), 401, 4),
+        )
+        for net, points, blocks in cases:
+            width = _block_width(net._plan, points)
+            # the last of several blocks is partial
+            assert -(-points // width) == blocks and (blocks == 1 or points % width)
+            swp = sweep(net, 10e6, 15e9, points, spacing)
+            for f, s in zip(swp.frequencies, swp.s_matrices):
+                assert s.tobytes() == s_parameters_at(net, f).tobytes()
 
 
 _LADDER_VALUES = {
@@ -699,7 +814,7 @@ def passive_ladders(draw) -> Network:
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(passive_ladders())
 def test_passive_ladder_reciprocal_and_bounded(net):
-    swp = sweep(net, 10e6, 100e9, _BLOCK + 1, LOG)
+    swp = sweep(net, 10e6, 100e9, 257, LOG)
     for (s11, s12), (s21, s22) in swp.s_matrices:
         assert abs(s12 - s21) <= 1e-12
         largest = np.linalg.norm(np.array([[s11, s12], [s21, s22]]), 2)
@@ -770,11 +885,11 @@ def test_series_lc_shunt_across_resonance():
         Port(3),
     )
     f0 = 1.0 / (2.0 * math.pi * math.sqrt(henries * farads))
-    swp = sweep(net, 0.9 * f0, 1.1 * f0, 2 * _BLOCK + 1)
+    swp = sweep(net, 0.9 * f0, 1.1 * f0, 513)
     assert_matches_dense(net, swp)
     s21 = [abs(m[1][0]) for m in swp.s_matrices]
     notch = min(range(len(s21)), key=s21.__getitem__)
-    assert abs(swp.frequencies[notch] - f0) <= 0.2 * f0 / (2 * _BLOCK)
+    assert abs(swp.frequencies[notch] - f0) <= 0.2 * f0 / 512
     assert s21[notch] < 1e-3 < s21[0]
 
 
@@ -788,12 +903,12 @@ def test_same_topology_shares_one_analysis():
     assert base.elements != other.elements
     assert _analyse.cache_info().misses == 1
     assert base._plan is other._plan
-    cached = [sweep(net, 10e6, 15e9, _BLOCK + 1) for net in (base, other)]
+    cached = [sweep(net, 10e6, 15e9, 257) for net in (base, other)]
     # networks rebuilt after a clear get a freshly analysed plan
     _analyse.cache_clear()
     rebuilt = (build_network(rep), build_network(hot_rep))
     assert rebuilt[0]._plan is not base._plan
-    fresh = [sweep(net, 10e6, 15e9, _BLOCK + 1) for net in rebuilt]
+    fresh = [sweep(net, 10e6, 15e9, 257) for net in rebuilt]
     assert cached == fresh
     assert cached[0] != cached[1]
 
@@ -810,7 +925,7 @@ def test_construction_analyses_each_topology_once():
 def test_solve_looks_up_no_plan():
     net = build_network(proto_amp())
     before = _analyse.cache_info()
-    sweep(net, 10e6, 15e9, _BLOCK + 1)
+    sweep(net, 10e6, 15e9, 257)
     s_parameters_at(net, 10e6)
     assert _analyse.cache_info() == before
 
