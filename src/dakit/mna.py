@@ -105,9 +105,9 @@ LOG = "log"
 # each step of the program is one numpy call per row and each block one
 # assembly of Y, so the fewest blocks spread both. At 1 MiB the 17-node
 # benchmark designs solve 1001 points in one block, the 23-node one in two
-# and the 41-node one in four, and their sweeps took 409, 404, 594 and
-# 1473 us, against 456, 438, 653 and 1810 at 512 KiB and 534, 500, 787
-# and 2691 at 256 KiB (minima of 100 interleaved sweeps, 2-vCPU Xeon).
+# and the 41-node one in four, and their sweeps took 387, 372, 581 and
+# 1419 us, against 425, 420, 599 and 1720 at 512 KiB and 477, 475, 744
+# and 2581 at 256 KiB (minima of 100 interleaved sweeps, 2-vCPU Xeon).
 # 2 MiB took 7% less in all, for twice the buffer. A block is kept
 # contiguous: a strided partial last block had numpy copy all of it.
 _BUDGET = 1 << 20
@@ -446,7 +446,8 @@ def _db(s: numpy.ndarray) -> numpy.ndarray:
     import numpy as np
 
     m = np.hypot(s.real, s.imag)
-    db = np.full(m.shape, -math.inf)
+    db = np.empty(m.shape)
+    db.fill(-math.inf)
     nonzero = m != 0.0
     mags = m[nonzero]
     db[nonzero] = np.fromiter(map(math.log10, mags.tolist()), float, mags.size)
@@ -462,9 +463,11 @@ def extract_metrics(swp: TwoPortSweep) -> SweepMetrics:
     never drops 3 dB inside the sweep, cutoff_hz is None and the input
     match is reported over the whole sweep instead.
     """
+    import numpy as np
+
     instance_of(swp, TwoPortSweep, "sweep", SimulationError)
     freqs, db = swp.frequencies, swp.s_db
-    s21 = db[:, 2]
+    s11, s21 = db[:, 0], db[:, 2]
     ref = float(s21[0])
     threshold = ref - 3.0
     # the first point after the first that is at or below the threshold
@@ -478,9 +481,9 @@ def extract_metrics(swp: TwoPortSweep) -> SweepMetrics:
         else:
             cutoff = f_lo + (db_lo - threshold) * (f_hi - f_lo) / (db_lo - db_hi)
         # a hand-built sweep need not be in frequency order, so filter
-        worst = db[:, 0].max(where=freqs <= cutoff, initial=-math.inf)
+        worst = np.maximum.reduce(s11, where=freqs <= cutoff, initial=-math.inf)
     else:
-        cutoff, worst = None, db[:, 0].max()
+        cutoff, worst = None, np.maximum.reduce(s11)
     return SweepMetrics(low_freq_gain_db=ref, cutoff_hz=cutoff, worst_s11_db=float(worst))
 
 
@@ -732,11 +735,10 @@ def _port_admittance(net: Network, freqs: numpy.ndarray):
             for ij, ik, kj in updates:
                 multiply(rows[ik], rows[kj], scratch)
                 subtract(rows[ij], scratch, rows[ij])
-        zero = np.flatnonzero((y[plan.pivots] == 0).any(axis=0))
-        if zero.size:
-            raise SimulationError(
-                f"singular nodal system at {freqs[start + zero[0]].item()} Hz"
-            )
+        pivots = y[plan.pivots]
+        if not pivots.all():
+            zero = np.flatnonzero((pivots == 0).any(axis=0))[0]
+            raise SimulationError(f"singular nodal system at {freqs[start + zero].item()} Hz")
         # "clip" writes straight into the strided out, where the default
         # mode would buffer; the port slots are always in range
         y.take(plan.ports, axis=0, out=yp[:, start : start + size], mode="clip")
