@@ -735,9 +735,8 @@ def _port_admittance(net: Network, freqs: numpy.ndarray):
             for ij, ik, kj in updates:
                 multiply(rows[ik], rows[kj], scratch)
                 subtract(rows[ij], scratch, rows[ij])
-        pivots = y[plan.pivots]
-        if not pivots.all():
-            zero = np.flatnonzero((pivots == 0).any(axis=0))[0]
+        if not y[plan.pivots].all():
+            zero = np.flatnonzero((y[plan.pivots] == 0).any(axis=0))[0]
             raise SimulationError(f"singular nodal system at {freqs[start + zero].item()} Hz")
         # "clip" writes straight into the strided out, where the default
         # mode would buffer; the port slots are always in range
