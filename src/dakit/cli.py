@@ -94,14 +94,15 @@ def write_csv(swp: mna.TwoPortSweep, destination) -> None:
 
     n = len(swp.frequencies)
     # the sweep's dB are S11, S12, S21 and S22 of each point; the columns
-    # are S11, S21, S12, S22. The phase stays with math, which numpy's
-    # arctan2 does not match to the last bit, fed straight into its column
+    # are S11, S21, S12, S22. The phase stays with math's atan2, which
+    # numpy's arctan2 does not match to the last bit; math.degrees(x) is
+    # x * (180 / pi), one rounding, so one numpy multiply is its bit for bit
     s21 = swp.s_matrices[:, 1, 0]
     table = np.empty((n, 6))
     table[:, 0] = swp.frequencies
     table[:, 1:5] = swp.s_db[:, [0, 2, 1, 3]]
-    phases = map(math.degrees, map(math.atan2, s21.imag.tolist(), s21.real.tolist()))
-    table[:, 5] = np.fromiter(phases, float, n)
+    radians = np.fromiter(map(math.atan2, s21.imag.tolist(), s21.real.tolist()), float, n)
+    np.multiply(radians, 180.0 / math.pi, out=table[:, 5])
     header = "freq_hz,s11_db,s21_db,s12_db,s22_db,s21_phase_deg\n"
     _write_text(destination, header + e9_rows(table, ","))
 

@@ -23,20 +23,29 @@ port to ground) live in that analysis too, so they run once per topology.
 A Network is stamped once, at construction: one pass over its elements
 checks their values and collects its topology, the analysis refuses a bad
 topology with DesignError or returns the plan, and the values are stamped
-into the plan's slots as G, C and Gamma, which the network keeps with its
-plan. A solve forms w once over the sweep's frequencies, one read-only
-float64 array, and cuts them into blocks of equal width, the last one
-no wider: as few as keep each block's work buffer within _BUDGET bytes,
-so the block count follows the plan's slot count, not a fixed number of
-frequencies. A block holds Y at its frequencies as one contiguous
-(slots, frequencies) array, assembled from those arrays; the program runs
-on its rows, which are made once per block width, and eliminates the
-internal nodes, leaving the 2x2 port admittance Yp in the port slots, and
-the block's pivots are checked. The block then copies its four Yp rows
-(Y11, Y12, Y21, Y22) into a (4, frequencies) array for the whole sweep,
-and its buffer serves the next block. Only after the last block is S
-formed, once over the whole sweep: with real reference impedances and
-y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
+into the plan's slots as G, C and Gamma. Most slots of an amplifier share
+their stamp values (the 12-stage benchmark design has 214 slots and 12
+distinct triples), so slots are grouped by the bits of their (G, C,
+Gamma), and the network keeps, with its plan, each slot's group and one
+G, C and Gamma per group. The grouping is found once per topology and
+kept with the plan; each network checks it against its own stamps, bit
+for bit, and refines it where they differ (see _Plan). A solve forms w
+once over the sweep's frequencies, one read-only float64 array, and cuts
+them into blocks of equal width, the last one no wider: as few as keep
+each block's work buffer within _BUDGET bytes, so the block count follows
+the plan's slot count, not a fixed number of frequencies. A block holds Y
+at its frequencies as one contiguous (slots, frequencies) array: it forms
+Y of each group at those frequencies, a (groups, frequencies) table, and
+copies each slot's row from the table with one take. The program runs on
+its rows, which are made once per block width, and eliminates the
+internal nodes, leaving the 2x2 port admittance Yp in the port slots.
+The pivots have the first slots, in elimination order, and Y11, Y12, Y21
+and Y22 the last four, so the block checks its pivots on a slice of its
+rows and copies its four Yp rows into a (4, frequencies) array for the
+whole sweep with another. The buffer then holds the block's whole
+factorization, and it serves the next block. Only after the last block
+is S formed, once over the whole sweep: with real reference impedances
+and y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
 
     S = (I - y') (I + y')^-1,
 
@@ -80,7 +89,8 @@ loads: the first Network construction loads it. This module is loaded
 only on use too: the package re-exports its names through a module
 __getattr__, and of the CLI subcommands only simulate imports it. So the
 other five pay for neither numpy, this module nor the dataclasses module
-of TwoPortSweep. A Network's plan and stamps sit in its underscore slots.
+of TwoPortSweep. A Network's plan, groups and stamps sit in its
+underscore slots.
 """
 
 from __future__ import annotations
@@ -105,11 +115,11 @@ LOG = "log"
 # each step of the program is one numpy call per row and each block one
 # assembly of Y, so the fewest blocks spread both. At 1 MiB the 17-node
 # benchmark designs solve 1001 points in one block, the 23-node one in two
-# and the 41-node one in four, and their sweeps took 387, 372, 581 and
-# 1419 us, against 425, 420, 599 and 1720 at 512 KiB and 477, 475, 744
-# and 2581 at 256 KiB (minima of 100 interleaved sweeps, 2-vCPU Xeon).
-# 2 MiB took 7% less in all, for twice the buffer. A block is kept
-# contiguous: a strided partial last block had numpy copy all of it.
+# and the 41-node one in four, and their sweeps took 292, 342, 440 and
+# 1057 us, against 314, 353, 476 and 1356 at 512 KiB and 378, 414, 606
+# and 2166 at 256 KiB (minima of 150 interleaved sweeps, 2-vCPU Xeon).
+# 2 MiB took 295, 323, 398 and 892 us, for twice the buffer. A block is
+# kept contiguous: a strided partial last block had numpy copy all of it.
 _BUDGET = 1 << 20
 
 # stamp kinds: which of G, C and Gamma an element's value goes to
@@ -142,7 +152,9 @@ class Port(Record):
 class Network(Record):
     """Two-port element network with ground at node 0."""
 
-    __slots__ = ("node_count", "elements", "port1", "port2", "_plan", "_g", "_c", "_gamma")
+    __slots__ = (
+        "node_count", "elements", "port1", "port2", "_plan", "_group", "_g", "_c", "_gamma"
+    )
 
     def __post_init__(self) -> None:
         node_count, elements, port1, port2 = self.node_count, self.elements, self.port1, self.port2
@@ -191,11 +203,19 @@ class Network(Record):
         # refuses a bad topology here; a cached topology was checked before
         plan = _analyse(node_count, port1.node, port2.node, tuple(topology))
         weights = np.array(values)[plan.stamp_element] * plan.stamp_sign
-        g, c, gamma = np.bincount(plan.stamp_slot, weights, 3 * plan.slots).reshape(3, -1)
+        stamps = np.bincount(plan.stamp_slot, weights, 3 * plan.slots)
+        # the plan's grouping holds if each stamp has the bytes of its
+        # group leader's, so that Y of a group is Y of each of its slots
+        grouping = plan.grouping
+        if grouping is None or stamps.take(grouping[1]).tobytes() != stamps.tobytes():
+            grouping = _refine(plan, stamps)
+        group, _, picks, groups, reactive = grouping
+        table = stamps.take(picks)
         set_field(self, "_plan", plan)
-        set_field(self, "_g", g)
-        set_field(self, "_c", c[: plan.reactive])
-        set_field(self, "_gamma", gamma[: plan.reactive])
+        set_field(self, "_group", group)
+        set_field(self, "_g", table[:groups])
+        set_field(self, "_c", table[groups : groups + reactive])
+        set_field(self, "_gamma", table[groups + reactive :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,31 +512,43 @@ class _Plan:
 
     Every entry of Y that is ever nonzero, stamped or filled in, has a slot:
     a row of the (slots, frequencies) array the solve works on. The first
-    `reactive` slots are those a capacitor or an inductor stamps. Stamp k
-    adds the value of element stamp_element[k], times stamp_sign[k], at
-    stamp_slot[k] = kind * slots + slot. program holds (kk, (kj, ...),
-    ((ij, ik, kj), ...)) per pivot, in order; pivots holds the pivot slots
-    and ports the slots of Y11, Y12, Y21 and Y22.
+    `pivots` slots are the pivots, in elimination order, and the last four
+    are Y11, Y12, Y21 and Y22, so that a block checks its pivots and copies
+    out its port rows through slices. Stamp k adds the value of element
+    stamp_element[k], times stamp_sign[k], at stamp_slot[k] = kind * slots
+    + slot. program holds (kk, (kj, ...), ((ij, ik, kj), ...)) per pivot,
+    in order.
+
+    grouping, None until a network is stamped, is (group, leaders, picks,
+    groups, reactive). Slot s belongs to group group[s], whose leader is
+    its first slot; the first `reactive` of the `groups` groups are those
+    a capacitor or an inductor stamps. A network's stamps are G, C and
+    Gamma of each slot in turn, 3 * slots floats: leaders indexes, for
+    each of them, the leader's stamp of the same kind, and picks G of each
+    group, then C and Gamma of each reactive group. A network whose stamps
+    have the bytes of their leaders' uses the grouping as it is; any other
+    replaces it with the common refinement of the two groupings (_refine).
+    So it only ever gets finer, and once the networks of each design of a
+    topology have been stamped it holds for all of them, where a grouping
+    made anew by each network would be made again whenever the designs
+    alternate. A network keeps the group array it was stamped with.
 
     No Record: its fields hold numpy arrays, which neither compare to a
     bool nor hash, so a plan equals only itself. A Network leaves it out of
     its own equality.
     """
 
-    __slots__ = ("slots", "reactive", "stamp_slot", "stamp_element", "stamp_sign", "program",
-                 "pivots", "ports")
+    __slots__ = ("slots", "pivots", "stamp_slot", "stamp_element", "stamp_sign", "program",
+                 "grouping")
 
-    def __init__(
-        self, slots, reactive, stamp_slot, stamp_element, stamp_sign, program, pivots, ports
-    ) -> None:
+    def __init__(self, slots, pivots, stamp_slot, stamp_element, stamp_sign, program) -> None:
         self.slots = slots
-        self.reactive = reactive
+        self.pivots = pivots
         self.stamp_slot = stamp_slot
         self.stamp_element = stamp_element
         self.stamp_sign = stamp_sign
         self.program = program
-        self.pivots = pivots
-        self.ports = ports
+        self.grouping = None
 
 
 @functools.lru_cache(maxsize=64)
@@ -615,14 +647,20 @@ def _analyse(node_count: int, port1: int, port2: int, topology: tuple) -> _Plan:
         program.append(((k, k), [(k, j) for j in cols], updates))
         entries.update(dict.fromkeys(ij for ij, _, _ in updates))
 
-    # number the slots, reactive ones first
-    reactive = dict.fromkeys(entry for kind, entry, _, _ in stamps if kind != _G)
-    slot = {entry: index for index, entry in enumerate({**reactive, **entries})}
+    # number the slots: the pivots in elimination order, the other entries,
+    # then Y11, Y12, Y21 and Y22
+    ports = ((port1, port1), (port1, port2), (port2, port1), (port2, port2))
+    numbered = dict.fromkeys((k, k) for k in order)
+    numbered.update(entries)
+    for entry in ports:
+        del numbered[entry]
+    numbered.update(dict.fromkeys(ports))
+    slot = {entry: index for index, entry in enumerate(numbered)}
     slots = len(slot)
     kinds, stamped, elements, signs = zip(*stamps)
     return _Plan(
         slots=slots,
-        reactive=len(reactive),
+        pivots=len(order),
         stamp_slot=np.array(kinds, dtype=np.intp) * slots
         + np.array([slot[e] for e in stamped], dtype=np.intp),
         stamp_element=np.array(elements, dtype=np.intp),
@@ -635,10 +673,41 @@ def _analyse(node_count: int, port1: int, port2: int, topology: tuple) -> _Plan:
             )
             for kk, kjs, updates in program
         ),
-        pivots=np.array([slot[k, k] for k in order], dtype=np.intp),
-        ports=np.array([slot[port1, port1], slot[port1, port2], slot[port2, port1],
-                        slot[port2, port2]], dtype=np.intp),
     )
+
+
+def _refine(plan: _Plan, stamps: numpy.ndarray) -> tuple:
+    """Store in the plan, and return, the common refinement of its grouping
+    and the grouping of a network's stamps, G, C and Gamma of each slot in
+    turn: slots stay together where both groupings put them together, and
+    where their stamps have the same bits.
+
+    Groups are numbered in the order of (resistive, old group, bits), so
+    the groups with a nonzero C or Gamma come first. A slot is either
+    stamped by a capacitor or an inductor in every network of the plan or
+    in none, and such stamps, all of one sign and never zero, cannot sum to
+    zero, so the split follows the topology.
+    """
+    import numpy as np
+
+    slots = plan.slots
+    g, c, gamma = stamps.view(np.int64).reshape(3, slots)
+    resistive = (c == 0) & (gamma == 0)
+    old = np.zeros(slots, dtype=np.int64) if plan.grouping is None else plan.grouping[0]
+    keys = np.stack((resistive, old, g, c, gamma), axis=1)
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True, axis=0)
+    group = group.reshape(-1)
+    reactive = len(first) - int(resistive[first].sum())
+    leader = first[group]
+    grouping = (
+        group,
+        np.concatenate((leader, leader + slots, leader + 2 * slots)),
+        np.concatenate((first, first[:reactive] + slots, first[:reactive] + 2 * slots)),
+        len(first),
+        reactive,
+    )
+    plan.grouping = grouping
+    return grouping
 
 
 def _solve(net: Network, freqs: numpy.ndarray):
@@ -691,18 +760,21 @@ def _block_width(plan: _Plan, points: int) -> int:
 def _port_admittance(net: Network, freqs: numpy.ndarray):
     """Rows Y11, Y12, Y21 and Y22 of Yp, as a (4, frequencies) array.
 
-    Each block of _block_width frequencies assembles Y, runs the program
-    on it and checks its pivots, which are never written after their own
-    elimination; then it copies out the four port rows. It runs under
+    Each block of _block_width frequencies forms Y of each of the
+    network's stamp groups, copies each group's row into its slots, runs
+    the program and checks its pivots, which are never written after their
+    own elimination; then it copies out the four port rows. It runs under
     _solve's errstate.
     """
     import numpy as np
 
     plan = net._plan
-    reactive = plan.reactive
+    slots, pivots = plan.slots, plan.pivots
+    group, c, gamma = net._group, net._c, net._gamma
+    reactive = len(c)
     points = len(freqs)
     width = _block_width(plan, points)
-    work = np.empty(plan.slots * width, dtype=complex)
+    work = np.empty(slots * width, dtype=complex)
     yp = np.empty((4, points), dtype=complex)
     w = 2.0 * math.pi * freqs
     g = net._g[:, None]
@@ -714,20 +786,24 @@ def _port_admittance(net: Network, freqs: numpy.ndarray):
             # the first block, or a narrower last one
             size = len(block)
             # contiguous in a partial last block too, so no step copies it
-            y = work[: plan.slots * size].reshape(plan.slots, size)
-            y_real, y_imag = y.real, y.imag
-            real_reactive, imag_reactive = y_real[:reactive], y_imag[:reactive]
-            imag_resistive = y_imag[reactive:]
+            y = work[: slots * size].reshape(slots, size)
             rows = list(y)
             scratch = np.empty(size, dtype=complex)
-        # Y = G + jwC + Gamma/(jw), the imaginary part only where C or
-        # Gamma stamps; Gamma/w goes through the real part, which G then
-        # overwrites
-        multiply.outer(net._c, block, out=imag_reactive)
-        divide.outer(net._gamma, block, out=real_reactive)
+            table = np.empty((len(g), size), dtype=complex)
+            table_real, table_imag = table.real, table.imag
+            real_reactive, imag_reactive = table_real[:reactive], table_imag[:reactive]
+            imag_resistive = table_imag[reactive:]
+        # Y = G + jwC + Gamma/(jw) of each group, the imaginary part only
+        # where C or Gamma stamps, which keeps it 0 even where w overflows;
+        # Gamma/w goes through the real part, which G then overwrites
+        multiply.outer(c, block, out=imag_reactive)
+        divide.outer(gamma, block, out=real_reactive)
         subtract(imag_reactive, real_reactive, out=imag_reactive)
-        y_real[...] = g
+        table_real[...] = g
         imag_resistive[...] = 0.0
+        # "clip" writes straight into the out, where the default mode would
+        # buffer; the groups are always in range
+        table.take(group, axis=0, out=y, mode="clip")
         for kk, kjs, updates in plan.program:
             pivot = rows[kk]
             for kj in kjs:
@@ -735,12 +811,10 @@ def _port_admittance(net: Network, freqs: numpy.ndarray):
             for ij, ik, kj in updates:
                 multiply(rows[ik], rows[kj], scratch)
                 subtract(rows[ij], scratch, rows[ij])
-        if not y[plan.pivots].all():
-            zero = np.flatnonzero((y[plan.pivots] == 0).any(axis=0))[0]
+        if not y[:pivots].all():
+            zero = np.flatnonzero((y[:pivots] == 0).any(axis=0))[0]
             raise SimulationError(f"singular nodal system at {freqs[start + zero].item()} Hz")
-        # "clip" writes straight into the strided out, where the default
-        # mode would buffer; the port slots are always in range
-        y.take(plan.ports, axis=0, out=yp[:, start : start + size], mode="clip")
+        yp[:, start : start + size] = y[-4:]
     return yp
 
 

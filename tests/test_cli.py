@@ -805,6 +805,24 @@ def test_numpy_hypot_is_abs_bit_for_bit(values):
     assert got.tobytes() == np.array(want).tobytes()
 
 
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.floats(), min_size=1, max_size=32))
+@example([0.0, -0.0, _TINY, -_TINY, 2.2250738585072014e-308, -2.2250738585072014e-308])
+@example([math.pi, -math.pi, math.pi / 2.0, 1e308, -1e308, _MAX, -_MAX])
+@example([math.inf, -math.inf, math.nan])
+def test_numpy_degrees_is_math_degrees_bit_for_bit(values):
+    """write_csv turns math.atan2's radians into degrees with one numpy
+    multiply by 180 / pi, on the premise that CPython's math.degrees(x) is
+    that one multiply. Should this fail on some Python, the phases go back
+    to math.degrees, point by point."""
+    import numpy as np
+
+    # past 3.1e306 the product overflows to inf, as math.degrees's does
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = np.array(values) * (180.0 / math.pi)
+    assert got.tobytes() == np.array([math.degrees(v) for v in values]).tobytes()
+
+
 def _percent_rows(rows, sep):
     return "".join(sep.join("%.9e" % x for x in row) + "\n" for row in rows)
 

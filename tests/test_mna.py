@@ -930,6 +930,98 @@ def test_solve_looks_up_no_plan():
     assert _analyse.cache_info() == before
 
 
+def rebuilt(net: Network) -> Network:
+    return Network(net.node_count, net.elements, net.port1, net.port2)
+
+
+def fresh_s(net: Network, *grid) -> bytes:
+    """The bytes of S of net's sweep over grid, built on an empty plan cache."""
+    _analyse.cache_clear()
+    return sweep(rebuilt(net), *grid).s_matrices.tobytes()
+
+
+def assert_shared_plan_sweeps_as_fresh(nets, orders, *grid) -> None:
+    """Build nets in each order from an empty cache, sweeping each one as it
+    is built and all of them at the end: every S has the bytes of a sweep
+    of the same network built on an empty cache."""
+    want = [fresh_s(net, *grid) for net in nets]
+    for order in orders:
+        _analyse.cache_clear()
+        built = []
+        for k in order:
+            built.append(rebuilt(nets[k]))
+            assert built[-1]._plan is built[0]._plan
+            assert sweep(built[-1], *grid).s_matrices.tobytes() == want[k]
+        # later networks may have refined the plan's grouping
+        for k, net in zip(order, built):
+            assert sweep(net, *grid).s_matrices.tobytes() == want[k]
+
+
+@pytest.mark.parametrize("orders", [[(0, 1, 2)], [(2, 1, 0, 2)], [(1, 0, 1), (0, 2, 1, 0)]])
+def test_designs_of_one_topology_sweep_as_with_a_fresh_cache(gan, fr4, orders):
+    # the README's uniform match-drain design, its Ginzton taper and the
+    # taper with the strips' parasitics: one topology, and three sets of
+    # stamp values that share some groups and split others
+    nets = [
+        build_network(synthesize_design(gan, fr4, DesignOptions(
+            stages=4, series_cap="match-drain", taper=taper, include_microstrip_parasitics=strips
+        )))
+        for taper, strips in ((None, False), ("ginzton", False), ("ginzton", True))
+    ]
+    assert_shared_plan_sweeps_as_fresh(nets, orders, 10e6, 15e9, 401)
+
+
+_VALUE_FIELD = {Resistor: "ohms", Capacitor: "farads", Inductor: "henries", Vccs: "gm"}
+
+
+@st.composite
+def retuned_pairs(draw) -> tuple[Network, Network]:
+    """A ladder whose element j takes the value of element i of its kind,
+    where there is one, and the same ladder with element j one ulp away."""
+    net = draw(active_ladders())
+    elements = list(net.elements)
+    i = draw(st.integers(0, len(elements) - 1))
+    kind, field = type(elements[i]), _VALUE_FIELD[type(elements[i])]
+    value = getattr(elements[i], field)
+    mates = [j for j, e in enumerate(elements) if type(e) is kind and j != i]
+    j = draw(st.sampled_from(mates)) if mates else i
+    elements[j] = replace(elements[j], **{field: value})
+    equal = replace(net, elements=tuple(elements))
+    elements[j] = replace(elements[j], **{field: math.nextafter(value, draw(
+        st.sampled_from((math.inf, -math.inf))
+    ))})
+    return equal, replace(net, elements=tuple(elements))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(retuned_pairs())
+def test_retuned_networks_of_one_plan_sweep_as_with_a_fresh_cache(nets):
+    # a grouping made for one network must not carry over to the other,
+    # which differs from it in one element by one ulp
+    assert_shared_plan_sweeps_as_fresh(nets, [(0, 1, 0), (1, 0, 1)], 10e6, 100e9, 41, LOG)
+
+
+def test_pivots_come_first_and_port_entries_last():
+    # port 1 at node 1, port 3 at node 3, node 2 between them: one pivot;
+    # the VCCS stamps Y31 only, and eliminating node 2 fills in Y13
+    net = Network(
+        4,
+        (Resistor(1, 0, 2.0), Resistor(1, 2, 4.0), Resistor(2, 3, 8.0), Resistor(3, 0, 0.5),
+         Vccs(3, 0, 1, 0, 0.0625)),
+        Port(1),
+        Port(3),
+    )
+    plan = net._plan
+    g = net._g[net._group]
+    assert plan.pivots == 1 and plan.slots == 9
+    assert g[0] == 0.25 + 0.125
+    assert g[-4:].tolist() == [0.5 + 0.25, 0.0, 0.0625, 0.125 + 2.0]
+    # each step eliminates the next pivot slot
+    for net in (lc_ladder(5), build_network(proto_amp())):
+        pivots = [kk for kk, _, _ in net._plan.program]
+        assert pivots == list(range(net._plan.pivots))
+
+
 def synthetic_sweep(freqs, s21_mags, s11_mags):
     mats = tuple(
         ((complex(s11), 0j), (complex(s21), 0j))
