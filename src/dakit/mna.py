@@ -694,9 +694,18 @@ def _refine(plan: _Plan, stamps: numpy.ndarray) -> tuple:
     g, c, gamma = stamps.view(np.int64).reshape(3, slots)
     resistive = (c == 0) & (gamma == 0)
     old = np.zeros(slots, dtype=np.int64) if plan.grouping is None else plan.grouping[0]
-    keys = np.stack((resistive, old, g, c, gamma), axis=1)
-    _, first, group = np.unique(keys, return_index=True, return_inverse=True, axis=0)
-    group = group.reshape(-1)
+    # a stable sort by (resistive, old group, bits), the last key first:
+    # each run of equal keys is a group, which starts at its first slot.
+    # np.unique(axis=0) makes the same groups at several times the cost
+    keys = np.stack((gamma, c, g, old, resistive))
+    order = np.lexsort(keys)
+    ranked = keys[:, order]
+    starts = np.empty(slots, dtype=bool)
+    starts[0] = True
+    np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=starts[1:])
+    group = np.empty(slots, dtype=np.intp)
+    group[order] = starts.cumsum() - 1
+    first = order[starts]
     reactive = len(first) - int(resistive[first].sum())
     leader = first[group]
     grouping = (
