@@ -691,22 +691,18 @@ def _refine(plan: _Plan, stamps: numpy.ndarray) -> tuple:
     import numpy as np
 
     slots = plan.slots
-    g, c, gamma = stamps.view(np.int64).reshape(3, slots)
-    resistive = (c == 0) & (gamma == 0)
-    old = np.zeros(slots, dtype=np.int64) if plan.grouping is None else plan.grouping[0]
-    # a stable sort by (resistive, old group, bits), the last key first:
-    # each run of equal keys is a group, which starts at its first slot.
-    # np.unique(axis=0) makes the same groups at several times the cost
-    keys = np.stack((gamma, c, g, old, resistive))
-    order = np.lexsort(keys)
-    ranked = keys[:, order]
-    starts = np.empty(slots, dtype=bool)
-    starts[0] = True
-    np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=starts[1:])
-    group = np.empty(slots, dtype=np.intp)
-    group[order] = starts.cumsum() - 1
-    first = order[starts]
-    reactive = len(first) - int(resistive[first].sum())
+    g, c, gamma = stamps.view(np.int64).reshape(3, slots).tolist()
+    old = [0] * slots if plan.grouping is None else plan.grouping[0].tolist()
+    # in Python: a few hundred slots, refined a few times per topology, and
+    # numpy's sorts would fault in about 0.5 MB of their code per process
+    keys = [(not (cs or ys), o, gs, cs, ys) for o, gs, cs, ys in zip(old, g, c, gamma)]
+    # filled from the last slot back, so each key keeps its first slot
+    firsts = dict(zip(reversed(keys), range(slots - 1, -1, -1)))
+    ranked = sorted(firsts)
+    number = {key: index for index, key in enumerate(ranked)}
+    group = np.array([number[key] for key in keys], dtype=np.intp)
+    first = np.array([firsts[key] for key in ranked], dtype=np.intp)
+    reactive = sum(not key[0] for key in ranked)
     leader = first[group]
     grouping = (
         group,

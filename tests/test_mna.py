@@ -955,6 +955,12 @@ def assert_shared_plan_sweeps_as_fresh(nets, orders, *grid) -> None:
         # later networks may have refined the plan's grouping
         for k, net in zip(order, built):
             assert sweep(net, *grid).s_matrices.tobytes() == want[k]
+        # which now holds for each of them: the designs can alternate
+        # without a grouping being made again
+        grouping = built[0]._plan.grouping
+        for k in order:
+            rebuilt(nets[k])
+        assert built[0]._plan.grouping is grouping
 
 
 @pytest.mark.parametrize("orders", [[(0, 1, 2)], [(2, 1, 0, 2)], [(1, 0, 1), (0, 2, 1, 0)]])
@@ -969,6 +975,18 @@ def test_designs_of_one_topology_sweep_as_with_a_fresh_cache(gan, fr4, orders):
         for taper, strips in ((None, False), ("ginzton", False), ("ginzton", True))
     ]
     assert_shared_plan_sweeps_as_fresh(nets, orders, 10e6, 15e9, 401)
+
+
+def test_a_plans_grouping_keeps_what_each_network_needs():
+    # ladder a has equal capacitors and end inductors half the others, b
+    # equal inductors and unequal capacitors: neither network's grouping
+    # is finer than the other's, so the plan must hold what both need
+    a = lc_ladder(4)
+    b = rebuilt(replace(a, elements=tuple(
+        replace(e, henries=2.5e-9) if isinstance(e, Inductor) else replace(e, farads=e.a * 1e-12)
+        for e in a.elements
+    )))
+    assert_shared_plan_sweeps_as_fresh([a, b], [(0, 1, 0, 1), (1, 0)], 10e6, 15e9, 101)
 
 
 _VALUE_FIELD = {Resistor: "ohms", Capacitor: "farads", Inductor: "henries", Vccs: "gm"}
