@@ -115,10 +115,10 @@ LOG = "log"
 # each step of the program is one numpy call per row and each block one
 # assembly of Y, so the fewest blocks spread both. At 1 MiB the 17-node
 # benchmark designs solve 1001 points in one block, the 23-node one in two
-# and the 41-node one in four, and their sweeps took 292, 342, 440 and
-# 1057 us, against 314, 353, 476 and 1356 at 512 KiB and 378, 414, 606
-# and 2166 at 256 KiB (minima of 150 interleaved sweeps, 2-vCPU Xeon).
-# 2 MiB took 295, 323, 398 and 892 us, for twice the buffer. A block is
+# and the 41-node one in four, and their sweeps took 313, 362, 473 and
+# 1089 us, against 327, 368, 484 and 1393 at 512 KiB and 392, 421, 627
+# and 2235 at 256 KiB (minima of 150 interleaved sweeps, 2-vCPU Xeon).
+# 2 MiB took 309, 335, 404 and 918 us, for twice the buffer. A block is
 # kept contiguous: a strided partial last block had numpy copy all of it.
 _BUDGET = 1 << 20
 
