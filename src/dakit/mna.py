@@ -532,6 +532,9 @@ class _Plan:
     topology have been stamped it holds for all of them, where a grouping
     made anew by each network would be made again whenever the designs
     alternate. A network keeps the group array it was stamped with.
+    Networks built in several threads at once may each replace the
+    grouping; each still uses one that it checked or made, so a lost
+    refinement is made again, and no result changes.
 
     No Record: its fields hold numpy arrays, which neither compare to a
     bool nor hash, so a plan equals only itself. A Network leaves it out of

@@ -3,6 +3,8 @@ import dataclasses
 import math
 import pickle
 import re
+import sys
+import threading
 import types
 
 import numpy as np
@@ -977,16 +979,52 @@ def test_designs_of_one_topology_sweep_as_with_a_fresh_cache(gan, fr4, orders):
     assert_shared_plan_sweeps_as_fresh(nets, orders, 10e6, 15e9, 401)
 
 
-def test_a_plans_grouping_keeps_what_each_network_needs():
-    # ladder a has equal capacitors and end inductors half the others, b
-    # equal inductors and unequal capacitors: neither network's grouping
-    # is finer than the other's, so the plan must hold what both need
+def incomparable_ladders() -> list[Network]:
+    """Two ladders of one topology, neither of whose groupings is finer
+    than the other's: a has equal capacitors and end inductors half the
+    others, b equal inductors and unequal capacitors."""
     a = lc_ladder(4)
-    b = rebuilt(replace(a, elements=tuple(
+    b = replace(a, elements=tuple(
         replace(e, henries=2.5e-9) if isinstance(e, Inductor) else replace(e, farads=e.a * 1e-12)
         for e in a.elements
-    )))
-    assert_shared_plan_sweeps_as_fresh([a, b], [(0, 1, 0, 1), (1, 0)], 10e6, 15e9, 101)
+    ))
+    return [a, b]
+
+
+def test_a_plans_grouping_keeps_what_each_network_needs():
+    orders = [(0, 1, 0, 1), (1, 0)]
+    assert_shared_plan_sweeps_as_fresh(incomparable_ladders(), orders, 10e6, 15e9, 101)
+
+
+def test_networks_built_in_threads_sweep_as_with_a_fresh_cache():
+    # threads that build networks of one plan at once may each replace its
+    # grouping; each network still uses a grouping it has checked or made
+    nets, grid = incomparable_ladders(), (10e6, 15e9, 101)
+    want = [fresh_s(net, *grid) for net in nets]
+    _analyse.cache_clear()
+    built, errors = [], []
+
+    def build(k):
+        try:
+            for i in range(50):
+                built.append(((k + i) % 2, rebuilt(nets[(k + i) % 2])))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and not errors
+    assert len(built) == 200
+    for k, net in built:
+        assert sweep(net, *grid).s_matrices.tobytes() == want[k]
 
 
 _VALUE_FIELD = {Resistor: "ohms", Capacitor: "farads", Inductor: "henries", Vccs: "gm"}
