@@ -322,7 +322,15 @@ def report_from_json(text: str) -> DesignReport:
         # a missing field, a wrong JSON type, or an integer too large for a float
         raise DesignError(f"malformed {_SCHEMA} document: {exc!r}") from exc
     fresh = _report_doc(report)
-    if fresh != doc:
+    # == takes true for 1 and false for 0; the one bool of a valid document
+    # is the parasitics option, which DesignOptions has checked, so a text
+    # with any other true or false, or bytes that json.loads decoded, is
+    # walked
+    if (
+        fresh != doc
+        or not isinstance(text, str)
+        or text.count("true") + text.count("false") != 1
+    ):
         _check_same(doc, fresh, "")
     return report
 
@@ -418,7 +426,8 @@ def _options_from_doc(doc: dict) -> DesignOptions:
 def _check_same(stored: object, fresh: object, path: str) -> None:
     """Raise DesignError at the first field where a stored document departs
     from the fresh one: floats by more than _REL_TOL, anything else at all.
-    Values compare as the fast path's == does, so 4.0 stands for 4."""
+    Values compare as the fast path's == does, so 4.0 stands for 4, but a
+    bool stands for no number."""
     if isinstance(fresh, dict) and isinstance(stored, dict):
         odd = stored.keys() ^ fresh.keys()
         if odd:
@@ -430,11 +439,13 @@ def _check_same(stored: object, fresh: object, path: str) -> None:
         for i, (s, f) in enumerate(zip(stored, fresh)):
             _check_same(s, f, f"{path}[{i}]")
         return
-    if type(fresh) is float:
-        if isinstance(stored, (int, float)) and math.isclose(stored, fresh, rel_tol=_REL_TOL):
+    # True == 1, but a bool only stands for a bool
+    if isinstance(stored, bool) is isinstance(fresh, bool):
+        if type(fresh) is float:
+            if isinstance(stored, (int, float)) and math.isclose(stored, fresh, rel_tol=_REL_TOL):
+                return
+        elif stored == fresh:
             return
-    elif stored == fresh:
-        return
     raise DesignError(
         f"report field {path} is {stored!r}, but its inputs synthesize {fresh!r}; "
         "the report was edited or written by another version"

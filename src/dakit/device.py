@@ -64,8 +64,7 @@ class Catalog(Record):
     def __post_init__(self) -> None:
         transistors = self.transistors
         # a tuple, so that the catalog hashes
-        if not isinstance(transistors, tuple):
-            raise CatalogError(f"transistors must be a tuple, got {transistors!r}")
+        instance_of(transistors, tuple, "transistors", CatalogError)
         seen = set()
         for t in transistors:
             instance_of(t, TransistorModel, "catalog entry", CatalogError)

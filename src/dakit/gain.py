@@ -38,12 +38,9 @@ def voltage_gain(gm: float, z0d: float, n: int) -> float:
 
 
 def power_gain_lossless(gm: float, z0g: float, z0d: float, n: int) -> float:
-    """Power gain n^2*gm^2*z0g*z0d/4 with lossless lines."""
-    positive(gm, "gm", DesignError)
-    positive(z0g, "gate line impedance", DesignError)
-    positive(z0d, "drain line impedance", DesignError)
-    count(n, "stage count", DesignError)
-    return gm * gm * z0g * z0d * n * n / 4.0
+    """Power gain n^2*gm^2*z0g*z0d/4 with lossless lines: the lossy form
+    with no attenuation."""
+    return power_gain_lossy(gm, z0g, z0d, 0.0, 0.0, n)
 
 
 def power_gain_lossy(gm: float, z0g: float, z0d: float, ag: float, ad: float, n: int) -> float:

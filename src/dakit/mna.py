@@ -160,8 +160,7 @@ class Network(Record):
         node_count, elements, port1, port2 = self.node_count, self.elements, self.port1, self.port2
         if type(node_count) is not int:
             raise DesignError(f"node count must be an int, got {node_count!r}")
-        if not isinstance(elements, tuple):
-            raise DesignError(f"elements must be a tuple, got {elements!r}")
+        instance_of(elements, tuple, "elements", DesignError)
         for port in (port1, port2):
             instance_of(port, Port, "port", DesignError)
             if type(port.node) is not int:
@@ -226,15 +225,15 @@ class TwoPortSweep:
     frequencies is one read-only, C-contiguous float64 array of shape (n,),
     and s_matrices one read-only complex128 array of shape (n, 2, 2), whose
     entry k is ((s11, s12), (s21, s22)) at frequencies[k]. The constructor
-    keeps such arrays, once it has checked that the frequencies are
-    positive and finite and S finite. Another 1-D float64 array of
-    frequencies, such as a copy's, is copied into one, and a tuple is
-    checked point by point and converted; any other S, such as nested
-    tuples, is checked entry by entry and copied into one. Sweeps compare
-    and hash by the bytes of their frequencies and of S and by the
-    reference impedance, and copy and pickle through the constructor.
-    sweep stores what it made without the constructor's checks, which it
-    has made itself.
+    checks every input one way, entry by entry: the frequencies, a tuple
+    or a 1-D float64 array read as the tuple of its values, with positive,
+    and each entry of S, nested tuples or an array, in C order with
+    finite_complex. It then stores new read-only arrays of them, so a
+    sweep never shares the arrays it was given. Sweeps compare and hash by
+    the bytes of their frequencies and of S and by the reference
+    impedance, and copy and pickle through the constructor, so a copy holds
+    new arrays too. sweep stores what it made without the constructor's
+    checks, which it has made itself.
     """
 
     frequencies: numpy.ndarray
@@ -245,45 +244,27 @@ class TwoPortSweep:
         import numpy as np
 
         freqs, s, z0 = self.frequencies, self.s_matrices, self.reference_impedance
+        # an array of frequencies, such as a copy's, is read as its values
         if freqs.__class__ is np.ndarray and freqs.dtype == float and freqs.ndim == 1:
-            if freqs.flags.writeable or not freqs.flags.c_contiguous:
-                freqs = freqs.copy()
-            good = (freqs > 0.0) & np.isfinite(freqs)
-            if not good.all():
-                # a Python float, so that the message reads as a tuple's
-                positive(freqs[~good][0].item(), "frequency", SimulationError)
-        else:
-            instance_of(freqs, tuple, "frequencies", SimulationError)
-            for f in freqs:
-                positive(f, "frequency", SimulationError)
-            freqs = np.array(freqs, dtype=float)
-        if freqs is not self.frequencies:
-            freqs.flags.writeable = False
-            set_field(self, "frequencies", freqs)
+            freqs = tuple(freqs.tolist())
+        instance_of(freqs, tuple, "frequencies", SimulationError)
+        for f in freqs:
+            positive(f, "frequency", SimulationError)
         if z0 is not None:
             positive(z0, "reference impedance", SimulationError)
-        own = (
-            s.__class__ is np.ndarray
-            and s.dtype == complex
-            and s.flags.c_contiguous
-            and not s.flags.writeable
-        )
-        if not own:
-            # as objects, so that numpy takes no bool or str for a number
-            s = np.array(s, dtype=object)
-        if not len(freqs) or s.shape != (len(freqs), 2, 2):
+        # as objects, so that numpy takes no bool or str for a number
+        s = np.array(s, dtype=object)
+        if not freqs or s.shape != (len(freqs), 2, 2):
             raise SimulationError(
                 f"a sweep needs one S-matrix per frequency, at least one, each "
                 f"2x2: got {self.s_matrices!r}"
             )
-        if own:
-            if not np.isfinite(s).all():
-                finite_complex(s[~np.isfinite(s)][0].item(), "S-parameter", SimulationError)
-            return
         for value in s.flat:
             finite_complex(value, "S-parameter", SimulationError)
+        freqs = np.array(freqs, dtype=float)
         s = s.astype(complex)
-        s.flags.writeable = False
+        freqs.flags.writeable = s.flags.writeable = False
+        set_field(self, "frequencies", freqs)
         set_field(self, "s_matrices", s)
 
     @classmethod
@@ -325,8 +306,8 @@ class TwoPortSweep:
         )
 
     def __reduce__(self):
-        # a copied or unpickled array is writeable again, so the constructor
-        # copies it into a read-only one
+        # copy and pickle rebuild a sweep through the constructor, which
+        # checks the arrays again and stores read-only arrays of its own
         return self.__class__, (self.frequencies, self.s_matrices, self.reference_impedance)
 
 

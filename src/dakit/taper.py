@@ -46,8 +46,7 @@ class TaperProfile(Record):
         if side not in (GATE, DRAIN):
             raise DesignError(f"side must be {GATE!r} or {DRAIN!r}, got {side!r}")
         # a tuple, so that the profile hashes and junction_gammas can extend it
-        if not isinstance(sections, tuple):
-            raise DesignError(f"sections must be a tuple, got {sections!r}")
+        instance_of(sections, tuple, "sections", DesignError)
         if not sections:
             raise DesignError(f"profile needs at least one section, got {sections!r}")
         for z in sections:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -427,6 +428,43 @@ class TestJsonRoundTrip:
         text = self.edited(synthesize_design(gan, fr4), keys, change)
         with pytest.raises(DesignError, match=field):
             report_from_json(text)
+
+    @pytest.mark.parametrize(
+        "options, keys, value",
+        [
+            # the README's match-drain design, whose mismatch is 0.0
+            (DesignOptions(series_cap="match-drain"), ("velocity_mismatch",), False),
+            # a uniform design, whose penalty is 1.0
+            (DesignOptions(), ("gain_penalty",), True),
+            (DesignOptions(stages=1), ("gains", "n"), True),
+        ],
+        ids=["velocity_mismatch", "gain_penalty", "gains.n"],
+    )
+    def test_a_bool_for_an_equal_number_is_refused_by_name(self, gan, fr4, options, keys, value):
+        report = synthesize_design(gan, fr4, options)
+        fresh = json.loads(report_to_json(report))
+        for key in keys:
+            fresh = fresh[key]
+        # the bool equals the number, so only its type tells them apart
+        assert fresh == value and not isinstance(fresh, bool)
+        text = self.edited(report, keys, lambda v: value)
+        message = f"report field {'.'.join(keys)} is {value!r}, but its inputs synthesize {fresh!r}"
+        with pytest.raises(DesignError, match=f"^{re.escape(message)}; "):
+            report_from_json(text)
+
+    def test_a_report_with_parasitics_on_loads(self, gan, fr4):
+        report = synthesize_design(gan, fr4, DesignOptions(include_microstrip_parasitics=True))
+        text = report_to_json(report)
+        # its one bool keeps the text on the fast path; bytes are walked
+        assert text.count("true") + text.count("false") == 1
+        assert report_from_json(text) == report
+        assert report_from_json(text.encode()) == report
+
+    def test_a_true_inside_a_string_still_loads(self, fr4):
+        # a second "true" in the text sends the document through the walk
+        device = TransistorModel(name="true", gm=0.05, cgs=1.79e-12, cds=3e-13, reference="false")
+        report = synthesize_design(device, fr4)
+        assert report_from_json(report_to_json(report)) == report
 
     @pytest.mark.parametrize(
         "keys, value",

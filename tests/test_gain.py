@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dakit import (
     DesignError,
@@ -40,6 +42,21 @@ def test_power_gain_lossy_reduces_to_lossless():
     lossy = power_gain_lossy(0.05, 50.0, 50.0, 0.0, 0.0, 4)
     lossless = power_gain_lossless(0.05, 50.0, 50.0, 4)
     assert math.isclose(lossy, lossless, rel_tol=1e-12)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.floats(1e-60, 1e60),
+    st.floats(1e-60, 1e60),
+    st.floats(1e-60, 1e60),
+    st.integers(1, 10**6),
+)
+def test_power_gain_lossless_is_the_closed_form_bit_for_bit(gm, z0g, z0d, n):
+    # the lossy form at zero loss divides by 4 before multiplying by n^2,
+    # which is exact while every product is a normal float, as here
+    closed = gm * gm * z0g * z0d * n * n / 4.0
+    assert power_gain_lossless(gm, z0g, z0d, n).hex() == closed.hex()
+    assert power_gain_lossy(gm, z0g, z0d, 0.0, 0.0, n).hex() == closed.hex()
 
 
 def test_power_gain_lossy_equal_loss_branch():

@@ -492,7 +492,7 @@ class TestSweep:
         # sweep stores its grid and S without the constructor's checks
         swp = sweep(build_network(proto_amp()), 10e6, 10e9, 21, spacing=LOG)
         rebuilt = TwoPortSweep(swp.frequencies, swp.s_matrices, swp.reference_impedance)
-        assert rebuilt == swp and rebuilt.s_matrices is swp.s_matrices
+        assert rebuilt == swp
 
     @pytest.mark.parametrize(
         "freqs, bad",
@@ -509,6 +509,73 @@ class TestSweep:
         message = f"frequency must be positive and finite, got {bad!r}"
         with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
             TwoPortSweep(freqs, s, 50.0)
+
+
+# entries that a frequency must not be; the first three are good entries of S
+_BAD_ENTRIES = (
+    0.0, -1, -1.0, math.nan, math.inf, -math.inf, True, "1", None,
+    complex(math.nan, 1.0), complex(1.0, math.inf),
+)
+
+
+def _nested(values: list, shape: tuple) -> tuple:
+    """values as nested tuples of shape, in C order."""
+    if len(shape) == 1:
+        return tuple(values)
+    step = len(values) // shape[0]
+    return tuple(_nested(values[k * step : (k + 1) * step], shape[1:]) for k in range(shape[0]))
+
+
+@st.composite
+def sweep_inputs(draw):
+    """Frequencies and the entries of S in C order, S's shape, maybe wrong,
+    and whether the constructor must refuse them: maybe one entry of either
+    is bad."""
+    points = draw(st.integers(1, 5))
+    freqs = draw(st.lists(st.floats(1e-3, 1e12), min_size=points, max_size=points))
+    good_shape = (points, 2, 2)
+    shape = draw(st.sampled_from([good_shape, (points + 1, 2, 2), (points, 4), (points, 2, 1)]))
+    finite = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    s = draw(st.lists(finite, min_size=math.prod(shape), max_size=math.prod(shape)))
+    refused = shape != good_shape
+    target = draw(st.sampled_from([None, freqs, s]))
+    if target is not None:
+        bad = draw(st.sampled_from(_BAD_ENTRIES))
+        target[draw(st.integers(0, len(target) - 1))] = bad
+        refused |= target is freqs or bad not in _BAD_ENTRIES[:3]
+    return freqs, s, shape, refused
+
+
+def _built(freqs, s):
+    """The sweep of freqs and s, or the message that refuses them, with S's
+    repr, which the shape message shows, in one spelling for every form."""
+    try:
+        return TwoPortSweep(freqs, s, 50.0)
+    except SimulationError as exc:
+        return str(exc).replace(repr(s), "<S>")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(sweep_inputs(), st.booleans(), st.booleans(), st.booleans())
+def test_array_and_tuple_forms_build_the_same_sweep(inputs, freq_array, s_array, read_only):
+    # either input is a float64 or complex128 array when every entry fits
+    # one, with the same entries as its tuple form, and the two forms build
+    # equal sweeps or are refused with the same message
+    freqs, s, shape, refused = inputs
+    as_tuples = (tuple(freqs), _nested(s, shape))
+    freqs_in, s_in = as_tuples
+    if freq_array and all(type(f) is float for f in freqs):
+        freqs_in = np.array(freqs)
+        freqs_in.flags.writeable = not read_only
+    if s_array and all(type(v) is complex for v in s):
+        s_in = np.array(s).reshape(shape)
+        s_in.flags.writeable = not read_only
+    want, got = _built(*as_tuples), _built(freqs_in, s_in)
+    assert isinstance(want, TwoPortSweep) is not refused
+    assert got == want
+    if not refused:
+        assert not got.frequencies.flags.writeable and not got.s_matrices.flags.writeable
+        assert got.frequencies is not freqs_in and got.s_matrices is not s_in
 
 
 class TestDbTable:
