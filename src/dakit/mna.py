@@ -15,35 +15,42 @@ A solve is split in two, after KLU (Davis and Palamadai Natarajan, ACM
 TOMS 2010). The symbolic analysis depends only on the topology: the node
 count, the port nodes and each element's kind and nodes. It fixes a slot
 for every entry of Y that is stamped or filled in, an elimination order
-and the update program y[ij] -= y[ik] * (y[kj] / y[kk]). It is cached per
-topology (a least-recently-used cache of 64), so the many networks of one
-amplifier structure share it. The checks that depend on the topology
-alone (node ranges, distinct ports, self-shorts, a passive path from each
-port to ground) live in that analysis too, so they run once per topology.
-A Network is stamped once, at construction: one pass over its elements
-checks their values and collects its topology, the analysis refuses a bad
-topology with DesignError or returns the plan, and the values are stamped
-into the plan's slots as G, C and Gamma. Most slots of an amplifier share
-their stamp values (the 12-stage benchmark design has 214 slots and 12
-distinct triples), so slots are grouped by the bits of their (G, C,
-Gamma), and the network keeps, with its plan, each slot's group and one
-G, C and Gamma per group. The grouping is found once per topology and
-kept with the plan; each network checks it against its own stamps, bit
-for bit, and refines it where they differ (see _Plan). A solve forms w
-once over the sweep's frequencies, one read-only float64 array, and cuts
-them into blocks of equal width, the last one no wider: as few as keep
-each block's work buffer within _BUDGET bytes, so the block count follows
-the plan's slot count, not a fixed number of frequencies. A block holds Y
-at its frequencies as one contiguous (slots, frequencies) array: it forms
-Y of each group at those frequencies, a (groups, frequencies) table, and
-copies each slot's row from the table with one take. The program runs on
-its rows, which are made once per block width, and eliminates the
-internal nodes, leaving the 2x2 port admittance Yp in the port slots.
-The pivots have the first slots, in elimination order, and Y11, Y12, Y21
-and Y22 the last four, so the block checks its pivots on a slice of its
-rows and copies its four Yp rows into a (4, frequencies) array for the
-whole sweep with another. The buffer then holds the block's whole
-factorization, and it serves the next block. Only after the last block
+and the update program y[ij] -= y[ik] * (y[kj] / y[kk]). It compiles that
+program onto a register file by liveness, as a compiler allocates
+registers: each pivot keeps a register of its own, and every other slot
+holds one only from its first write to its last read (the port entries
+to the end), then hands it on. So a block holds far fewer rows than
+slots: the 12-stage benchmark design runs its 214 slots in 51 registers.
+The analysis is cached per topology (a least-recently-used cache of 64),
+so the many networks of one amplifier structure share it. The checks
+that depend on the topology alone (node ranges, distinct ports,
+self-shorts, a passive path from each port to ground) live in that
+analysis too, so they run once per topology. A Network is stamped once,
+at construction: one pass over its elements checks their values and
+collects its topology, the analysis refuses a bad topology with
+DesignError or returns the plan, and the values are stamped into the
+plan's slots as G, C and Gamma. Most slots of an amplifier share their
+stamp values (that design's 214 slots hold 12 distinct triples), so
+slots are grouped by the bits of their (G, C, Gamma), and the network
+keeps, with its plan, the grouping it was stamped with and one G, C and
+Gamma per group. The grouping is found once per topology and kept with
+the plan; each network checks it against its own stamps, bit for bit,
+and refines it where they differ (see _Plan). A solve forms w once over
+the sweep's frequencies, one read-only float64 array, and cuts them into
+blocks of equal width, the last one no wider: as few as keep each
+block's work buffer within _BUDGET bytes, so the block count follows the
+plan's register count and the network's group count, not a fixed number
+of frequencies. A block is one contiguous (registers + groups,
+frequencies) array: the registers, then a table of Y of each group at
+the block's frequencies. A slot's first write, and every read of a slot
+that is never written, reads its group's table row; the pivots that the
+program never writes are copied into their registers with one take. The
+program eliminates the internal nodes and leaves the 2x2 port admittance
+Yp in the rows of Y11, Y12, Y21 and Y22, registers or table rows. The
+pivots' registers come first, so the block checks its pivots on one
+slice, and another take copies its four Yp rows into a (4, frequencies)
+array for the whole sweep. The buffer, and the views of its rows made
+once per block width, serve the next block. Only after the last block
 is S formed, once over the whole sweep: with real reference impedances
 and y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
 
@@ -96,6 +103,7 @@ underscore slots.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -111,15 +119,15 @@ if TYPE_CHECKING:
 LINEAR = "linear"
 LOG = "log"
 
-# bytes of a block's (slots, frequencies) complex128 work buffer, at most:
-# each step of the program is one numpy call per row and each block one
-# assembly of Y, so the fewest blocks spread both. At 1 MiB the 17-node
-# benchmark designs solve 1001 points in one block, the 23-node one in two
-# and the 41-node one in four, and their sweeps took 313, 362, 473 and
-# 1089 us, against 327, 368, 484 and 1393 at 512 KiB and 392, 421, 627
-# and 2235 at 256 KiB (minima of 150 interleaved sweeps, 2-vCPU Xeon).
-# 2 MiB took 309, 335, 404 and 918 us, for twice the buffer. A block is
-# kept contiguous: a strided partial last block had numpy copy all of it.
+# bytes of a block's (registers + groups, frequencies) complex128 work
+# buffer, at most: each step of the register program is one numpy call per
+# row and each block one assembly of Y, so the fewest blocks spread both.
+# At 1 MiB each of the four benchmark designs (17, 17, 23 and 41 nodes)
+# solves 1001 points in one block, and their sweeps took 307, 303, 361 and
+# 728 us, against 347, 343, 412 and 797 at 512 KiB (two blocks each) and
+# 379, 376, 456 and 1025 at 256 KiB (minima of 150 interleaved sweeps,
+# 2-vCPU Xeon); 2 MiB took the same as 1 MiB. A block is kept contiguous:
+# a strided partial last block had numpy copy all of it.
 _BUDGET = 1 << 20
 
 # stamp kinds: which of G, C and Gamma an element's value goes to
@@ -153,7 +161,7 @@ class Network(Record):
     """Two-port element network with ground at node 0."""
 
     __slots__ = (
-        "node_count", "elements", "port1", "port2", "_plan", "_group", "_g", "_c", "_gamma"
+        "node_count", "elements", "port1", "port2", "_plan", "_grouping", "_g", "_c", "_gamma"
     )
 
     def __post_init__(self) -> None:
@@ -208,10 +216,10 @@ class Network(Record):
         grouping = plan.grouping
         if grouping is None or stamps.take(grouping[1]).tobytes() != stamps.tobytes():
             grouping = _refine(plan, stamps)
-        group, _, picks, groups, reactive = grouping
+        _, _, picks, groups, reactive, *_ = grouping
         table = stamps.take(picks)
         set_field(self, "_plan", plan)
-        set_field(self, "_group", group)
+        set_field(self, "_grouping", grouping)
         set_field(self, "_g", table[:groups])
         set_field(self, "_c", table[groups : groups + reactive])
         set_field(self, "_gamma", table[groups + reactive :])
@@ -489,33 +497,41 @@ def extract_metrics(swp: TwoPortSweep) -> SweepMetrics:
 
 
 class _Plan:
-    """What a topology fixes about its solve: slots, stamps and the program.
+    """What a topology fixes about its solve: slots, stamps, the program
+    and its registers.
 
-    Every entry of Y that is ever nonzero, stamped or filled in, has a slot:
-    a row of the (slots, frequencies) array the solve works on. The first
-    `pivots` slots are the pivots, in elimination order, and the last four
-    are Y11, Y12, Y21 and Y22, so that a block checks its pivots and copies
-    out its port rows through slices. Stamp k adds the value of element
-    stamp_element[k], times stamp_sign[k], at stamp_slot[k] = kind * slots
-    + slot. program holds (kk, (kj, ...), ((ij, ik, kj), ...)) per pivot,
-    in order.
+    Every entry of Y that is ever nonzero, stamped or filled in, has a
+    slot. The first `pivots` slots are the pivots, in elimination order,
+    and the last four are Y11, Y12, Y21 and Y22. Stamp k adds the value of
+    element stamp_element[k], times stamp_sign[k], at stamp_slot[k] = kind
+    * slots + slot. program holds (kk, (kj, ...), ((ij, ik, kj), ...)) per
+    pivot, in order, on slots. code is that program on the rows of a
+    block, as _compile makes it: `registers` registers, the pivots' first,
+    then table rows. copied holds the pivots that the program never
+    writes, whose table rows a block copies into registers 0, 1, ...;
+    reads the slots that code reads from the table; ports the rows of
+    Y11, Y12, Y21 and Y22 at the end, in code's numbering.
 
     grouping, None until a network is stamped, is (group, leaders, picks,
-    groups, reactive). Slot s belongs to group group[s], whose leader is
-    its first slot; the first `reactive` of the `groups` groups are those
-    a capacitor or an inductor stamps. A network's stamps are G, C and
-    Gamma of each slot in turn, 3 * slots floats: leaders indexes, for
-    each of them, the leader's stamp of the same kind, and picks G of each
-    group, then C and Gamma of each reactive group. A network whose stamps
-    have the bytes of their leaders' uses the grouping as it is; any other
-    replaces it with the common refinement of the two groupings (_refine).
-    So it only ever gets finer, and once the networks of each design of a
-    topology have been stamped it holds for all of them, where a grouping
-    made anew by each network would be made again whenever the designs
-    alternate. A network keeps the group array it was stamped with.
-    Networks built in several threads at once may each replace the
-    grouping; each still uses one that it checked or made, so a lost
-    refinement is made again, and no result changes.
+    groups, reactive, copies, reads, ports). Slot s belongs to group
+    group[s], whose leader is its first slot; the first `reactive` of the
+    `groups` groups are those a capacitor or an inductor stamps. A
+    network's stamps are G, C and Gamma of each slot in turn, 3 * slots
+    floats: leaders indexes, for each of them, the leader's stamp of the
+    same kind, and picks G of each group, then C and Gamma of each
+    reactive group. The last three place code on a block, whose rows are
+    the registers and then the table of Y of each group: the group of each
+    copied pivot, the block row of each slot of reads, and the block rows
+    of Y11, Y12, Y21 and Y22. A network whose stamps have the bytes of
+    their leaders' uses the grouping as it is; any other replaces it with
+    the common refinement of the two groupings (_refine). So it only ever
+    gets finer, and once the networks of each design of a topology have
+    been stamped it holds for all of them, where a grouping made anew by
+    each network would be made again whenever the designs alternate. A
+    network keeps the grouping it was stamped with. Networks built in
+    several threads at once may each replace the grouping; each still uses
+    one that it checked or made, so a lost refinement is made again, and
+    no result changes.
 
     No Record: its fields hold numpy arrays, which neither compare to a
     bool nor hash, so a plan equals only itself. A Network leaves it out of
@@ -523,15 +539,11 @@ class _Plan:
     """
 
     __slots__ = ("slots", "pivots", "stamp_slot", "stamp_element", "stamp_sign", "program",
-                 "grouping")
+                 "registers", "code", "copied", "reads", "ports", "grouping")
 
-    def __init__(self, slots, pivots, stamp_slot, stamp_element, stamp_sign, program) -> None:
-        self.slots = slots
-        self.pivots = pivots
-        self.stamp_slot = stamp_slot
-        self.stamp_element = stamp_element
-        self.stamp_sign = stamp_sign
-        self.program = program
+    def __init__(self, **fields) -> None:
+        for name, value in fields.items():
+            setattr(self, name, value)
         self.grouping = None
 
 
@@ -642,6 +654,15 @@ def _analyse(node_count: int, port1: int, port2: int, topology: tuple) -> _Plan:
     slot = {entry: index for index, entry in enumerate(numbered)}
     slots = len(slot)
     kinds, stamped, elements, signs = zip(*stamps)
+    program = tuple(
+        (
+            slot[kk],
+            tuple(slot[kj] for kj in kjs),
+            tuple((slot[ij], slot[ik], slot[kj]) for ij, ik, kj in updates),
+        )
+        for kk, kjs, updates in program
+    )
+    registers, code, copied, reads, ports = _compile(program, len(order), slots)
     return _Plan(
         slots=slots,
         pivots=len(order),
@@ -649,15 +670,88 @@ def _analyse(node_count: int, port1: int, port2: int, topology: tuple) -> _Plan:
         + np.array([slot[e] for e in stamped], dtype=np.intp),
         stamp_element=np.array(elements, dtype=np.intp),
         stamp_sign=np.array(signs),
-        program=tuple(
-            (
-                slot[kk],
-                tuple(slot[kj] for kj in kjs),
-                tuple((slot[ij], slot[ik], slot[kj]) for ij, ik, kj in updates),
-            )
-            for kk, kjs, updates in program
-        ),
+        program=program,
+        registers=registers,
+        code=code,
+        copied=np.array(copied, dtype=np.intp),
+        reads=np.array(reads, dtype=np.intp),
+        ports=ports,
     )
+
+
+def _compile(program: tuple, pivots: int, slots: int) -> tuple:
+    """The register program of a slot program: (registers, code, copied,
+    reads, ports), as _Plan keeps them.
+
+    Registers 0 to pivots - 1 are the pivots' own rows: first the pivots
+    that the program never writes, whose slots copied lists, then the
+    others, each in elimination order. Every other slot that the program
+    writes holds a register from its first write to its last read, the
+    four port entries to the end, and then hands it on to the next slot
+    written: of the free registers, the lowest. Each time step is a divide
+    or an update's multiply or subtract, and a multiply has run when its
+    subtract writes, so that subtract may write a register that the
+    multiply read last.
+
+    code holds (pivot, ((src, dst), ...), ((src, dst, ik, kj), ...)) per
+    step of program: rows of a list that has the registers first and then,
+    at registers + r, the table row of slot reads[r]. A first write reads
+    its slot's table row, any later one its register, and a read of a slot
+    that is never written its table row. ports holds the rows of Y11, Y12,
+    Y21 and Y22 at the end.
+    """
+    # when each slot is first written and last used, in time steps
+    first, last = {}, {}
+    time = 0
+    for _, kjs, updates in program:
+        for kj in kjs:
+            first.setdefault(kj, time)
+            last[kj] = time
+            time += 1
+        for ij, ik, kj in updates:
+            last[ik] = last[kj] = time
+            first.setdefault(ij, time + 1)
+            last[ij] = time + 1
+            time += 2
+    for port in range(slots - 4, slots):
+        last[port] = time
+    copied = [kk for kk, _, _ in program if kk not in first]
+    register = {kk: r for r, kk in enumerate(copied + [kk for kk, _, _ in program if kk in first])}
+    # the other written slots, in the order of their first writes; a
+    # register is free once the last use of its slot is past
+    free, held, registers = [], [], pivots
+    for s, start in first.items():
+        if s < pivots:
+            continue
+        while held and held[0][0] < start:
+            heapq.heappush(free, heapq.heappop(held)[1])
+        if free:
+            register[s] = heapq.heappop(free)
+        else:
+            register[s], registers = registers, registers + 1
+        heapq.heappush(held, (last[s], register[s]))
+
+    reads: dict[int, int] = {}
+    written: set[int] = set()
+
+    def row(s: int) -> int:
+        if s in written:
+            return register[s]
+        return registers + reads.setdefault(s, len(reads))
+
+    code = []
+    for kk, kjs, updates in program:
+        divides = []
+        for kj in kjs:
+            divides.append((row(kj), register[kj]))
+            written.add(kj)
+        steps = []
+        for ij, ik, kj in updates:
+            steps.append((row(ij), register[ij], row(ik), row(kj)))
+            written.add(ij)
+        code.append((register[kk], tuple(divides), tuple(steps)))
+    ports = tuple(row(s) for s in range(slots - 4, slots))
+    return registers, tuple(code), copied, list(reads), ports
 
 
 def _refine(plan: _Plan, stamps: numpy.ndarray) -> tuple:
@@ -688,12 +782,19 @@ def _refine(plan: _Plan, stamps: numpy.ndarray) -> tuple:
     first = np.array([firsts[key] for key in ranked], dtype=np.intp)
     reactive = sum(not key[0] for key in ranked)
     leader = first[group]
+    # the block rows that the register program reads from the table: the
+    # groups of its slots, after the registers
+    registers = plan.registers
+    reads = (group.take(plan.reads) + registers).tolist()
     grouping = (
         group,
         np.concatenate((leader, leader + slots, leader + 2 * slots)),
         np.concatenate((first, first[:reactive] + slots, first[:reactive] + 2 * slots)),
         len(first),
         reactive,
+        group.take(plan.copied),
+        reads,
+        np.array([r if r < registers else reads[r - registers] for r in plan.ports], np.intp),
     )
     plan.grouping = grouping
     return grouping
@@ -736,12 +837,12 @@ def _solve(net: Network, freqs: numpy.ndarray):
     return s
 
 
-def _block_width(plan: _Plan, points: int) -> int:
+def _block_width(rows: int, points: int) -> int:
     """Width of the blocks that a sweep of points solves in: as few blocks
     of equal width, the last one no wider, as keep each block's
-    (slots, width) complex128 buffer within _BUDGET bytes. A plan too large
-    for the budget solves one frequency at a time."""
-    widest = max(1, _BUDGET // (16 * plan.slots))
+    (rows, width) complex128 buffer within _BUDGET bytes. A network too
+    large for the budget solves one frequency at a time."""
+    widest = max(1, _BUDGET // (16 * rows))
     blocks = -(-points // widest)
     return -(-points // blocks)
 
@@ -749,21 +850,24 @@ def _block_width(plan: _Plan, points: int) -> int:
 def _port_admittance(net: Network, freqs: numpy.ndarray):
     """Rows Y11, Y12, Y21 and Y22 of Yp, as a (4, frequencies) array.
 
-    Each block of _block_width frequencies forms Y of each of the
-    network's stamp groups, copies each group's row into its slots, runs
-    the program and checks its pivots, which are never written after their
-    own elimination; then it copies out the four port rows. It runs under
-    _solve's errstate.
+    A block of _block_width frequencies holds a row of each of the plan's
+    registers and, after them, of the network's group table. The block
+    forms Y of each group in the table, copies the rows of the pivots that
+    the program never writes into their registers with one take, runs the
+    register program and checks the pivots, which are never written after
+    their own elimination; then it copies out the four port rows with
+    another take. It runs under _solve's errstate.
     """
     import numpy as np
 
     plan = net._plan
-    slots, pivots = plan.slots, plan.pivots
-    group, c, gamma = net._group, net._c, net._gamma
-    reactive = len(c)
+    registers, pivots = plan.registers, plan.pivots
+    _, _, _, groups, reactive, copies, reads, ports = net._grouping
+    c, gamma = net._c, net._gamma
+    height = registers + groups
     points = len(freqs)
-    width = _block_width(plan, points)
-    work = np.empty(slots * width, dtype=complex)
+    width = _block_width(height, points)
+    work = np.empty(height * width, dtype=complex)
     yp = np.empty((4, points), dtype=complex)
     w = 2.0 * math.pi * freqs
     g = net._g[:, None]
@@ -775,10 +879,11 @@ def _port_admittance(net: Network, freqs: numpy.ndarray):
             # the first block, or a narrower last one
             size = len(block)
             # contiguous in a partial last block too, so no step copies it
-            y = work[: slots * size].reshape(slots, size)
-            rows = list(y)
+            y = work[: height * size].reshape(height, size)
+            copied, checked, table = y[: len(copies)], y[:pivots], y[registers:]
+            views = list(y)
+            rows = views[:registers] + [views[k] for k in reads]
             scratch = np.empty(size, dtype=complex)
-            table = np.empty((len(g), size), dtype=complex)
             table_real, table_imag = table.real, table.imag
             real_reactive, imag_reactive = table_real[:reactive], table_imag[:reactive]
             imag_resistive = table_imag[reactive:]
@@ -791,19 +896,19 @@ def _port_admittance(net: Network, freqs: numpy.ndarray):
         table_real[...] = g
         imag_resistive[...] = 0.0
         # "clip" writes straight into the out, where the default mode would
-        # buffer; the groups are always in range
-        table.take(group, axis=0, out=y, mode="clip")
-        for kk, kjs, updates in plan.program:
+        # buffer; the rows taken are always in range
+        table.take(copies, axis=0, out=copied, mode="clip")
+        for kk, divides, updates in plan.code:
             pivot = rows[kk]
-            for kj in kjs:
-                divide(rows[kj], pivot, rows[kj])
-            for ij, ik, kj in updates:
+            for src, dst in divides:
+                divide(rows[src], pivot, rows[dst])
+            for src, dst, ik, kj in updates:
                 multiply(rows[ik], rows[kj], scratch)
-                subtract(rows[ij], scratch, rows[ij])
-        if not y[:pivots].all():
-            zero = np.flatnonzero((y[:pivots] == 0).any(axis=0))[0]
+                subtract(rows[src], scratch, rows[dst])
+        if not checked.all():
+            zero = np.flatnonzero((checked == 0).any(axis=0))[0]
             raise SimulationError(f"singular nodal system at {freqs[start + zero].item()} Hz")
-        yp[:, start : start + size] = y[-4:]
+        y.take(ports, axis=0, out=yp[:, start : start + size], mode="clip")
     return yp
 
 

@@ -3,10 +3,17 @@
 from dakit.mna import _block_width
 
 
+def block_rows(net):
+    """The rows of net's solve block at each frequency: the plan's
+    registers, then the network's group table."""
+    return net._plan.registers + net._grouping[3]
+
+
 def widest_block(net):
     """The most points that a sweep of net solves in one block."""
+    rows = block_rows(net)
     points = 1
-    while _block_width(net._plan, points + 1) == points + 1:
+    while _block_width(rows, points + 1) == points + 1:
         points += 1
     return points
 
@@ -14,9 +21,10 @@ def widest_block(net):
 def block_points(net, blocks, partial=True):
     """The fewest points that a sweep of net solves in `blocks` blocks, the
     last one narrower than the others if partial, as wide if not."""
+    rows = block_rows(net)
     points = widest_block(net) * (blocks - 1) + 1
     while True:
-        width = _block_width(net._plan, points)
+        width = _block_width(rows, points)
         if -(-points // width) == blocks and bool(points % width) == partial:
             return points
         points += 1

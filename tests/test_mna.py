@@ -5,7 +5,6 @@ import pickle
 import re
 import sys
 import threading
-import types
 
 import numpy as np
 import pytest
@@ -32,8 +31,9 @@ from dakit import (
     sweep,
     synthesize_design,
 )
+from dakit import mna
 from dakit.mna import _BUDGET, _analyse, _block_width, _db
-from blocks import block_points, points_for
+from blocks import block_points, block_rows, points_for
 from records import replace
 
 # matched symmetric pi attenuator, voltage ratio A: shunt z0(A+1)/(A-1),
@@ -802,9 +802,9 @@ class TestBatchedKernel:
     def test_non_finite_s_past_the_first_block_names_frequency(self, points):
         # w = 2 pi f overflows at the last point, 1e308 Hz, and S turns NaN;
         # w is still finite at the point before it, which is below 2.8e307
-        # Hz when the grid has at most 540 points: a ladder of 100 sections
+        # Hz when the grid has at most 540 points: a ladder of 250 sections
         # has narrow blocks, so that three of them take fewer
-        net = lc_ladder(100)
+        net = lc_ladder(250)
         points = points_for(net, points)
         assert points <= 540
         with pytest.raises(SimulationError, match=r"^non-finite S-parameters at 1e\+308 Hz$"):
@@ -824,32 +824,31 @@ class TestBatchedKernel:
 
 class TestPartition:
     """A sweep is solved in as few blocks of equal width as keep each block's
-    work buffer within _BUDGET bytes, the last block no wider."""
+    work buffer, the plan's registers and the network's group table, within
+    _BUDGET bytes, the last block no wider."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(st.integers(1, 100_000), st.integers(1, 10**6))
-    def test_blocks_are_equal_and_within_the_budget(self, slots, points):
-        width = _block_width(types.SimpleNamespace(slots=slots), points)
+    def test_blocks_are_equal_and_within_the_budget(self, rows, points):
+        width = _block_width(rows, points)
         # the blocks of the solve's loop
         sizes = [min(width, points - start) for start in range(0, points, width)]
         assert all(size == width for size in sizes[:-1]) and 1 <= sizes[-1] <= width
         assert sum(sizes) == points
-        # a (slots, width) complex128 buffer; a plan whose one frequency
+        # a (rows, width) complex128 buffer; a network whose one frequency
         # is over the budget solves one frequency at a time
-        assert slots * width * 16 <= _BUDGET or width == 1
+        assert rows * width * 16 <= _BUDGET or width == 1
         # one block fewer of the widest that the budget allows would not do
-        widest = max(1, _BUDGET // (16 * slots))
+        widest = max(1, _BUDGET // (16 * rows))
         assert (len(sizes) - 1) * widest < points
 
     @pytest.mark.parametrize("spacing", [LINEAR, LOG])
     def test_each_point_of_one_two_and_more_blocks_is_its_single_solve(self, spacing, fr4):
-        cases = (
-            (build_network(proto_amp()), 1001, 1),
-            (build_network(lossy_series_amp(fr4)), 1501, 2),
-            (lc_ladder(100), 401, 4),
-        )
+        # point counts of one block, of two and of three, the last partial
+        one, two, three = build_network(proto_amp()), build_network(lossy_series_amp(fr4)), lc_ladder()
+        cases = ((one, 1001, 1), (two, block_points(two, 2), 2), (three, block_points(three, 3), 3))
         for net, points, blocks in cases:
-            width = _block_width(net._plan, points)
+            width = _block_width(block_rows(net), points)
             # the last of several blocks is partial
             assert -(-points // width) == blocks and (blocks == 1 or points % width)
             swp = sweep(net, 10e6, 15e9, points, spacing)
@@ -1124,7 +1123,7 @@ def test_retuned_networks_of_one_plan_sweep_as_with_a_fresh_cache(nets):
     assert_shared_plan_sweeps_as_fresh(nets, [(0, 1, 0), (1, 0, 1)], 10e6, 100e9, 41, LOG)
 
 
-def test_pivots_come_first_and_port_entries_last():
+def test_pivots_come_first_and_port_entries_last(fr4):
     # port 1 at node 1, port 3 at node 3, node 2 between them: one pivot;
     # the VCCS stamps Y31 only, and eliminating node 2 fills in Y13
     net = Network(
@@ -1135,14 +1134,117 @@ def test_pivots_come_first_and_port_entries_last():
         Port(3),
     )
     plan = net._plan
-    g = net._g[net._group]
+    g = net._g[net._grouping[0]]
     assert plan.pivots == 1 and plan.slots == 9
     assert g[0] == 0.25 + 0.125
     assert g[-4:].tolist() == [0.5 + 0.25, 0.0, 0.0625, 0.125 + 2.0]
-    # each step eliminates the next pivot slot
-    for net in (lc_ladder(5), build_network(proto_amp())):
-        pivots = [kk for kk, _, _ in net._plan.program]
-        assert pivots == list(range(net._plan.pivots))
+    # node 2's pivot is never written, so the table's row is copied into
+    # register 0; its elimination writes all four port entries, which end
+    # in the other four registers
+    assert plan.copied.tolist() == [0] and plan.code[0][0] == 0
+    assert plan.registers == 5 and sorted(net._grouping[7].tolist()) == [1, 2, 3, 4]
+    for net in (lc_ladder(5), build_network(proto_amp()), build_network(lossy_series_amp(fr4))):
+        plan = net._plan
+        # each step eliminates the next pivot slot
+        assert [kk for kk, _, _ in plan.program] == list(range(plan.pivots))
+        # into the pivot's own register: the never-written pivots first,
+        # then the others, each in elimination order
+        copied = plan.copied.tolist()
+        order = copied + [kk for kk in range(plan.pivots) if kk not in copied]
+        assert [plan.code[kk][0] for kk in order] == list(range(plan.pivots))
+
+
+def reference_port_admittance(net: Network, freqs: np.ndarray) -> np.ndarray:
+    """Yp as the slot program computes it, one full row a slot: Y of each
+    stamp group with the solve's own ufuncs, each slot's row copied from
+    its group's, then plan.program run on the slots."""
+    plan, group = net._plan, net._grouping[0]
+    w = 2.0 * math.pi * freqs
+    reactive = len(net._c)
+    table = np.zeros((len(net._g), len(w)), dtype=complex)
+    table.real[:reactive] = np.divide.outer(net._gamma, w)
+    table.imag[:reactive] = np.multiply.outer(net._c, w) - table.real[:reactive]
+    table.real[...] = net._g[:, None]
+    y = table[group]
+    for kk, kjs, updates in plan.program:
+        for kj in kjs:
+            y[kj] = y[kj] / y[kk]
+        for ij, ik, kj in updates:
+            y[ij] = y[ij] - y[ik] * y[kj]
+    return y[-4:]
+
+
+def assert_registers_hold_what_is_read(plan) -> None:
+    """Run the register program on symbols: a register holds (slot, write
+    count) of the slot last written into it. Every read must get the
+    latest value of its slot, from its register or, if the slot was never
+    written, from its own table row; so no register is overwritten while
+    it still holds a value that is read later. The pivot rows end up
+    holding every pivot's value, and the port rows Y11, Y12, Y21, Y22."""
+    registers, reads = plan.registers, plan.reads.tolist()
+    regs = [None] * registers
+    writes = [0] * plan.slots
+    for r, kk in enumerate(plan.copied.tolist()):
+        regs[r] = (kk, 0)
+
+    def read(row, slot):
+        if row < registers:
+            assert regs[row] == (slot, writes[slot]), (row, slot)
+        else:
+            assert reads[row - registers] == slot and writes[slot] == 0, (row, slot)
+
+    def write(row, slot):
+        writes[slot] += 1
+        regs[row] = (slot, writes[slot])
+
+    assert len(plan.code) == len(plan.program)
+    for (kk, kjs, updates), (pivot, divides, steps) in zip(plan.program, plan.code):
+        assert pivot < plan.pivots and len(divides) == len(kjs) and len(steps) == len(updates)
+        read(pivot, kk)
+        for kj, (src, dst) in zip(kjs, divides):
+            read(src, kj)
+            write(dst, kj)
+        for (ij, ik, kj), (src, dst, rik, rkj) in zip(updates, steps):
+            read(rik, ik)
+            read(rkj, kj)
+            read(src, ij)
+            write(dst, ij)
+    assert sorted(regs[: plan.pivots]) == [(kk, writes[kk]) for kk in range(plan.pivots)]
+    for row, slot in zip(plan.ports, range(plan.slots - 4, plan.slots)):
+        read(row, slot)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(passive_ladders(), active_ladders()), st.integers(1, 12), st.integers(1, 3))
+def test_register_program_computes_the_slot_program(net, points, narrow):
+    assert_registers_hold_what_is_read(net._plan)
+    freqs = np.geomspace(10e6, 100e9, points)
+    want = reference_port_admittance(net, freqs)
+    rows = block_rows(net)
+    with np.errstate(all="ignore"):
+        assert mna._port_admittance(net, freqs).tobytes() == want.tobytes()
+        # a budget so small that each block is 1 to 3 points wide
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mna, "_BUDGET", 16 * rows * narrow)
+            assert _block_width(rows, points) <= narrow
+            assert mna._port_admittance(net, freqs).tobytes() == want.tobytes()
+
+
+def test_benchmark_designs_hold_their_registers_and_solve_1001_points_in_one_block(gan, fr4):
+    # the README's uniform match-drain design and its Ginzton taper share a
+    # plan and its grouping; PHEMT-1 and the 12-stage design have their own
+    phemt = TransistorModel(name="PHEMT-1", gm=0.08, cgs=1.4e-13, cds=5e-14, ri=1.0, rds=200.0)
+    cases = (
+        (gan, {"series_cap": "match-drain"}, 19),
+        (gan, {"series_cap": "match-drain", "taper": "ginzton"}, 19),
+        (phemt, {}, 27),
+        (gan, {"series_cap": "match-drain", "stages": 12}, 51),
+    )
+    for transistor, options, registers in cases:
+        net = build_network(synthesize_design(transistor, fr4, DesignOptions(**options)))
+        assert net._plan.registers == registers < net._plan.slots
+        assert_registers_hold_what_is_read(net._plan)
+        assert _block_width(block_rows(net), 1001) == 1001
 
 
 def synthetic_sweep(freqs, s21_mags, s11_mags):
