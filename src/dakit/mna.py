@@ -103,7 +103,6 @@ underscore slots.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -687,9 +686,9 @@ def _compile(program: tuple, pivots: int, slots: int) -> tuple:
     that the program never writes, whose slots copied lists, then the
     others, each in elimination order. Every other slot that the program
     writes holds a register from its first write to its last read, the
-    four port entries to the end, and then hands it on to the next slot
-    written: of the free registers, the lowest. Each time step is a divide
-    or an update's multiply or subtract, and a multiply has run when its
+    four port entries to the end, and then hands it on: a first write
+    takes the lowest free register. Each time step is a divide or an
+    update's multiply or subtract, and a multiply has run when its
     subtract writes, so that subtract may write a register that the
     multiply read last.
 
@@ -717,19 +716,18 @@ def _compile(program: tuple, pivots: int, slots: int) -> tuple:
         last[port] = time
     copied = [kk for kk, _, _ in program if kk not in first]
     register = {kk: r for r, kk in enumerate(copied + [kk for kk, _, _ in program if kk in first])}
-    # the other written slots, in the order of their first writes; a
-    # register is free once the last use of its slot is past
-    free, held, registers = [], [], pivots
+    # the other written slots, in the order of their first writes, each to
+    # the lowest register whose slot's last use is past
+    until = []  # the last use of the slot in each register after the pivots'
     for s, start in first.items():
-        if s < pivots:
-            continue
-        while held and held[0][0] < start:
-            heapq.heappush(free, heapq.heappop(held)[1])
-        if free:
-            register[s] = heapq.heappop(free)
-        else:
-            register[s], registers = registers, registers + 1
-        heapq.heappush(held, (last[s], register[s]))
+        if s >= pivots:
+            free = next((r for r, end in enumerate(until) if end < start), len(until))
+            if free == len(until):
+                until.append(last[s])
+            else:
+                until[free] = last[s]
+            register[s] = pivots + free
+    registers = pivots + len(until)
 
     reads: dict[int, int] = {}
     written: set[int] = set()
