@@ -215,7 +215,7 @@ class Network(Record):
         grouping = plan.grouping
         if grouping is None or stamps.take(grouping[1]).tobytes() != stamps.tobytes():
             grouping = _refine(plan, stamps)
-        _, _, picks, groups, reactive, *_ = grouping
+        picks, groups, reactive = grouping[2:5]
         table = stamps.take(picks)
         set_field(self, "_plan", plan)
         set_field(self, "_grouping", grouping)
