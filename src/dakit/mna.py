@@ -720,13 +720,16 @@ def _compile(program: tuple, pivots: int, slots: int) -> tuple:
     # the lowest register whose slot's last use is past
     until = []  # the last use of the slot in each register after the pivots'
     for s, start in first.items():
-        if s >= pivots:
-            free = next((r for r, end in enumerate(until) if end < start), len(until))
-            if free == len(until):
-                until.append(last[s])
-            else:
+        if s < pivots:
+            continue
+        for free, end in enumerate(until):
+            if end < start:
                 until[free] = last[s]
-            register[s] = pivots + free
+                break
+        else:
+            free = len(until)
+            until.append(last[s])
+        register[s] = pivots + free
     registers = pivots + len(until)
 
     reads: dict[int, int] = {}

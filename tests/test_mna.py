@@ -845,7 +845,8 @@ class TestPartition:
     @pytest.mark.parametrize("spacing", [LINEAR, LOG])
     def test_each_point_of_one_two_and_more_blocks_is_its_single_solve(self, spacing, fr4):
         # point counts of one block, of two and of three, the last partial
-        one, two, three = build_network(proto_amp()), build_network(lossy_series_amp(fr4)), lc_ladder()
+        one, two = build_network(proto_amp()), build_network(lossy_series_amp(fr4))
+        three = lc_ladder()
         cases = ((one, 1001, 1), (two, block_points(two, 2), 2), (three, block_points(three, 3), 3))
         for net, points, blocks in cases:
             width = _block_width(block_rows(net), points)
