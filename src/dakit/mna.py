@@ -3,66 +3,34 @@
 Networks are R/L/C elements plus voltage-controlled current sources on an
 integer node set with ground fixed at node 0. Line terminations are
 ordinary resistors inside the network; only the two port nodes are
-excited.
-
-The nodal admittance follows Ho, Ruehli and Brennan's modified nodal
-approach: G (conductances and VCCS transconductances), C (capacitances)
-and Gamma (inverse inductances), so that at angular frequency w
+excited. The nodal admittance follows Ho, Ruehli and Brennan's modified
+nodal approach: G (conductances and VCCS transconductances), C
+(capacitances) and Gamma (inverse inductances), so that at angular
+frequency w
 
     Y(w) = G + jwC + Gamma/(jw).
 
-A solve is split in two, after KLU (Davis and Palamadai Natarajan, ACM
-TOMS 2010). The symbolic analysis depends only on the topology: the node
-count, the port nodes and each element's kind and nodes. It fixes a slot
-for every entry of Y that is stamped or filled in, an elimination order
-and the update program y[ij] -= y[ik] * (y[kj] / y[kk]). It compiles that
-program onto a register file by liveness, as a compiler allocates
-registers: each pivot keeps a register of its own, and every other slot
-holds one only from its first write to its last read (the port entries
-to the end), then hands it on. So a block holds far fewer rows than
-slots: the 12-stage benchmark design runs its 214 slots in 51 registers.
-The analysis is cached per topology (a least-recently-used cache of 64),
-so the many networks of one amplifier structure share it. The checks
-that depend on the topology alone (node ranges, distinct ports,
-self-shorts, a passive path from each port to ground) live in that
-analysis too, so they run once per topology. A Network is stamped once,
-at construction: one pass over its elements checks their values and
-collects its topology, the analysis refuses a bad topology with
-DesignError or returns the plan, and the values are stamped into the
-plan's slots as G, C and Gamma. Most slots of an amplifier share their
-stamp values (that design's 214 slots hold 12 distinct triples), so
-slots are grouped by the bits of their (G, C, Gamma), and the network
-keeps, with its plan, the grouping it was stamped with and one G, C and
-Gamma per group. The grouping is found once per topology and kept with
-the plan; each network checks it against its own stamps, bit for bit,
-and refines it where they differ (see _Plan). A solve forms w once over
-the sweep's frequencies, one read-only float64 array, and cuts them into
-blocks of equal width, the last one no wider: as few as keep each
-block's work buffer within _BUDGET bytes, so the block count follows the
-plan's register count and the network's group count, not a fixed number
-of frequencies. A block is one contiguous (registers + groups,
-frequencies) array: the registers, then a table of Y of each group at
-the block's frequencies. A slot's first write, and every read of a slot
-that is never written, reads its group's table row; the pivots that the
-program never writes are copied into their registers with one take. The
-program eliminates the internal nodes and leaves the 2x2 port admittance
-Yp in the rows of Y11, Y12, Y21 and Y22, registers or table rows. The
-pivots' registers come first, so the block checks its pivots on one
-slice, and another take copies its four Yp rows into a (4, frequencies)
-array for the whole sweep. The buffer, and the views of its rows made
-once per block width, serve the next block. Only after the last block
-is S formed, once over the whole sweep: with real reference impedances
-and y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
+The analysis. A solve is split in two, after KLU (Davis and Palamadai
+Natarajan, ACM TOMS 2010). The symbolic analysis depends only on the
+topology: the node count, the port nodes and each element's kind and
+nodes. It checks what the topology alone decides (node ranges, distinct
+ports, self-shorts, a passive path from each port to ground), fixes a
+slot for every entry of Y that is stamped or filled in, an elimination
+order and the update program y[ij] -= y[ik] * (y[kj] / y[kk]), and
+compiles that program onto a register file by linear scan (see
+_compile). The plan it returns keeps the register program only, and is
+cached per topology (a least-recently-used cache of 64). A Network is
+stamped once, at construction, into the plan's slots; slots whose stamp
+values have the same bits share a group, and Y is formed once per group
+(see _Plan). A sweep solves its frequencies in blocks of equal width, as
+few as keep each block's work buffer within _BUDGET bytes, and leaves the
+2x2 port admittance Yp. S is then formed once over the whole sweep: with
+real reference impedances and y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
 
     S = (I - y') (I + y')^-1,
 
-written out in closed form for the 2x2 case, straight into a read-only
-(frequencies, 2, 2) complex128 array. The port-system and finiteness
-checks run on that sweep-wide S too. That array and the frequencies are
-what a TwoPortSweep holds, and extract_metrics and the writers read them
-with whole-array calls: neither is unpacked point by point. A sweep
-computes the dB of each entry of S once, on first use, as its s_db
-table, which extract_metrics and the CSV writer share.
+written out in closed form for the 2x2 case, into a read-only
+(frequencies, 2, 2) complex128 array.
 
 There is no pivoting. The order is the passive-branch (R, L or C)
 breadth-first distance from the two ports, farthest node first, ties by
@@ -73,31 +41,31 @@ driving-point admittance of a sub-network that already contains its
 termination resistor: its real part is positive, so it cannot vanish.
 The stage branches are leaves, eliminated before the line node they hang
 from; a branch pivot is the admittance of the branch's own elements, such
-as jw(Cs + Cgs) behind a series capacitor, which vanishes at no w > 0. An
-exact zero pivot, as at a node with nothing connected or an LC tank at
-its resonance, raises SimulationError("singular nodal system at f Hz")
-naming the first such frequency; each pivot is checked once, after the
-program has run, since no pivot is written after its own elimination. A
-zero determinant of I + y' raises "singular port system at f Hz". An
-entry of S that is still not finite, as when w is so small that Gamma/(jw)
-overflows, raises "non-finite S-parameters at f Hz". Each message names
-a frequency of the sweep, not of a block. Pivots are checked block by
-block, before S is formed, so a zero pivot anywhere in the sweep is
-reported ahead of a port-system or S error at a lower frequency.
+as jw(Cs + Cgs) behind a series capacitor, which vanishes at no w > 0.
 
-Determinism: same inputs give the same bytes; a sweep entry has the same
-bytes as s_parameters_at at that frequency, because every operation acts
-on each frequency alone. Results are not bit-identical to the dense
-LU solver that came before; they agree within 1e-10 relative to
-max(1, max|S|).
+Errors. A bad topology raises DesignError, from the analysis, each time
+it is built. An exact zero pivot, as at a node with nothing connected or
+an LC tank at its resonance, raises SimulationError("singular nodal
+system at f Hz") naming the first such frequency; each pivot is checked
+once, after the program has run, since no pivot is written after its own
+elimination. A zero determinant of I + y' raises "singular port system at
+f Hz". An entry of S that is still not finite, as when w is so small that
+Gamma/(jw) overflows, raises "non-finite S-parameters at f Hz". Each
+message names a frequency of the sweep, not of a block. Pivots are
+checked block by block, before S is formed, so a zero pivot anywhere in
+the sweep is reported ahead of a port-system or S error at a lower
+frequency.
+
+Determinism: same inputs give the same bytes, whatever the plan cache
+holds; a sweep entry has the same bytes as s_parameters_at at that
+frequency, because every operation acts on each frequency alone. Results
+are not bit-identical to the dense LU solver that came before; they agree
+within 1e-10 relative to max(1, max|S|).
 
 numpy is imported inside the functions that use it, not when this module
 loads: the first Network construction loads it. This module is loaded
 only on use too: the package re-exports its names through a module
-__getattr__, and of the CLI subcommands only simulate imports it. So the
-other five pay for neither numpy, this module nor the dataclasses module
-of TwoPortSweep. A Network's plan, groups and stamps sit in its
-underscore slots.
+__getattr__, and of the CLI subcommands only simulate imports it.
 """
 
 from __future__ import annotations
@@ -496,20 +464,18 @@ def extract_metrics(swp: TwoPortSweep) -> SweepMetrics:
 
 
 class _Plan:
-    """What a topology fixes about its solve: slots, stamps, the program
-    and its registers.
+    """What a topology fixes about its solve: slots, stamps and the register
+    program.
 
     Every entry of Y that is ever nonzero, stamped or filled in, has a
     slot. The first `pivots` slots are the pivots, in elimination order,
     and the last four are Y11, Y12, Y21 and Y22. Stamp k adds the value of
     element stamp_element[k], times stamp_sign[k], at stamp_slot[k] = kind
-    * slots + slot. program holds (kk, (kj, ...), ((ij, ik, kj), ...)) per
-    pivot, in order, on slots. code is that program on the rows of a
-    block, as _compile makes it: `registers` registers, the pivots' first,
-    then table rows. copied holds the pivots that the program never
+    * slots + slot. code is the elimination as _compile makes it, on the
+    rows of a block: `registers` registers, the pivots' first, then the
+    table row of each slot. copied holds the pivots that the program never
     writes, whose table rows a block copies into registers 0, 1, ...;
-    reads the slots that code reads from the table; ports the rows of
-    Y11, Y12, Y21 and Y22 at the end, in code's numbering.
+    ports the rows of Y11, Y12, Y21 and Y22 at the end.
 
     grouping, None until a network is stamped, is (group, leaders, picks,
     groups, reactive, copies, reads, ports). Slot s belongs to group
@@ -520,8 +486,8 @@ class _Plan:
     same kind, and picks G of each group, then C and Gamma of each
     reactive group. The last three place code on a block, whose rows are
     the registers and then the table of Y of each group: the group of each
-    copied pivot, the block row of each slot of reads, and the block rows
-    of Y11, Y12, Y21 and Y22. A network whose stamps have the bytes of
+    copied pivot, the block row of each slot's table row, and the block
+    rows of Y11, Y12, Y21 and Y22. A network whose stamps have the bytes of
     their leaders' uses the grouping as it is; any other replaces it with
     the common refinement of the two groupings (_refine). So it only ever
     gets finer, and once the networks of each design of a topology have
@@ -537,8 +503,8 @@ class _Plan:
     its own equality.
     """
 
-    __slots__ = ("slots", "pivots", "stamp_slot", "stamp_element", "stamp_sign", "program",
-                 "registers", "code", "copied", "reads", "ports", "grouping")
+    __slots__ = ("slots", "pivots", "stamp_slot", "stamp_element", "stamp_sign",
+                 "registers", "code", "copied", "ports", "grouping")
 
     def __init__(self, **fields) -> None:
         for name, value in fields.items():
@@ -548,17 +514,43 @@ class _Plan:
 
 @functools.lru_cache(maxsize=64)
 def _analyse(node_count: int, port1: int, port2: int, topology: tuple) -> _Plan:
-    """Slot layout, elimination order and update program of a topology.
-
-    topology holds (kind, a, b) for each two-terminal element and
-    (_G, out_p, out_m, ctrl_p, ctrl_m) for each VCCS, in element order.
-    Entries are keyed by (row node, column node) until slots are numbered.
+    """The plan of a topology: _symbolic's slots and stamps, and its program
+    compiled onto registers. The slot program is not kept.
 
     It also refuses a bad topology with DesignError. Exceptions are not
     cached, so the same topology is refused again the next time.
     """
     import numpy as np
 
+    slot, stamps, program = _symbolic(node_count, port1, port2, topology)
+    slots = len(slot)
+    kinds, stamped, elements, signs = zip(*stamps)
+    registers, code, copied, ports = _compile(program, slot)
+    return _Plan(
+        slots=slots,
+        pivots=len(program),
+        stamp_slot=np.array(kinds, dtype=np.intp) * slots
+        + np.array([slot[e] for e in stamped], dtype=np.intp),
+        stamp_element=np.array(elements, dtype=np.intp),
+        stamp_sign=np.array(signs),
+        registers=registers,
+        code=code,
+        copied=np.array(copied, dtype=np.intp),
+        ports=ports,
+    )
+
+
+def _symbolic(node_count: int, port1: int, port2: int, topology: tuple) -> tuple:
+    """Slot layout, elimination order and update program of a topology:
+    (slot, stamps, program).
+
+    topology holds (kind, a, b) for each two-terminal element and
+    (_G, out_p, out_m, ctrl_p, ctrl_m) for each VCCS, in element order.
+    Entries of Y are keyed by (row node, column node), and slot numbers
+    each of them. stamps holds (kind, entry, element, sign) per stamp, and
+    program (kk, [kj, ...], [(ij, ik, kj), ...]) per pivot, in elimination
+    order, on entries: y[kj] /= y[kk], then y[ij] -= y[ik] * y[kj].
+    """
     if node_count < 2:
         raise DesignError("network needs at least ground and one more node")
     for port in (port1, port2):
@@ -642,88 +634,81 @@ def _analyse(node_count: int, port1: int, port2: int, topology: tuple) -> _Plan:
         program.append(((k, k), [(k, j) for j in cols], updates))
         entries.update(dict.fromkeys(ij for ij, _, _ in updates))
 
-    # number the slots: the pivots in elimination order, the other entries,
-    # then Y11, Y12, Y21 and Y22
-    ports = ((port1, port1), (port1, port2), (port2, port1), (port2, port2))
-    numbered = dict.fromkeys((k, k) for k in order)
-    numbered.update(entries)
-    for entry in ports:
-        del numbered[entry]
-    numbered.update(dict.fromkeys(ports))
-    slot = {entry: index for index, entry in enumerate(numbered)}
-    slots = len(slot)
-    kinds, stamped, elements, signs = zip(*stamps)
-    program = tuple(
-        (
-            slot[kk],
-            tuple(slot[kj] for kj in kjs),
-            tuple((slot[ij], slot[ik], slot[kj]) for ij, ik, kj in updates),
-        )
-        for kk, kjs, updates in program
-    )
-    registers, code, copied, reads, ports = _compile(program, len(order), slots)
-    return _Plan(
-        slots=slots,
-        pivots=len(order),
-        stamp_slot=np.array(kinds, dtype=np.intp) * slots
-        + np.array([slot[e] for e in stamped], dtype=np.intp),
-        stamp_element=np.array(elements, dtype=np.intp),
-        stamp_sign=np.array(signs),
-        program=program,
-        registers=registers,
-        code=code,
-        copied=np.array(copied, dtype=np.intp),
-        reads=np.array(reads, dtype=np.intp),
-        ports=ports,
-    )
+    # number the slots: the pivots in elimination order, the entries off the
+    # diagonal in the order they were found, then Y11, Y12, Y21 and Y22
+    ports = [(port1, port1), (port1, port2), (port2, port1), (port2, port2)]
+    others = [(i, j) for i, j in entries if i != j and (i, j) not in ports]
+    slot = {entry: index for index, entry in enumerate([(k, k) for k in order] + others + ports)}
+    return slot, stamps, program
 
 
-def _compile(program: tuple, pivots: int, slots: int) -> tuple:
-    """The register program of a slot program: (registers, code, copied,
-    reads, ports), as _Plan keeps them.
+def _compile(program: list, slot: dict) -> tuple:
+    """The register program of _symbolic's program, by linear scan
+    register allocation (Poletto and Sarkar, ACM TOPLAS 1999): (registers,
+    code, copied, ports), as _Plan keeps them.
 
-    Registers 0 to pivots - 1 are the pivots' own rows: first the pivots
-    that the program never writes, whose slots copied lists, then the
+    The first len(program) registers are the pivots' own rows: first the
+    pivots that the program never writes, which copied lists, then the
     others, each in elimination order. Every other slot that the program
-    writes holds a register from its first write to its last read, the
-    four port entries to the end, and then hands it on: a first write
-    takes the lowest free register. Each time step is a divide or an
-    update's multiply or subtract, and a multiply has run when its
-    subtract writes, so that subtract may write a register that the
-    multiply read last.
+    writes is live from its first write to its last read, the four port
+    entries to the end, and holds a register only for that interval: a
+    first write takes the lowest free register. Each time step is a
+    divide or an update's multiply or subtract, and a multiply has run
+    when its subtract writes, so that subtract may write a register that
+    the multiply read last.
 
     code holds (pivot, ((src, dst), ...), ((src, dst, ik, kj), ...)) per
-    step of program: rows of a list that has the registers first and then,
-    at registers + r, the table row of slot reads[r]. A first write reads
-    its slot's table row, any later one its register, and a read of a slot
-    that is never written its table row. ports holds the rows of Y11, Y12,
-    Y21 and Y22 at the end.
+    pivot: rows of a list that has the registers first and then, at
+    registers + s, the table row of slot s. A first write reads its slot's
+    table row, any later one its register, and a read of a slot that is
+    never written its table row. ports holds the rows of Y11, Y12, Y21 and
+    Y22 at the end.
     """
-    # when each slot is first written and last used, in time steps
-    first, last = {}, {}
+    slots, pivots = len(slot), len(program)
+    # number the time steps once, renaming entries to slots: the code names
+    # the register of slot s by s and its table row by slots + s
+    first, last = [-1] * slots, [0] * slots
+    written = []  # the written slots, in the order of their first writes
+    named = []
     time = 0
-    for _, kjs, updates in program:
+    for kk, kjs, updates in program:
+        divides = []
         for kj in kjs:
-            first.setdefault(kj, time)
+            kj = slot[kj]
+            if first[kj] < 0:
+                first[kj] = time
+                written.append(kj)
+            divides.append((kj if first[kj] < time else slots + kj, kj))
             last[kj] = time
             time += 1
+        steps = []
         for ij, ik, kj in updates:
+            ij, ik, kj = slot[ij], slot[ik], slot[kj]
+            # kj was written by this pivot's divides, and ik, in the
+            # pivot's column, is never written after this read
             last[ik] = last[kj] = time
-            first.setdefault(ij, time + 1)
-            last[ij] = time + 1
-            time += 2
-    for port in range(slots - 4, slots):
-        last[port] = time
-    copied = [kk for kk, _, _ in program if kk not in first]
-    register = {kk: r for r, kk in enumerate(copied + [kk for kk, _, _ in program if kk in first])}
-    # the other written slots, in the order of their first writes, each to
-    # the lowest register whose slot's last use is past
-    until = []  # the last use of the slot in each register after the pivots'
-    for s, start in first.items():
+            time += 1
+            if first[ij] < 0:
+                first[ij] = time
+                written.append(ij)
+            steps.append((ij if first[ij] < time else slots + ij, ij, ik, kj))
+            last[ij] = time
+            time += 1
+        named.append((slot[kk], divides, steps))
+    last[slots - 4 :] = [time] * 4
+
+    register = [None] * slots
+    copied = [kk for kk in range(pivots) if first[kk] < 0]
+    for r, kk in enumerate(copied + [kk for kk in range(pivots) if first[kk] >= 0]):
+        register[kk] = r
+    # scan the other written slots' intervals by start, each taking the
+    # lowest register whose interval has ended
+    until = []  # the end of the last interval in each register after the pivots'
+    for s in written:
         if s < pivots:
             continue
         for free, end in enumerate(until):
-            if end < start:
+            if end < first[s]:
                 until[free] = last[s]
                 break
         else:
@@ -732,27 +717,15 @@ def _compile(program: tuple, pivots: int, slots: int) -> tuple:
         register[s] = pivots + free
     registers = pivots + len(until)
 
-    reads: dict[int, int] = {}
-    written: set[int] = set()
-
-    def row(s: int) -> int:
-        if s in written:
-            return register[s]
-        return registers + reads.setdefault(s, len(reads))
-
+    # rename: a slot that is never written is read from its table row
+    row = [registers + s if r is None else r for s, r in enumerate(register)]
+    row += range(registers, registers + slots)
     code = []
-    for kk, kjs, updates in program:
-        divides = []
-        for kj in kjs:
-            divides.append((row(kj), register[kj]))
-            written.add(kj)
-        steps = []
-        for ij, ik, kj in updates:
-            steps.append((row(ij), register[ij], row(ik), row(kj)))
-            written.add(ij)
-        code.append((register[kk], tuple(divides), tuple(steps)))
-    ports = tuple(row(s) for s in range(slots - 4, slots))
-    return registers, tuple(code), copied, list(reads), ports
+    for kk, divides, steps in named:
+        divides = tuple([(row[src], row[dst]) for src, dst in divides])
+        steps = tuple([(row[src], row[dst], row[ik], row[kj]) for src, dst, ik, kj in steps])
+        code.append((row[kk], divides, steps))
+    return registers, tuple(code), copied, tuple(row[slots - 4 : slots])
 
 
 def _refine(plan: _Plan, stamps: numpy.ndarray) -> tuple:
@@ -783,10 +756,10 @@ def _refine(plan: _Plan, stamps: numpy.ndarray) -> tuple:
     first = np.array([firsts[key] for key in ranked], dtype=np.intp)
     reactive = sum(not key[0] for key in ranked)
     leader = first[group]
-    # the block rows that the register program reads from the table: the
-    # groups of its slots, after the registers
+    # the block row of each slot's table row: its group's, after the
+    # registers
     registers = plan.registers
-    reads = (group.take(plan.reads) + registers).tolist()
+    reads = (group + registers).tolist()
     grouping = (
         group,
         np.concatenate((leader, leader + slots, leader + 2 * slots)),

@@ -1,6 +1,29 @@
-"""Test helper: point counts that cut a network's sweep into solve blocks."""
+"""Test helpers: point counts that cut a network's sweep into solve blocks,
+and the slot program that a network's plan was compiled from."""
 
-from dakit.mna import _block_width
+from dakit.mna import _C, _G, _GAMMA, Capacitor, Inductor, Resistor, Vccs, _block_width, _symbolic
+
+_KIND = {Resistor: _G, Capacitor: _C, Inductor: _GAMMA}
+
+
+def slot_program(net):
+    """The slot program of net's plan, rebuilt from its topology by the
+    analysis's symbolic step: (kk, (kj, ...), ((ij, ik, kj), ...)) per
+    pivot, in elimination order, on slots."""
+    topology = tuple(
+        (_G, e.out_p, e.out_m, e.ctrl_p, e.ctrl_m) if isinstance(e, Vccs)
+        else (_KIND[type(e)], e.a, e.b)
+        for e in net.elements
+    )
+    slot, _, program = _symbolic(net.node_count, net.port1.node, net.port2.node, topology)
+    return [
+        (
+            slot[kk],
+            tuple(slot[kj] for kj in kjs),
+            tuple((slot[ij], slot[ik], slot[kj]) for ij, ik, kj in updates),
+        )
+        for kk, kjs, updates in program
+    ]
 
 
 def block_rows(net):

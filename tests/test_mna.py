@@ -17,6 +17,7 @@ from dakit import (
     Capacitor,
     DesignError,
     DesignOptions,
+    GeometryError,
     Inductor,
     Network,
     Port,
@@ -33,7 +34,7 @@ from dakit import (
 )
 from dakit import mna
 from dakit.mna import _BUDGET, _analyse, _block_width, _db
-from blocks import block_points, block_rows, points_for
+from blocks import block_points, block_rows, points_for, slot_program
 from records import replace
 
 # matched symmetric pi attenuator, voltage ratio A: shunt z0(A+1)/(A-1),
@@ -1146,8 +1147,10 @@ def test_pivots_come_first_and_port_entries_last(fr4):
     assert plan.registers == 5 and sorted(net._grouping[7].tolist()) == [1, 2, 3, 4]
     for net in (lc_ladder(5), build_network(proto_amp()), build_network(lossy_series_amp(fr4))):
         plan = net._plan
+        # the plan keeps the register program only
+        assert not hasattr(plan, "program")
         # each step eliminates the next pivot slot
-        assert [kk for kk, _, _ in plan.program] == list(range(plan.pivots))
+        assert [kk for kk, _, _ in slot_program(net)] == list(range(plan.pivots))
         # into the pivot's own register: the never-written pivots first,
         # then the others, each in elimination order
         copied = plan.copied.tolist()
@@ -1158,8 +1161,8 @@ def test_pivots_come_first_and_port_entries_last(fr4):
 def reference_port_admittance(net: Network, freqs: np.ndarray) -> np.ndarray:
     """Yp as the slot program computes it, one full row a slot: Y of each
     stamp group with the solve's own ufuncs, each slot's row copied from
-    its group's, then plan.program run on the slots."""
-    plan, group = net._plan, net._grouping[0]
+    its group's, then the slot program run on the slots."""
+    group = net._grouping[0]
     w = 2.0 * math.pi * freqs
     reactive = len(net._c)
     table = np.zeros((len(net._g), len(w)), dtype=complex)
@@ -1167,7 +1170,7 @@ def reference_port_admittance(net: Network, freqs: np.ndarray) -> np.ndarray:
     table.imag[:reactive] = np.multiply.outer(net._c, w) - table.real[:reactive]
     table.real[...] = net._g[:, None]
     y = table[group]
-    for kk, kjs, updates in plan.program:
+    for kk, kjs, updates in slot_program(net):
         for kj in kjs:
             y[kj] = y[kj] / y[kk]
         for ij, ik, kj in updates:
@@ -1175,14 +1178,16 @@ def reference_port_admittance(net: Network, freqs: np.ndarray) -> np.ndarray:
     return y[-4:]
 
 
-def assert_registers_hold_what_is_read(plan) -> None:
-    """Run the register program on symbols: a register holds (slot, write
-    count) of the slot last written into it. Every read must get the
-    latest value of its slot, from its register or, if the slot was never
-    written, from its own table row; so no register is overwritten while
-    it still holds a value that is read later. The pivot rows end up
-    holding every pivot's value, and the port rows Y11, Y12, Y21, Y22."""
-    registers, reads = plan.registers, plan.reads.tolist()
+def assert_registers_hold_what_is_read(net) -> None:
+    """Run the register program of net's plan on symbols: a register holds
+    (slot, write count) of the slot last written into it. Every read must
+    get the latest value of its slot, from its register or, if the slot
+    was never written, from its own table row; so no register is
+    overwritten while it still holds a value that is read later. The pivot
+    rows end up holding every pivot's value, and the port rows Y11, Y12,
+    Y21, Y22."""
+    plan, program = net._plan, slot_program(net)
+    registers = plan.registers
     regs = [None] * registers
     writes = [0] * plan.slots
     for r, kk in enumerate(plan.copied.tolist()):
@@ -1192,14 +1197,14 @@ def assert_registers_hold_what_is_read(plan) -> None:
         if row < registers:
             assert regs[row] == (slot, writes[slot]), (row, slot)
         else:
-            assert reads[row - registers] == slot and writes[slot] == 0, (row, slot)
+            assert row - registers == slot and writes[slot] == 0, (row, slot)
 
     def write(row, slot):
         writes[slot] += 1
         regs[row] = (slot, writes[slot])
 
-    assert len(plan.code) == len(plan.program)
-    for (kk, kjs, updates), (pivot, divides, steps) in zip(plan.program, plan.code):
+    assert len(plan.code) == len(program)
+    for (kk, kjs, updates), (pivot, divides, steps) in zip(program, plan.code):
         assert pivot < plan.pivots and len(divides) == len(kjs) and len(steps) == len(updates)
         read(pivot, kk)
         for kj, (src, dst) in zip(kjs, divides):
@@ -1218,7 +1223,7 @@ def assert_registers_hold_what_is_read(plan) -> None:
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.one_of(passive_ladders(), active_ladders()), st.integers(1, 12), st.integers(1, 3))
 def test_register_program_computes_the_slot_program(net, points, narrow):
-    assert_registers_hold_what_is_read(net._plan)
+    assert_registers_hold_what_is_read(net)
     freqs = np.geomspace(10e6, 100e9, points)
     want = reference_port_admittance(net, freqs)
     rows = block_rows(net)
@@ -1231,21 +1236,63 @@ def test_register_program_computes_the_slot_program(net, points, narrow):
             assert mna._port_admittance(net, freqs).tobytes() == want.tobytes()
 
 
+_PHEMT = TransistorModel(name="PHEMT-1", gm=0.08, cgs=1.4e-13, cds=5e-14, ri=1.0, rds=200.0)
+
+
 def test_benchmark_designs_hold_their_registers_and_solve_1001_points_in_one_block(gan, fr4):
     # the README's uniform match-drain design and its Ginzton taper share a
     # plan and its grouping; PHEMT-1 and the 12-stage design have their own
-    phemt = TransistorModel(name="PHEMT-1", gm=0.08, cgs=1.4e-13, cds=5e-14, ri=1.0, rds=200.0)
     cases = (
         (gan, {"series_cap": "match-drain"}, 19),
         (gan, {"series_cap": "match-drain", "taper": "ginzton"}, 19),
-        (phemt, {}, 27),
+        (_PHEMT, {}, 27),
         (gan, {"series_cap": "match-drain", "stages": 12}, 51),
     )
     for transistor, options, registers in cases:
         net = build_network(synthesize_design(transistor, fr4, DesignOptions(**options)))
         assert net._plan.registers == registers < net._plan.slots
-        assert_registers_hold_what_is_read(net._plan)
+        assert_registers_hold_what_is_read(net)
         assert _block_width(block_rows(net), 1001) == 1001
+
+
+# registers of each design-flow topology on FR-4 at each stage count, None
+# where synthesis refuses the design: no strip on the board is narrow
+# enough for the Ginzton taper's high-impedance sections
+_FLOW_STAGES = (1, 3, 5, 8, 12)
+_FLOW_REGISTERS = {
+    ("GAN-1", None, None): (7, 11, 17, 27, 39),
+    ("GAN-1", None, "ginzton"): (7, 11, None, None, None),
+    ("GAN-1", "match-drain", None): (8, 15, 23, 35, 51),
+    ("GAN-1", "match-drain", "ginzton"): (8, 15, None, None, None),
+    ("PHEMT-1", None, None): (8, 15, 23, 35, 51),
+    ("PHEMT-1", None, "ginzton"): (8, 15, None, None, None),
+    ("PHEMT-1", "match-drain", None): (9, 18, 28, 43, 63),
+    ("PHEMT-1", "match-drain", "ginzton"): (9, 18, None, None, None),
+}
+
+
+@pytest.mark.parametrize("stages", _FLOW_STAGES)
+@pytest.mark.parametrize(
+    "design", list(_FLOW_REGISTERS), ids=["-".join(map(str, d)) for d in _FLOW_REGISTERS]
+)
+def test_design_flow_topologies_compile_to_their_registers(gan, fr4, design, stages):
+    # the lossless GaN device and the lossy pHEMT, each with and without
+    # the drain-matching series capacitor and the Ginzton taper
+    name, series, taper = design
+    registers = _FLOW_REGISTERS[design][_FLOW_STAGES.index(stages)]
+    transistor = gan if name == "GAN-1" else _PHEMT
+    options = DesignOptions(stages=stages, series_cap=series, taper=taper)
+    if registers is None:
+        with pytest.raises(GeometryError):
+            synthesize_design(transistor, fr4, options)
+        return
+    net = build_network(synthesize_design(transistor, fr4, options))
+    assert net._plan.registers == registers
+    assert_registers_hold_what_is_read(net)
+    freqs = np.geomspace(10e6, 100e9, 41)
+    want = reference_port_admittance(net, freqs)
+    with np.errstate(all="ignore"):
+        assert mna._port_admittance(net, freqs).tobytes() == want.tobytes()
 
 
 def synthetic_sweep(freqs, s21_mags, s11_mags):
