@@ -4,6 +4,13 @@ The Touchstone and CSV writers of dakit.cli format every field this way.
 The kernel lives in its own module, loaded by the writers when they run,
 so that the commands that write no sweep do not compile it.
 
+A field's decimal exponent is estimated from its binary exponent and
+raised by one where the field reaches the float nearest the next power of
+ten; the field is then scaled to its 10-digit mantissa once. Zeros and
+infinities are written directly. A near-tie, a NaN and a field whose
+scaled mantissa falls outside [1e9, 1e10), as every other field outside
+1e-13 <= |x| < 1e32 does, are rendered by "%.9e" itself.
+
 Each field is built as a packed 17-byte record: a sign byte, "-" or NUL,
 then two little-endian 64-bit words. The first holds "d.dddddd" and the
 second "ddde+xx" and the separator, so that a field's text is its record
@@ -27,19 +34,20 @@ def e9_rows(table, sep: str) -> str:
     numbers quickly and accurately" (PLDI 2010) at a fixed 10 significant
     digits. The decimal exponent is estimated from the binary one, as
     there: with |x| = f*2**b (1/2 <= f < 1), e = floor((b - 1)*log10(2))
-    is floor(log10|x|) or one less. q = |x|*10**(9 - e) takes one
-    correctly rounded multiply or divide by an exact power of ten
+    is floor(log10|x|) or one less. One comparison steps e up where |x|
+    reaches the float nearest 10**(e + 1). q = |x|*10**(9 - e) then takes
+    one correctly rounded multiply or divide by an exact power of ten
     (|9 - e| <= 22), so q is within half an ulp, 9.5e-7, of the exact
-    product; if q > 1e10, e was one short and q is formed again. Unless q
-    is within 1e-5 of a tie, rint(q) is then the correctly rounded
-    10-digit mantissa, and a carry to 1e10 moves e up by one. Zeros (with
-    their sign) and infinities are written here too. A value near a tie,
-    one whose e is outside -13..31 and a NaN take "%.9e" itself: its
-    record holds a marker byte, 1, which the text is split at.
+    product. Unless q is within 1e-5 of a tie, rint(q) is then the
+    correctly rounded 10-digit mantissa, and a carry to 1e10 moves e up by
+    one. Zeros (with their sign) and infinities are written here too. A
+    value near a tie, a NaN and one whose q falls outside [1e9, 1e10), as
+    it does for every e outside -13..31, take "%.9e" itself: its record
+    holds a marker byte, 1, which the text is split at.
     """
     import numpy as np
 
-    lead, middle, last, exponent, up, down, k_of, record_type = _tables()
+    lead, middle, last, exponent, up, down, k_of, ten, record_type = _tables()
     x = np.asarray(table, dtype=np.float64)
     rows, fields = x.shape
     x = x.ravel()
@@ -51,12 +59,12 @@ def e9_rows(table, sep: str) -> str:
         # biased binary exponent; a zero's is 0, which gives k = 32, e = 0
         # and, with q = 0, the digits of 0.000000000e+00
         k = k_of.take(a.view(np.int64) >> 52)
-        q = a * up.take(k) / down.take(k)
-        k -= q > 1e10
+        k -= a >= ten.take(k)
         q = a * up.take(k) / down.take(k)
         r = np.rint(q)
         fast = np.abs(q - r) < 0.49999
         fast &= q >= 1e9
+        fast &= q < 1e10
         carry = np.flatnonzero(r == 1e10)
         r[carry] = 1e9
         k[carry] -= 1
@@ -106,7 +114,8 @@ def _tables():
     so that q takes one rounding, and up[0] is NaN, so that e = 32 and
     above take the fallback. k_of[E] is k of e's estimate for the biased
     binary exponent E, clipped to 1..45 as e is to -13..31, and 32 for a
-    zero. record_type is the packed 17-byte field.
+    zero. ten[k] is the float nearest 10**(e + 1). record_type is the
+    packed 17-byte field.
     """
     import numpy as np
 
@@ -134,12 +143,13 @@ def _tables():
     estimate = np.floor((np.arange(2048) - 1023) * 0.3010299956639812)
     k_of = np.clip(32 - estimate, 1, 45).astype(np.intp)
     k_of[0] = 32
+    ten = np.array([float(10**n) if n >= 0 else 1 / 10**-n for n in range(33, -13, -1)])
     record_type = np.dtype(
         {"names": ["sign", "w0", "w1"], "formats": ["u1", "<u8", "<u8"],
          "offsets": [0, 1, 9], "itemsize": 17}
     )
     words = [table.view("<u8").ravel() for table in (lead, middle, last, exponent)]
-    tables = *words, up, down, k_of
+    tables = *words, up, down, k_of, ten
     for table in tables:
         table.flags.writeable = False
     return *tables, record_type

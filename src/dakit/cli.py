@@ -78,7 +78,9 @@ def write_touchstone(swp: mna.TwoPortSweep, destination) -> None:
     # S holds S11, S12, S21, S22 of each point in turn; the columns are S11,
     # S21, S12, S22 as re/im pairs
     s = swp.s_matrices.view(np.float64).reshape(n, 4, 2)
-    table[:, 1:] = s[:, [0, 2, 1, 3]].reshape(n, 8)
+    pairs = table[:, 1:].reshape(n, 4, 2)
+    for column, entry in enumerate((0, 2, 1, 3)):
+        pairs[:, column] = s[:, entry]
     header = f"! two-port S-parameters\n# HZ S RI R {swp.reference_impedance:g}\n"
     _write_text(destination, header + e9_rows(table, " "))
 
@@ -88,20 +90,30 @@ def write_csv(swp: mna.TwoPortSweep, destination) -> None:
 
     A zero magnitude renders as -inf rather than raising.
     """
+    import cmath
+
     import numpy as np
 
     from ._e9 import e9_rows
 
     n = len(swp.frequencies)
     # the sweep's dB are S11, S12, S21 and S22 of each point; the columns
-    # are S11, S21, S12, S22. The phase stays with math's atan2, which
-    # numpy's arctan2 does not match to the last bit; math.degrees(x) is
+    # are S11, S21, S12, S22. The phase is math.atan2(imag, real), which
+    # numpy's arctan2 does not match to the last bit. For finite S,
+    # cmath.phase calls the same libm atan2 after the same handling of
+    # zeros, but refuses a phase that underflows to zero, which math.atan2
+    # returns: such a sweep takes math.atan2 itself. math.degrees(x) is
     # x * (180 / pi), one rounding, so one numpy multiply is its bit for bit
-    s21 = swp.s_matrices[:, 1, 0]
+    db = swp.s_db
     table = np.empty((n, 6))
     table[:, 0] = swp.frequencies
-    table[:, 1:5] = swp.s_db[:, [0, 2, 1, 3]]
-    radians = np.fromiter(map(math.atan2, s21.imag.tolist(), s21.real.tolist()), float, n)
+    for column, entry in enumerate((0, 2, 1, 3), 1):
+        table[:, column] = db[:, entry]
+    s21 = swp.s_matrices[:, 1, 0].tolist()
+    try:
+        radians = np.fromiter(map(cmath.phase, s21), float, n)
+    except OverflowError:
+        radians = np.fromiter((math.atan2(s.imag, s.real) for s in s21), float, n)
     np.multiply(radians, 180.0 / math.pi, out=table[:, 5])
     header = "freq_hz,s11_db,s21_db,s12_db,s22_db,s21_phase_deg\n"
     _write_text(destination, header + e9_rows(table, ","))

@@ -823,6 +823,46 @@ def test_numpy_degrees_is_math_degrees_bit_for_bit(values):
     assert got.tobytes() == np.array([math.degrees(v) for v in values]).tobytes()
 
 
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), min_size=1, max_size=32))
+@example([complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+@example([complex(-1.0, 0.0), complex(-1.0, -0.0), complex(1.0, -0.0), complex(0.0, -1.0)])
+@example([complex(_TINY, -_TINY), complex(-_TINY, 0.0), complex(2.2250738585072014e-308, -1.0)])
+@example([complex(_MAX, -_MAX), complex(-_MAX, _MAX), complex(-_MAX, -0.0), complex(_TINY, _MAX)])
+@example([complex(_MAX, _TINY), complex(4.758454107128906e285, 1.1754943508222875e-38)])
+def test_cmath_phase_is_math_atan2_bit_for_bit(values):
+    """write_csv takes S21's phase from cmath.phase, on the premise that for
+    a finite value it is math.atan2(imag, real), bit for bit: both call
+    libm's atan2 after the same handling of the zeros. Where libm's atan2
+    underflows to zero from a nonzero imaginary part, cmath.phase raises
+    OverflowError, and write_csv takes math.atan2 for that sweep. Should
+    this fail on some Python, the CSV goes back to math.atan2."""
+    import cmath
+
+    for z in values:
+        want = math.atan2(z.imag, z.real)
+        try:
+            got = cmath.phase(z)
+        except OverflowError:
+            assert want == 0.0 and z.imag != 0.0
+        else:
+            assert got.hex() == want.hex()
+
+
+def test_csv_writes_a_phase_that_underflows():
+    # atan2(1e-30, 1e300) underflows to zero, which cmath.phase refuses
+    swp = TwoPortSweep(
+        (1e9, 2e9, 3e9),
+        [((0.5, 0j), (s21, 0.5)) for s21 in (1e300 + 1e-30j, -1e300 - 1e-30j, 1e300 - 1e-30j)],
+        50.0,
+    )
+    out = io.StringIO()
+    write_csv(swp, out)
+    assert [row.split(",")[-1] for row in out.getvalue().splitlines()[1:]] == [
+        "0.000000000e+00", "-1.800000000e+02", "-0.000000000e+00"
+    ]
+
+
 def _percent_rows(rows, sep):
     return "".join(sep.join("%.9e" % x for x in row) + "\n" for row in rows)
 
@@ -880,6 +920,34 @@ class TestE9Rows:
             values += [v, -v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)]
         got, want = _render(values, ",")
         assert got == want
+
+    @staticmethod
+    def nearest_power_of_ten(n):
+        return float(10**n) if n >= 0 else 1 / 10**-n
+
+    def test_powers_of_ten_and_carries_around_the_exponent_step(self):
+        # e steps up where |x| reaches the float nearest 10**(e + 1): that
+        # float and its neighbours, and the carries just below it, for e
+        # from -15 to 32, either side of the fast path's -13..31
+        values = []
+        for n in range(-14, 34):
+            for v in (self.nearest_power_of_ten(n), float(f"9.9999999995e{n}")):
+                below = above = v
+                values.append(v)
+                for _ in range(2):
+                    below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+                    values += [below, above]
+        values += [-v for v in values]
+        got, want = _render(values)
+        assert got == want
+
+    def test_the_exponent_step_table_holds_the_nearest_powers_of_ten(self):
+        from dakit._e9 import _tables
+
+        *_, ten, record_type = _tables()
+        # ten[k] is the float nearest 10**(e + 1), e = 32 - k
+        assert ten.tolist() == [self.nearest_power_of_ten(33 - k) for k in range(46)]
+        assert not ten.flags.writeable
 
     def test_signed_zero_infinities_nan_and_extremes(self):
         values = [-0.0, 0.0, math.inf, -math.inf, math.nan, 1e300, 1e-300, -1e300, -1e-300]
