@@ -90,30 +90,23 @@ def write_csv(swp: mna.TwoPortSweep, destination) -> None:
 
     A zero magnitude renders as -inf rather than raising.
     """
-    import cmath
-
     import numpy as np
 
     from ._e9 import e9_rows
 
     n = len(swp.frequencies)
     # the sweep's dB are S11, S12, S21 and S22 of each point; the columns
-    # are S11, S21, S12, S22. The phase is math.atan2(imag, real), which
-    # numpy's arctan2 does not match to the last bit. For finite S,
-    # cmath.phase calls the same libm atan2 after the same handling of
-    # zeros, but refuses a phase that underflows to zero, which math.atan2
-    # returns: such a sweep takes math.atan2 itself. math.degrees(x) is
+    # are S11, S21, S12, S22. The phase stays with math's atan2, which
+    # numpy's arctan2 does not match to the last bit; one tolist of S21's
+    # re/im pairs gives its two argument lists. math.degrees(x) is
     # x * (180 / pi), one rounding, so one numpy multiply is its bit for bit
     db = swp.s_db
     table = np.empty((n, 6))
     table[:, 0] = swp.frequencies
     for column, entry in enumerate((0, 2, 1, 3), 1):
         table[:, column] = db[:, entry]
-    s21 = swp.s_matrices[:, 1, 0].tolist()
-    try:
-        radians = np.fromiter(map(cmath.phase, s21), float, n)
-    except OverflowError:
-        radians = np.fromiter((math.atan2(s.imag, s.real) for s in s21), float, n)
+    re, im = swp.s_matrices.view(np.float64).reshape(n, 4, 2)[:, 2].T.tolist()
+    radians = np.fromiter(map(math.atan2, im, re), float, n)
     np.multiply(radians, 180.0 / math.pi, out=table[:, 5])
     header = "freq_hz,s11_db,s21_db,s12_db,s22_db,s21_phase_deg\n"
     _write_text(destination, header + e9_rows(table, ","))
