@@ -81,7 +81,9 @@ def write_touchstone(swp: mna.TwoPortSweep, destination) -> None:
     pairs = table[:, 1:].reshape(n, 4, 2)
     for column, entry in enumerate((0, 2, 1, 3)):
         pairs[:, column] = s[:, entry]
-    header = f"! two-port S-parameters\n# HZ S RI R {swp.reference_impedance:g}\n"
+    # the shortest text that reads back as the impedance, 50.0 as "50"
+    r = repr(swp.reference_impedance).removesuffix(".0")
+    header = f"! two-port S-parameters\n# HZ S RI R {r}\n"
     _write_text(destination, header + e9_rows(table, " "))
 
 

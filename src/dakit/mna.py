@@ -50,11 +50,13 @@ system at f Hz") naming the first such frequency; each pivot is checked
 once, after the program has run, since no pivot is written after its own
 elimination. A zero determinant of I + y' raises "singular port system at
 f Hz". An entry of S that is still not finite, as when w is so small that
-Gamma/(jw) overflows, raises "non-finite S-parameters at f Hz". Each
-message names a frequency of the sweep, not of a block. Pivots are
-checked block by block, before S is formed, so a zero pivot anywhere in
-the sweep is reported ahead of a port-system or S error at a lower
-frequency.
+Gamma/(jw) overflows, raises "non-finite S-parameters at f Hz". So does
+every network at a frequency whose w = 2 pi f overflows, f above about
+2.86e307 Hz: Y of every stamp group is formed alike, and its jwC is
+infinite, or 0 * inf = NaN where no capacitor stamps. Each message names
+a frequency of the sweep, not of a block. Pivots are checked block by
+block, before S is formed, so a zero pivot anywhere in the sweep is
+reported ahead of a port-system or S error at a lower frequency.
 
 Determinism: same inputs give the same bytes, whatever the plan cache
 holds; a sweep entry has the same bytes as s_parameters_at at that
@@ -128,7 +130,7 @@ class Network(Record):
     """Two-port element network with ground at node 0."""
 
     __slots__ = (
-        "node_count", "elements", "port1", "port2", "_plan", "_grouping", "_g", "_c", "_gamma"
+        "node_count", "elements", "port1", "port2", "_plan", "_grouping", "_table"
     )
 
     def __post_init__(self) -> None:
@@ -177,19 +179,16 @@ class Network(Record):
         # refuses a bad topology here; a cached topology was checked before
         plan = _analyse(node_count, port1.node, port2.node, tuple(topology))
         weights = np.array(values)[plan.stamp_element] * plan.stamp_sign
-        stamps = np.bincount(plan.stamp_slot, weights, 3 * plan.slots)
-        # the plan's grouping holds if each stamp has the bytes of its
-        # group leader's, so that Y of a group is Y of each of its slots
+        # G, C and Gamma of each slot, one row each
+        stamps = np.bincount(plan.stamp_slot, weights, 3 * plan.slots).reshape(3, plan.slots)
+        # the plan's grouping holds if each slot's stamps have the bytes of
+        # its group leader's, so that Y of a group is Y of each of its slots
         grouping = plan.grouping
-        if grouping is None or stamps.take(grouping[1]).tobytes() != stamps.tobytes():
+        if grouping is None or stamps.take(grouping[1], axis=1).tobytes() != stamps.tobytes():
             grouping = _refine(plan, stamps)
-        picks, groups, reactive = grouping[2:5]
-        table = stamps.take(picks)
         set_field(self, "_plan", plan)
         set_field(self, "_grouping", grouping)
-        set_field(self, "_g", table[:groups])
-        set_field(self, "_c", table[groups : groups + reactive])
-        set_field(self, "_gamma", table[groups + reactive :])
+        set_field(self, "_table", stamps.take(grouping[2], axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,15 +476,13 @@ class _Plan:
     writes, whose table rows a block copies into registers 0, 1, ...;
     ports the rows of Y11, Y12, Y21 and Y22 at the end.
 
-    grouping, None until a network is stamped, is (group, leaders, picks,
-    groups, reactive, copies, reads, ports). Slot s belongs to group
-    group[s], whose leader is its first slot; the first `reactive` of the
-    `groups` groups are those a capacitor or an inductor stamps. A
-    network's stamps are G, C and Gamma of each slot in turn, 3 * slots
-    floats: leaders indexes, for each of them, the leader's stamp of the
-    same kind, and picks G of each group, then C and Gamma of each
-    reactive group. The last three place code on a block, whose rows are
-    the registers and then the table of Y of each group: the group of each
+    grouping, None until a network is stamped, is (group, leader, first,
+    copies, reads, ports). Slot s belongs to group group[s], numbered in
+    the order of the groups' first slots, first[group[s]]; leader[s] is
+    that first slot. A network's stamps are a (3, slots) array, the G, C
+    and Gamma of each slot; its table is their columns at first, the G, C
+    and Gamma of each group. The last three place code on a block, whose
+    rows are the registers and then Y of each group: the group of each
     copied pivot, the block row of each slot's table row, and the block
     rows of Y11, Y12, Y21 and Y22. A network whose stamps have the bytes of
     their leaders' uses the grouping as it is; any other replaces it with
@@ -730,42 +727,33 @@ def _compile(program: list, slot: dict) -> tuple:
 
 def _refine(plan: _Plan, stamps: numpy.ndarray) -> tuple:
     """Store in the plan, and return, the common refinement of its grouping
-    and the grouping of a network's stamps, G, C and Gamma of each slot in
-    turn: slots stay together where both groupings put them together, and
-    where their stamps have the same bits.
-
-    Groups are numbered in the order of (resistive, old group, bits), so
-    the groups with a nonzero C or Gamma come first. A slot is either
-    stamped by a capacitor or an inductor in every network of the plan or
-    in none, and such stamps, all of one sign and never zero, cannot sum to
-    zero, so the split follows the topology.
+    and the grouping of a network's (3, slots) stamps: slots stay together
+    where both groupings put them together, and where their G, C and Gamma
+    have the same bits. Groups are numbered in the order of their first
+    slots.
     """
     import numpy as np
 
     slots = plan.slots
-    g, c, gamma = stamps.view(np.int64).reshape(3, slots).tolist()
+    g, c, gamma = stamps.view(np.int64).tolist()
     old = [0] * slots if plan.grouping is None else plan.grouping[0].tolist()
     # in Python: a few hundred slots, refined a few times per topology, and
     # numpy's sorts would fault in about 0.5 MB of their code per process
-    keys = [(not (cs or ys), o, gs, cs, ys) for o, gs, cs, ys in zip(old, g, c, gamma)]
-    # filled from the last slot back, so each key keeps its first slot
-    firsts = dict(zip(reversed(keys), range(slots - 1, -1, -1)))
-    ranked = sorted(firsts)
-    number = {key: index for index, key in enumerate(ranked)}
-    group = np.array([number[key] for key in keys], dtype=np.intp)
-    first = np.array([firsts[key] for key in ranked], dtype=np.intp)
-    reactive = sum(not key[0] for key in ranked)
-    leader = first[group]
+    number, first, group = {}, [], []
+    for s, key in enumerate(zip(old, g, c, gamma)):
+        if key not in number:
+            number[key] = len(first)
+            first.append(s)
+        group.append(number[key])
+    group, first = np.array(group, dtype=np.intp), np.array(first, dtype=np.intp)
     # the block row of each slot's table row: its group's, after the
     # registers
     registers = plan.registers
     reads = (group + registers).tolist()
     grouping = (
         group,
-        np.concatenate((leader, leader + slots, leader + 2 * slots)),
-        np.concatenate((first, first[:reactive] + slots, first[:reactive] + 2 * slots)),
-        len(first),
-        reactive,
+        first[group],
+        first,
         group.take(plan.copied),
         reads,
         np.array([r if r < registers else reads[r - registers] for r in plan.ports], np.intp),
@@ -836,15 +824,15 @@ def _port_admittance(net: Network, freqs: numpy.ndarray):
 
     plan = net._plan
     registers, pivots = plan.registers, plan.pivots
-    _, _, _, groups, reactive, copies, reads, ports = net._grouping
-    c, gamma = net._c, net._gamma
-    height = registers + groups
+    copies, reads, ports = net._grouping[3:]
+    g, c, gamma = net._table
+    height = registers + len(g)
     points = len(freqs)
     width = _block_width(height, points)
     work = np.empty(height * width, dtype=complex)
     yp = np.empty((4, points), dtype=complex)
     w = 2.0 * math.pi * freqs
-    g = net._g[:, None]
+    g = g[:, None]
     divide, multiply, subtract = np.divide, np.multiply, np.subtract
     size = 0
     for start in range(0, points, width):
@@ -859,16 +847,12 @@ def _port_admittance(net: Network, freqs: numpy.ndarray):
             rows = views[:registers] + [views[k] for k in reads]
             scratch = np.empty(size, dtype=complex)
             table_real, table_imag = table.real, table.imag
-            real_reactive, imag_reactive = table_real[:reactive], table_imag[:reactive]
-            imag_resistive = table_imag[reactive:]
-        # Y = G + jwC + Gamma/(jw) of each group, the imaginary part only
-        # where C or Gamma stamps, which keeps it 0 even where w overflows;
-        # Gamma/w goes through the real part, which G then overwrites
-        multiply.outer(c, block, out=imag_reactive)
-        divide.outer(gamma, block, out=real_reactive)
-        subtract(imag_reactive, real_reactive, out=imag_reactive)
+        # Y = G + jwC + Gamma/(jw) of each group: Gamma/w goes through the
+        # real part, which G then overwrites
+        multiply.outer(c, block, out=table_imag)
+        divide.outer(gamma, block, out=table_real)
+        subtract(table_imag, table_real, out=table_imag)
         table_real[...] = g
-        imag_resistive[...] = 0.0
         # "clip" writes straight into the out, where the default mode would
         # buffer; the rows taken are always in range
         table.take(copies, axis=0, out=copied, mode="clip")

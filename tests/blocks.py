@@ -1,5 +1,6 @@
 """Test helpers: point counts that cut a network's sweep into solve blocks,
-and the slot program that a network's plan was compiled from."""
+the slot program that a network's plan was compiled from, and named reads
+of a network's stamp groups."""
 
 from dakit.mna import _C, _G, _GAMMA, Capacitor, Inductor, Resistor, Vccs, _block_width, _symbolic
 
@@ -26,10 +27,32 @@ def slot_program(net):
     ]
 
 
+def group_count(net):
+    """The number of net's stamp groups: slots whose G, C and Gamma have the
+    same bits, under the plan's grouping."""
+    return net._table.shape[1]
+
+
+def group_stamps(net):
+    """net's group table, a (3, groups) float64 array: G, C and Gamma of
+    each stamp group, so that g, c, gamma = group_stamps(net)."""
+    return net._table
+
+
+def slot_groups(net):
+    """The stamp group of each slot of net's plan, an intp array."""
+    return net._grouping[0]
+
+
+def port_rows(net):
+    """The block rows that a solve copies Y11, Y12, Y21 and Y22 out of."""
+    return net._grouping[-1]
+
+
 def block_rows(net):
     """The rows of net's solve block at each frequency: the plan's
     registers, then the network's group table."""
-    return net._plan.registers + net._grouping[3]
+    return net._plan.registers + group_count(net)
 
 
 def widest_block(net):

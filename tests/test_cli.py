@@ -687,6 +687,20 @@ class TestWriters:
         with pytest.raises(SimulationError, match="ports differ"):
             write_touchstone(swp, io.StringIO())
 
+    @pytest.mark.parametrize(
+        "z0, label",
+        [(50.0, "50"), (75.0, "75"), (33.33333333, "33.33333333"), (100 / 3, "33.333333333333336"),
+         (1234567.0, "1234567"), (1e-3, "0.001"), (2.5e20, "2.5e+20")],
+    )
+    def test_touchstone_header_reads_back_the_reference_impedance(self, z0, label):
+        # ":g" kept six digits, so 33.33333333 ohm was labelled 33.3333
+        swp = TwoPortSweep((1e6,), (((0.1 + 0j, 0j), (0j, 0.1 + 0j)),), z0)
+        buf = io.StringIO()
+        write_touchstone(swp, buf)
+        header = buf.getvalue().splitlines()[1]
+        assert header == f"# HZ S RI R {label}"
+        assert float(header.split()[-1]) == z0
+
     def test_touchstone_layout(self):
         buf = io.StringIO()
         write_touchstone(self.sweep_with_zero(), buf)

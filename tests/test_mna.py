@@ -34,7 +34,9 @@ from dakit import (
 )
 from dakit import mna
 from dakit.mna import _BUDGET, _analyse, _block_width, _db
-from blocks import block_points, block_rows, points_for, slot_program
+from blocks import (
+    block_points, block_rows, group_stamps, points_for, port_rows, slot_groups, slot_program
+)
 from records import replace
 
 # matched symmetric pi attenuator, voltage ratio A: shunt z0(A+1)/(A-1),
@@ -210,6 +212,29 @@ class TestSParameters:
         # warning escapes
         with pytest.raises(SimulationError, match=re.escape(f"non-finite S-parameters at {f} Hz")):
             s_parameters_at(lc_ladder(), f)
+
+    def test_an_overflowing_w_is_refused_by_a_resistive_network_too(self):
+        # every group's Y is formed alike, so a resistor's jwC reads 0 * inf
+        f = 2.9e307
+        assert math.isinf(2.0 * math.pi * f)
+        with pytest.raises(SimulationError, match=re.escape(f"non-finite S-parameters at {f} Hz")):
+            s_parameters_at(pi_pad(), f)
+
+    def test_a_log_sweep_names_its_first_point_whose_w_overflows(self):
+        f_start, f_stop, points = 1e300, 1e308, 257
+        # the grid as sweep rounds it
+        lstep = (math.log(f_stop) - math.log(f_start)) / (points - 1)
+        grid = [math.exp(k * lstep + math.log(f_start)) for k in range(points)]
+        grid[0], grid[-1] = f_start, f_stop
+        first = next(f for f in grid if math.isinf(2.0 * math.pi * f))
+        assert first > sys.float_info.max / (2.0 * math.pi) > grid[grid.index(first) - 1]
+        message = f"non-finite S-parameters at {first} Hz"
+        with pytest.raises(SimulationError, match=re.escape(message)):
+            sweep(pi_pad(), f_start, f_stop, points, LOG)
+
+    def test_a_resistive_network_below_w_overflow_keeps_its_s(self):
+        s = s_parameters_at(pi_pad(), 2.8e307)
+        assert s.tobytes() == s_parameters_at(pi_pad(), 1e9).tobytes()
 
     def test_matched_attenuator(self):
         s = s_parameters_at(pi_pad(a=2.0), 1e9)
@@ -1136,7 +1161,7 @@ def test_pivots_come_first_and_port_entries_last(fr4):
         Port(3),
     )
     plan = net._plan
-    g = net._g[net._grouping[0]]
+    g = group_stamps(net)[0][slot_groups(net)]
     assert plan.pivots == 1 and plan.slots == 9
     assert g[0] == 0.25 + 0.125
     assert g[-4:].tolist() == [0.5 + 0.25, 0.0, 0.0625, 0.125 + 2.0]
@@ -1144,7 +1169,7 @@ def test_pivots_come_first_and_port_entries_last(fr4):
     # register 0; its elimination writes all four port entries, which end
     # in the other four registers
     assert plan.copied.tolist() == [0] and plan.code[0][0] == 0
-    assert plan.registers == 5 and sorted(net._grouping[7].tolist()) == [1, 2, 3, 4]
+    assert plan.registers == 5 and sorted(port_rows(net).tolist()) == [1, 2, 3, 4]
     for net in (lc_ladder(5), build_network(proto_amp()), build_network(lossy_series_amp(fr4))):
         plan = net._plan
         # the plan keeps the register program only
@@ -1162,14 +1187,14 @@ def reference_port_admittance(net: Network, freqs: np.ndarray) -> np.ndarray:
     """Yp as the slot program computes it, one full row a slot: Y of each
     stamp group with the solve's own ufuncs, each slot's row copied from
     its group's, then the slot program run on the slots."""
-    group = net._grouping[0]
+    g, c, gamma = group_stamps(net)
     w = 2.0 * math.pi * freqs
-    reactive = len(net._c)
-    table = np.zeros((len(net._g), len(w)), dtype=complex)
-    table.real[:reactive] = np.divide.outer(net._gamma, w)
-    table.imag[:reactive] = np.multiply.outer(net._c, w) - table.real[:reactive]
-    table.real[...] = net._g[:, None]
-    y = table[group]
+    table = np.empty((len(g), len(w)), dtype=complex)
+    table.imag = np.multiply.outer(c, w)
+    table.real = np.divide.outer(gamma, w)
+    table.imag = np.subtract(table.imag, table.real)
+    table.real = g[:, None]
+    y = table[slot_groups(net)]
     for kk, kjs, updates in slot_program(net):
         for kj in kjs:
             y[kj] = y[kj] / y[kk]
