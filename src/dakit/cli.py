@@ -2,8 +2,9 @@
 
 Subcommands: bandwidth, screen, design, taper, simulate, verify. All
 numeric flags take plain decimal SI values (farads, hertz, ohms; board
-geometry in mm). Exit codes: 0 on success, 1 on a domain error (the
-message goes to stderr), 2 on a usage error.
+geometry in mm). Exit codes: 0 on success, 1 on a domain error or an
+array too large to allocate (the message goes to stderr) and when the
+reader of stdout has gone, 2 on a usage error.
 
 Output is plain "name = value" text with 10 significant digits, so a run
 with the same arguments is byte-identical and the printed values are
@@ -55,8 +56,21 @@ def run(argv: list[str] | None = None) -> int:
     except DakitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy refuses an array too large to allocate, such as the grid of
+        # a sweep of 1e12 points
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     if lines:
-        print("\n".join(lines))
+        try:
+            print("\n".join(lines), flush=True)
+        except BrokenPipeError:
+            # the reader has gone: stdout goes to devnull, so that the
+            # interpreter's flush at exit fails no more
+            import os
+
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return code
 
 

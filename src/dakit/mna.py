@@ -23,9 +23,10 @@ cached per topology (a least-recently-used cache of 64). A Network is
 stamped once, at construction, into the plan's slots; slots whose stamp
 values have the same bits share a group, and Y is formed once per group
 (see _Plan). A sweep solves its frequencies in blocks of equal width, as
-few as keep each block's work buffer within _BUDGET bytes, and leaves the
-2x2 port admittance Yp. S is then formed once over the whole sweep: with
-real reference impedances and y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
+few as keep each block's work buffer within _BUDGET bytes, the last one
+starting early enough to be as wide, and leaves the 2x2 port admittance
+Yp. S is then formed once over the whole sweep: with real reference
+impedances and y' = D Yp D, D = diag(sqrt(z1), sqrt(z2)),
 
     S = (I - y') (I + y')^-1,
 
@@ -92,11 +93,8 @@ LOG = "log"
 # buffer, at most: each step of the register program is one numpy call per
 # row and each block one assembly of Y, so the fewest blocks spread both.
 # At 1 MiB each of the four benchmark designs (17, 17, 23 and 41 nodes)
-# solves 1001 points in one block, and their sweeps took 307, 303, 361 and
-# 728 us, against 347, 343, 412 and 797 at 512 KiB (two blocks each) and
-# 379, 376, 456 and 1025 at 256 KiB (minima of 150 interleaved sweeps,
-# 2-vCPU Xeon); 2 MiB took the same as 1 MiB. A block is kept contiguous:
-# a strided partial last block had numpy copy all of it.
+# solves 1001 points in one block; at half of it they take two blocks each
+# and sweep slower, and at twice it no faster.
 _BUDGET = 1 << 20
 
 # stamp kinds: which of G, C and Gamma an element's value goes to
@@ -801,9 +799,11 @@ def _solve(net: Network, freqs: numpy.ndarray):
 
 def _block_width(rows: int, points: int) -> int:
     """Width of the blocks that a sweep of points solves in: as few blocks
-    of equal width, the last one no wider, as keep each block's
-    (rows, width) complex128 buffer within _BUDGET bytes. A network too
-    large for the budget solves one frequency at a time."""
+    of equal width as keep each block's (rows, width) complex128 buffer
+    within _BUDGET bytes. A network too large for the budget solves one
+    frequency at a time. The last block starts at points - width, so it
+    solves again blocks * width - points of the points before it: since the
+    widths are equal, at most one fewer than the blocks."""
     widest = max(1, _BUDGET // (16 * rows))
     blocks = -(-points // widest)
     return -(-points // blocks)
@@ -819,6 +819,12 @@ def _port_admittance(net: Network, freqs: numpy.ndarray):
     register program and checks the pivots, which are never written after
     their own elimination; then it copies out the four port rows with
     another take. It runs under _solve's errstate.
+
+    The block buffer, its row views and the scratch row are made once, and
+    every block is as wide: the last starts at points - width. The few
+    points that it shares with the block before it are solved again with
+    the same bytes, since every operation acts on each frequency alone, and
+    a zero pivot among them is named by the block before it.
     """
     import numpy as np
 
@@ -829,24 +835,19 @@ def _port_admittance(net: Network, freqs: numpy.ndarray):
     height = registers + len(g)
     points = len(freqs)
     width = _block_width(height, points)
-    work = np.empty(height * width, dtype=complex)
+    y = np.empty((height, width), dtype=complex)
+    copied, checked, table = y[: len(copies)], y[:pivots], y[registers:]
+    views = list(y)
+    rows = views[:registers] + [views[k] for k in reads]
+    scratch = np.empty(width, dtype=complex)
+    table_real, table_imag = table.real, table.imag
     yp = np.empty((4, points), dtype=complex)
     w = 2.0 * math.pi * freqs
     g = g[:, None]
     divide, multiply, subtract = np.divide, np.multiply, np.subtract
-    size = 0
-    for start in range(0, points, width):
+    # the last block starts early, so that it is as wide as the others
+    for start in (*range(0, points - width, width), points - width):
         block = w[start : start + width]
-        if len(block) != size:
-            # the first block, or a narrower last one
-            size = len(block)
-            # contiguous in a partial last block too, so no step copies it
-            y = work[: height * size].reshape(height, size)
-            copied, checked, table = y[: len(copies)], y[:pivots], y[registers:]
-            views = list(y)
-            rows = views[:registers] + [views[k] for k in reads]
-            scratch = np.empty(size, dtype=complex)
-            table_real, table_imag = table.real, table.imag
         # Y = G + jwC + Gamma/(jw) of each group: Gamma/w goes through the
         # real part, which G then overwrites
         multiply.outer(c, block, out=table_imag)
@@ -866,7 +867,7 @@ def _port_admittance(net: Network, freqs: numpy.ndarray):
         if not checked.all():
             zero = np.flatnonzero((checked == 0).any(axis=0))[0]
             raise SimulationError(f"singular nodal system at {freqs[start + zero].item()} Hz")
-        y.take(ports, axis=0, out=yp[:, start : start + size], mode="clip")
+        y.take(ports, axis=0, out=yp[:, start : start + width], mode="clip")
     return yp
 
 

@@ -628,6 +628,19 @@ class TestSimulate:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_memory_error_is_domain_error(self, capsys, design_json, monkeypatch):
+        # numpy refuses a grid too large to allocate with a MemoryError
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(dakit.mna, "sweep", refuse)
+        capsys.readouterr()
+        args = ["simulate", "--design", design_json, "--fstart", "1e7", "--fstop", "15e9"]
+        assert run([*args, "--points", "1000000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+
 
 class TestVerify:
     def test_table_passes(self, capsys):
@@ -644,6 +657,29 @@ class TestVerify:
         )
         assert proc.returncode == 0
         assert "rows_failed = 0" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--table1"], ["taper", "--n", "4"], ["bandwidth", "--cgs", "1.79e-12"]]
+)
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    # a pipe whose reader has gone before the command starts
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(dakit.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dakit.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
 
 
 class TestUsage:

@@ -496,6 +496,37 @@ class TestJsonRoundTrip:
         with pytest.raises(DesignError):
             report_from_json('{"schema": "design_report_v1"}')
 
+    @pytest.mark.parametrize(
+        "keys, value, cause",
+        [
+            ((), None, "KeyError('substrate')"),
+            (("substrate",), [4.4, 1.6, 0.035], "TypeError("),
+            # an integer too large for a float
+            (("substrate", "er"), 10**400, "OverflowError("),
+        ],
+        ids=["missing-key", "substrate-list", "huge-er"],
+    )
+    def test_malformed_v2_document_is_refused(self, gan, fr4, keys, value, cause):
+        if keys:
+            text = self.edited(synthesize_design(gan, fr4), keys, lambda v: value)
+        else:
+            text = '{"schema": "design_report_v2"}'
+        message = f"malformed design_report_v2 document: {cause}"
+        with pytest.raises(DesignError, match=f"^{re.escape(message)}"):
+            report_from_json(text)
+
+    def test_edited_list_is_refused_by_element_or_whole(self, gan, fr4):
+        report = synthesize_design(gan, fr4, DesignOptions(taper="ginzton"))
+        keys = ("taper", "sections_g_ohm")
+        # an edited element is named by its index
+        text = self.edited(report, keys, lambda v: v[:2] + [v[2] * 1.01] + v[3:])
+        with pytest.raises(DesignError, match=r"^report field taper\.sections_g_ohm\[2\] is "):
+            report_from_json(text)
+        # a list of another length is named whole
+        text = self.edited(report, keys, lambda v: v + [50.0])
+        with pytest.raises(DesignError, match=r"^report field taper\.sections_g_ohm is \["):
+            report_from_json(text)
+
 
 @st.composite
 def design_inputs(draw):

@@ -146,6 +146,8 @@ def test_load_catalog_rejects_wrong_shape():
         load_catalog('{"devices": []}')
     with pytest.raises(CatalogError):
         load_catalog('{"transistors": {}}')
+    with pytest.raises(CatalogError, match="^entry 0 is not an object$"):
+        load_catalog('{"transistors": [5]}')
 
 
 def test_load_catalog_rejects_unknown_keys():

@@ -851,13 +851,16 @@ class TestBatchedKernel:
 class TestPartition:
     """A sweep is solved in as few blocks of equal width as keep each block's
     work buffer, the plan's registers and the network's group table, within
-    _BUDGET bytes, the last block no wider."""
+    _BUDGET bytes. The last block starts at points - width, so that it is as
+    wide too: it solves again the few points that the block before it ended
+    on."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(st.integers(1, 100_000), st.integers(1, 10**6))
     def test_blocks_are_equal_and_within_the_budget(self, rows, points):
         width = _block_width(rows, points)
-        # the blocks of the solve's loop
+        # the points that each block solves first, the last block's those
+        # that the block before it has not solved
         sizes = [min(width, points - start) for start in range(0, points, width)]
         assert all(size == width for size in sizes[:-1]) and 1 <= sizes[-1] <= width
         assert sum(sizes) == points
@@ -870,17 +873,38 @@ class TestPartition:
 
     @pytest.mark.parametrize("spacing", [LINEAR, LOG])
     def test_each_point_of_one_two_and_more_blocks_is_its_single_solve(self, spacing, fr4):
-        # point counts of one block, of two and of three, the last partial
+        # point counts of one block, of two and of three, the last of several
+        # starting early, so that points solved twice have the bytes of one solve
         one, two = build_network(proto_amp()), build_network(lossy_series_amp(fr4))
         three = lc_ladder()
         cases = ((one, 1001, 1), (two, block_points(two, 2), 2), (three, block_points(three, 3), 3))
         for net, points, blocks in cases:
             width = _block_width(block_rows(net), points)
-            # the last of several blocks is partial
+            # the last of several blocks starts inside the block before it
             assert -(-points // width) == blocks and (blocks == 1 or points % width)
             swp = sweep(net, 10e6, 15e9, points, spacing)
             for f, s in zip(swp.frequencies, swp.s_matrices):
                 assert s.tobytes() == s_parameters_at(net, f).tobytes()
+
+    def test_zero_pivot_that_two_blocks_solve_names_its_frequency(self):
+        # node 3 hangs 1 H parallel with 1 F, singular at w = 1 rad/s exactly
+        f_res = 1.0 / (2.0 * math.pi)
+        tank = (Inductor(3, 0, 1.0), Capacitor(3, 0, 1.0))
+        net = Network(4, (Resistor(1, 0, 50.0), Resistor(2, 0, 50.0)) + tank, Port(1), Port(2))
+        points = block_points(net, 2)
+        width = _block_width(block_rows(net), points)
+        last = points - width
+        # the last block starts inside the block before it
+        assert 0 < last < width
+        # a linear grid whose step is a power of two, with f_res at the last
+        # block's first point: every end and step is exact, so the grid
+        # hits f_res exactly
+        step = 2.0**-17
+        f_start = f_res - last * step
+        f_stop = f_start + (points - 1) * step
+        assert (f_stop - f_start) / (points - 1) == step and last * step + f_start == f_res
+        with pytest.raises(SimulationError, match=f"^singular nodal system at {f_res} Hz$"):
+            sweep(net, f_start, f_stop, points)
 
 
 _LADDER_VALUES = {
