@@ -55,8 +55,10 @@ class DesignOptions(Record):
     series_cap is None (no series capacitor), a capacitance in farads, or
     the string "match-drain" to equalize the two line loadings. taper is
     None, "ginzton" for the declining-impedance profile, or an explicit
-    (gate, drain) TaperProfile pair. design_frequency_hz defaults to half
-    the uniform gate cutoff and only matters when the device has losses.
+    (gate, drain) TaperProfile pair, whose terminal impedances must be the
+    system impedance that the network ends both lines and ports at. stages
+    is at most taper.MAX_STAGES. design_frequency_hz defaults to half the
+    uniform gate cutoff and only matters when the device has losses.
     """
 
     __slots__ = (
@@ -81,10 +83,21 @@ class DesignOptions(Record):
         positive(self.system_impedance, "system impedance", DesignError)
         if n is not None:
             count(n, "stages", DesignError)
+            if n > taper_mod.MAX_STAGES:
+                raise DesignError(f"stages must be at most {taper_mod.MAX_STAGES}, got {n!r}")
         if not (pair in (None, "ginzton") or _is_profile_pair(pair)):
             raise DesignError(
                 f"taper must be None, 'ginzton' or a (gate, drain) pair, got {pair!r}"
             )
+        if isinstance(pair, tuple):
+            # the prediction reflects against the terminals, and the
+            # network ends both lines at the system impedance
+            for profile in pair:
+                if profile.terminal_impedance != self.system_impedance:
+                    raise DesignError(
+                        f"{profile.side} taper must end at the system impedance "
+                        f"{self.system_impedance!r}, got {profile.terminal_impedance!r}"
+                    )
         if cap not in (None, MATCH_DRAIN):
             positive(cap, "series_cap in farads", DesignError)
         parasitics = self.include_microstrip_parasitics

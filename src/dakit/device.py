@@ -16,6 +16,8 @@ from .errors import CatalogError, DesignError
 from .ladder import _inverse_pi_product, cutoff_frequency
 
 _ENTRY_KEYS = {"name", "gm_S", "cgs_F", "cds_F", "ri_ohm", "rds_ohm", "reference"}
+# the line impedance of the survey's claimed limits (builtin_table1)
+_SURVEY_Z0 = 50.0
 
 
 class TransistorModel(Record):
@@ -311,11 +313,12 @@ def screen_catalog(
     return results
 
 
-def verify_table1(z0: float = 50.0) -> list[Table1Check]:
-    """Recompute every survey row's bandwidth limit and compare."""
+def verify_table1() -> list[Table1Check]:
+    """Recompute every survey row's bandwidth limit on 50 ohm lines and
+    compare."""
     checks = []
     for row in builtin_table1():
-        computed = cutoff_frequency(z0, row.effective_capacitance)
+        computed = cutoff_frequency(_SURVEY_Z0, row.effective_capacitance)
         rel = abs(computed - row.claimed_limit_hz) / row.claimed_limit_hz
         checks.append(
             Table1Check(

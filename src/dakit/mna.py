@@ -61,9 +61,9 @@ reported ahead of a port-system or S error at a lower frequency.
 
 Determinism: same inputs give the same bytes, whatever the plan cache
 holds; a sweep entry has the same bytes as s_parameters_at at that
-frequency, because every operation acts on each frequency alone. Results
-are not bit-identical to the dense LU solver that came before; they agree
-within 1e-10 relative to max(1, max|S|).
+frequency, because every operation acts on each frequency alone. S
+agrees with the dense nodal solve of bench/refsolve.py within 1e-10
+relative to max(1, max|S|).
 
 numpy is imported inside the functions that use it, not when this module
 loads: the first Network construction loads it. This module is loaded
@@ -466,13 +466,13 @@ class _Plan:
 
     Every entry of Y that is ever nonzero, stamped or filled in, has a
     slot. The first `pivots` slots are the pivots, in elimination order,
-    and the last four are Y11, Y12, Y21 and Y22. Stamp k adds the value of
+    and the next four are Y11, Y12, Y21 and Y22. Stamp k adds the value of
     element stamp_element[k], times stamp_sign[k], at stamp_slot[k] = kind
     * slots + slot. code is the elimination as _compile makes it, on the
     rows of a block: `registers` registers, the pivots' first, then the
     table row of each slot. copied holds the pivots that the program never
     writes, whose table rows a block copies into registers 0, 1, ...;
-    ports the rows of Y11, Y12, Y21 and Y22 at the end.
+    ports the rows of Y11, Y12, Y21 and Y22 once the program has run.
 
     grouping, None until a network is stamped, is (group, leader, first,
     copies, reads, ports). Slot s belongs to group group[s], numbered in
@@ -517,15 +517,14 @@ def _analyse(node_count: int, port1: int, port2: int, topology: tuple) -> _Plan:
     """
     import numpy as np
 
-    slot, stamps, program = _symbolic(node_count, port1, port2, topology)
-    slots = len(slot)
+    slots, stamps, program = _symbolic(node_count, port1, port2, topology)
     kinds, stamped, elements, signs = zip(*stamps)
-    registers, code, copied, ports = _compile(program, slot)
+    registers, code, copied, ports = _compile(program, slots)
     return _Plan(
         slots=slots,
         pivots=len(program),
         stamp_slot=np.array(kinds, dtype=np.intp) * slots
-        + np.array([slot[e] for e in stamped], dtype=np.intp),
+        + np.array(stamped, dtype=np.intp),
         stamp_element=np.array(elements, dtype=np.intp),
         stamp_sign=np.array(signs),
         registers=registers,
@@ -536,15 +535,17 @@ def _analyse(node_count: int, port1: int, port2: int, topology: tuple) -> _Plan:
 
 
 def _symbolic(node_count: int, port1: int, port2: int, topology: tuple) -> tuple:
-    """Slot layout, elimination order and update program of a topology:
-    (slot, stamps, program).
+    """Slot count, stamps and update program of a topology: (slots,
+    stamps, program), on slots.
 
     topology holds (kind, a, b) for each two-terminal element and
     (_G, out_p, out_m, ctrl_p, ctrl_m) for each VCCS, in element order.
-    Entries of Y are keyed by (row node, column node), and slot numbers
-    each of them. stamps holds (kind, entry, element, sign) per stamp, and
-    program (kk, [kj, ...], [(ij, ik, kj), ...]) per pivot, in elimination
-    order, on entries: y[kj] /= y[kk], then y[ij] -= y[ik] * y[kj].
+    Each entry of Y, keyed by (row node, column node), is numbered when
+    the analysis first meets it: the pivots in elimination order, then
+    Y11, Y12, Y21 and Y22, then the other entries as the stamps and then
+    the elimination reach them. stamps holds (kind, slot, element, sign)
+    per stamp, and program (kk, [kj, ...], [(ij, ik, kj), ...]) per pivot,
+    in elimination order: y[kj] /= y[kk], then y[ij] -= y[ik] * y[kj].
     """
     if node_count < 2:
         raise DesignError("network needs at least ground and one more node")
@@ -553,8 +554,6 @@ def _symbolic(node_count: int, port1: int, port2: int, topology: tuple) -> tuple
             raise DesignError(f"port node {port} out of range (and not ground)")
     if port1 == port2:
         raise DesignError("ports must sit on distinct nodes")
-    entries = dict.fromkeys((k, k) for k in range(1, node_count))
-    entries.update(dict.fromkeys(((port1, port1), (port1, port2), (port2, port1), (port2, port2))))
     stamps = []  # (kind, entry, element, sign)
     passive: list[list[int]] = [[] for _ in range(node_count)]
     for element, (kind, *nodes) in enumerate(topology):
@@ -573,7 +572,6 @@ def _symbolic(node_count: int, port1: int, port2: int, topology: tuple) -> tuple
             passive[b].append(a)
             pairs = ((a, a, 1.0), (b, b, 1.0), (a, b, -1.0), (b, a, -1.0))
         stamps += [(kind, (i, j), element, sign) for i, j, sign in pairs if i and j]
-    entries.update(dict.fromkeys(entry for _, entry, _, _ in stamps))
 
     # DC-wise floating ports make the port admittance meaningless, so
     # require a passive path to ground before any solve is attempted
@@ -606,38 +604,39 @@ def _symbolic(node_count: int, port1: int, port2: int, topology: tuple) -> tuple
         key=lambda k: (-distance[k], k),
     )
 
+    # the pivots in elimination order, then the ports; every other entry is
+    # numbered when it is first stamped or filled in
+    ports = [(port1, port1), (port1, port2), (port2, port1), (port2, port2)]
+    slot = {entry: s for s, entry in enumerate([(k, k) for k in order] + ports)}
+    stamps = [(kind, slot.setdefault(ij, len(slot)), element, sign)
+              for kind, ij, element, sign in stamps]
+
     # symbolic elimination over the off-diagonal pattern of rows and columns
     row_cols: list[set[int]] = [set() for _ in range(node_count)]
     col_rows: list[set[int]] = [set() for _ in range(node_count)]
-    for i, j in entries:
+    for i, j in slot:
         if i != j:
             row_cols[i].add(j)
             col_rows[j].add(i)
     program = []
     for k in order:
         rows, cols = sorted(col_rows[k]), sorted(row_cols[k])
+        kjs = [slot[k, j] for j in cols]
         updates = []
         for i in rows:
             row_cols[i].discard(k)
-            for j in cols:
-                updates.append(((i, j), (i, k), (k, j)))
+            for j, kj in zip(cols, kjs):
+                updates.append((slot.setdefault((i, j), len(slot)), slot[i, k], kj))
                 if i != j:
                     row_cols[i].add(j)
                     col_rows[j].add(i)
         for j in cols:
             col_rows[j].discard(k)
-        program.append(((k, k), [(k, j) for j in cols], updates))
-        entries.update(dict.fromkeys(ij for ij, _, _ in updates))
-
-    # number the slots: the pivots in elimination order, the entries off the
-    # diagonal in the order they were found, then Y11, Y12, Y21 and Y22
-    ports = [(port1, port1), (port1, port2), (port2, port1), (port2, port2)]
-    others = [(i, j) for i, j in entries if i != j and (i, j) not in ports]
-    slot = {entry: index for index, entry in enumerate([(k, k) for k in order] + others + ports)}
-    return slot, stamps, program
+        program.append((slot[k, k], kjs, updates))
+    return len(slot), stamps, program
 
 
-def _compile(program: list, slot: dict) -> tuple:
+def _compile(program: list, slots: int) -> tuple:
     """The register program of _symbolic's program, by linear scan
     register allocation (Poletto and Sarkar, ACM TOPLAS 1999): (registers,
     code, copied, ports), as _Plan keeps them.
@@ -646,22 +645,22 @@ def _compile(program: list, slot: dict) -> tuple:
     pivots that the program never writes, which copied lists, then the
     others, each in elimination order. Every other slot that the program
     writes is live from its first write to its last read, the four port
-    entries to the end, and holds a register only for that interval: a
-    first write takes the lowest free register. Each time step is a
-    divide or an update's multiply or subtract, and a multiply has run
-    when its subtract writes, so that subtract may write a register that
-    the multiply read last.
+    entries (the slots after the pivots) to the end, and holds a register
+    only for that interval: a first write takes the lowest free register.
+    Each time step is a divide or an update's multiply or subtract, and a
+    multiply has run when its subtract writes, so that subtract may write
+    a register that the multiply read last.
 
     code holds (pivot, ((src, dst), ...), ((src, dst, ik, kj), ...)) per
     pivot: rows of a list that has the registers first and then, at
     registers + s, the table row of slot s. A first write reads its slot's
     table row, any later one its register, and a read of a slot that is
     never written its table row. ports holds the rows of Y11, Y12, Y21 and
-    Y22 at the end.
+    Y22 once the program has run.
     """
-    slots, pivots = len(slot), len(program)
-    # number the time steps once, renaming entries to slots: the code names
-    # the register of slot s by s and its table row by slots + s
+    pivots = len(program)
+    # number the time steps once: the code names the register of slot s by
+    # s and its table row by slots + s
     first, last = [-1] * slots, [0] * slots
     written = []  # the written slots, in the order of their first writes
     named = []
@@ -669,7 +668,6 @@ def _compile(program: list, slot: dict) -> tuple:
     for kk, kjs, updates in program:
         divides = []
         for kj in kjs:
-            kj = slot[kj]
             if first[kj] < 0:
                 first[kj] = time
                 written.append(kj)
@@ -678,7 +676,6 @@ def _compile(program: list, slot: dict) -> tuple:
             time += 1
         steps = []
         for ij, ik, kj in updates:
-            ij, ik, kj = slot[ij], slot[ik], slot[kj]
             # kj was written by this pivot's divides, and ik, in the
             # pivot's column, is never written after this read
             last[ik] = last[kj] = time
@@ -689,8 +686,8 @@ def _compile(program: list, slot: dict) -> tuple:
             steps.append((ij if first[ij] < time else slots + ij, ij, ik, kj))
             last[ij] = time
             time += 1
-        named.append((slot[kk], divides, steps))
-    last[slots - 4 :] = [time] * 4
+        named.append((kk, divides, steps))
+    last[pivots : pivots + 4] = [time] * 4
 
     register = [None] * slots
     copied = [kk for kk in range(pivots) if first[kk] < 0]
@@ -720,7 +717,7 @@ def _compile(program: list, slot: dict) -> tuple:
         divides = tuple([(row[src], row[dst]) for src, dst in divides])
         steps = tuple([(row[src], row[dst], row[ik], row[kj]) for src, dst, ik, kj in steps])
         code.append((row[kk], divides, steps))
-    return registers, tuple(code), copied, tuple(row[slots - 4 : slots])
+    return registers, tuple(code), copied, tuple(row[pivots : pivots + 4])
 
 
 def _refine(plan: _Plan, stamps: numpy.ndarray) -> tuple:

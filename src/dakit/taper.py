@@ -29,6 +29,10 @@ from .ladder import cutoff_frequency
 GATE = "gate"
 DRAIN = "drain"
 
+# the most stages that a design or a Ginzton taper may have: practical
+# amplifiers have 2 to 12, and each stage costs sections, strips and nodes
+MAX_STAGES = 1000
+
 
 class TaperProfile(Record):
     """Ordered section impedances of one tapered line.
@@ -105,8 +109,11 @@ def ginzton_profiles(n: int, z0: float) -> tuple[TaperProfile, TaperProfile]:
 
     Gate: z0/1 ... z0/(n+1), one extra section carrying the line past the
     last stage. Drain: n*z0/1 ... n*z0/n, matched to z0 at the output.
+    n is at most MAX_STAGES.
     """
     count(n, "stage count", DesignError)
+    if n > MAX_STAGES:
+        raise DesignError(f"stage count must be at most {MAX_STAGES}, got {n!r}")
     positive(z0, "system impedance", DesignError)
     gate = TaperProfile(GATE, tuple(z0 / k for k in range(1, n + 2)), z0)
     drain = TaperProfile(DRAIN, tuple(n * z0 / k for k in range(1, n + 1)), z0)

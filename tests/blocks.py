@@ -9,22 +9,14 @@ _KIND = {Resistor: _G, Capacitor: _C, Inductor: _GAMMA}
 
 def slot_program(net):
     """The slot program of net's plan, rebuilt from its topology by the
-    analysis's symbolic step: (kk, (kj, ...), ((ij, ik, kj), ...)) per
+    analysis's symbolic step: (kk, [kj, ...], [(ij, ik, kj), ...]) per
     pivot, in elimination order, on slots."""
     topology = tuple(
         (_G, e.out_p, e.out_m, e.ctrl_p, e.ctrl_m) if isinstance(e, Vccs)
         else (_KIND[type(e)], e.a, e.b)
         for e in net.elements
     )
-    slot, _, program = _symbolic(net.node_count, net.port1.node, net.port2.node, topology)
-    return [
-        (
-            slot[kk],
-            tuple(slot[kj] for kj in kjs),
-            tuple((slot[ij], slot[ik], slot[kj]) for ij, ik, kj in updates),
-        )
-        for kk, kjs, updates in program
-    ]
+    return _symbolic(net.node_count, net.port1.node, net.port2.node, topology)[2]
 
 
 def group_count(net):
@@ -65,8 +57,10 @@ def widest_block(net):
 
 
 def block_points(net, blocks, partial=True):
-    """The fewest points that a sweep of net solves in `blocks` blocks, the
-    last one narrower than the others if partial, as wide if not."""
+    """The fewest points that a sweep of net solves in `blocks` blocks: if
+    partial, a count that blocks of equal width do not divide, so the last
+    block starts early and solves again points of the one before it; if
+    not, a count that they divide."""
     rows = block_rows(net)
     points = widest_block(net) * (blocks - 1) + 1
     while True:
@@ -80,7 +74,8 @@ def points_for(net, points):
     """points itself if it is a count; else the point count of a named
     partition of net's sweep: "1-full" for one block as wide as the budget
     allows, "2-partial" for the fewest points in two blocks, the last one
-    partial, "3-full" and so on."""
+    starting early to be as wide as the first, "3-full" for the fewest in
+    three blocks that meet end to end, and so on."""
     if not isinstance(points, str):
         return points
     blocks, kind = points.split("-")

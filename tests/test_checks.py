@@ -64,7 +64,6 @@ from dakit import (
     sweep,
     synthesize_design,
     synthesize_strip,
-    verify_table1,
     voltage_gain,
     width_for,
     z0_of,
@@ -155,7 +154,6 @@ ROWS = [
     ("series_cap_for_target", series_cap_for_target, (1.79e-12, 3e-13), {0: FINITE, 1: FINITE}),
     ("screen_catalog", screen_catalog, (CATALOG, 1e10, 50.0, True),
      {0: NOT_RECORDS, 1: FINITE, 2: FINITE}),
-    ("verify_table1", verify_table1, (50.0,), {0: FINITE}),
     ("LineCell", LineCell, (2e-9, 8e-13), {0: FINITE, 1: FINITE}),
     # L and C each in range, but L/C or L*C overflows or underflows
     (
@@ -221,7 +219,8 @@ ROWS = [
         {0: FINITE},
     ),
     ("junction_gammas", junction_gammas, (GATE,), {0: NOT_RECORDS}),
-    ("ginzton_profiles", ginzton_profiles, (4, 50.0), {0: COUNTS, 1: FINITE}),
+    # a stage count is at most MAX_STAGES
+    ("ginzton_profiles", ginzton_profiles, (4, 50.0), {0: COUNTS + (1001,), 1: FINITE}),
     ("equivalent_impedance", equivalent_impedance, (0.1, "gate", 50.0),
      {0: FINITE, 2: FINITE}),
     ("analyze_taper", analyze_taper, (GATE, DRAIN, 1e-12, 2e-13),
@@ -232,7 +231,7 @@ ROWS = [
         (50.0, 4, None, 1e-12, False, 1e9),
         {
             0: FINITE,
-            1: (True, "4", 4.0),
+            1: (True, "4", 4.0, 1001),
             2: ("x", GATE, (GATE, GATE), [GATE, DRAIN]),
             3: OPTIONAL,
             4: (None, 0, "False"),

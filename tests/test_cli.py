@@ -151,6 +151,10 @@ _SIMULATE = ["simulate", "--design", "{design}", *_SWEEP]
         # pi*z0*C is subnormal, so the cutoff overflowed: inf with exit 0 before
         (["taper", "--n", "3", "--z0", "1e-10", "--cgs", "1e-300"], 1),
         (["screen", "--catalog", "{catalog}", "--target-fc", "1e300", "--z0", "1e-300"], 1),
+        # a stage count above the bound: a huge one built that many sections before
+        (["taper", "--n", "1001"], 1),
+        (["bandwidth", "--cgs", "1e-12", "--cds", "1e-13", "--taper", "ginzton", "--n", "1001"], 1),
+        (["design", "--catalog", "{catalog}", *_GAN_ON_FR4, "--n", "1001"], 1),
     ],
 )
 def test_failing_command_prints_nothing_to_stdout(capsys, catalog_file, tmp_path, argv, code):

@@ -73,6 +73,18 @@ class TestOptions:
         with pytest.raises(DesignError):
             DesignOptions(**kwargs)
 
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_explicit_pair_must_end_at_the_system_impedance(self, side):
+        # the network ends both lines and ports at the system impedance, so
+        # a taper predicted against other terminals would not be simulated
+        pair = list(ginzton_profiles(4, 50.0))
+        pair[side] = replace(pair[side], terminal_impedance=75.0)
+        message = r"taper must end at the system impedance 50\.0, got 75\.0$"
+        with pytest.raises(DesignError, match=message):
+            DesignOptions(stages=4, taper=tuple(pair))
+        pair = ginzton_profiles(4, 75.0)
+        assert DesignOptions(system_impedance=75.0, taper=pair).taper == pair
+
 
 def test_max_capacitance_for_bandwidth():
     c = max_capacitance_for_bandwidth(10e9, 50.0)
@@ -399,6 +411,14 @@ class TestJsonRoundTrip:
             "include_microstrip_parasitics": False,
             "design_frequency_hz": None,
         }
+
+    @pytest.mark.parametrize("side", [GATE, DRAIN])
+    def test_terminal_edited_off_the_system_impedance_is_refused(self, gan, fr4, side):
+        options = DesignOptions(stages=4, taper=ginzton_profiles(4, 50.0))
+        report = synthesize_design(gan, fr4, options)
+        text = self.edited(report, ("options", "taper", side, "terminal_ohm"), lambda _: 75)
+        with pytest.raises(DesignError, match=rf"^{side} taper .* got 75\.0$"):
+            report_from_json(text)
 
     @staticmethod
     def edited(report, keys, change):

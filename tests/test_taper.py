@@ -17,6 +17,7 @@ from dakit import (
     overall_gamma,
     overall_gamma_quarterwave,
 )
+from dakit.taper import MAX_STAGES
 
 
 def test_ginzton_profiles_shape():
@@ -176,6 +177,12 @@ def test_ginzton_validation():
         ginzton_profiles(0, 50.0)
     with pytest.raises(DesignError):
         ginzton_profiles(4, -50.0)
+
+
+def test_ginzton_stage_count_is_bounded():
+    assert len(ginzton_profiles(MAX_STAGES, 50.0)[1].sections) == 1000
+    with pytest.raises(DesignError, match="stage count must be at most 1000, got 1001$"):
+        ginzton_profiles(MAX_STAGES + 1, 50.0)
 
 
 @pytest.mark.parametrize("n", [2.5, True, 0])
