@@ -28,7 +28,6 @@ _DEVICE_NAMES = (
     "TransistorModel",
     "VerificationRow",
     "builtin_table1",
-    "effective_gate_capacitance",
     "load_catalog",
     "max_capacitance_for_bandwidth",
     "screen_catalog",
@@ -52,6 +51,7 @@ _LADDER_NAMES = (
     "cutoff_frequency",
     "drain_loss_per_cell",
     "drain_section",
+    "effective_gate_capacitance",
     "gate_loss_per_cell",
     "gate_section",
     "propagation_constant",

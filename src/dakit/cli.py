@@ -12,11 +12,20 @@ machine-readable as-is. A command writes its files and then its stdout:
 each handler returns its exit code and lines, and run prints them once it
 has returned. A failing command prints only its "error:" or "usage
 error:" line, on stderr.
+
+main(), the console script's entry point and what `python -m dakit.cli`
+runs, calls run() and then gc.freeze(): every object the collector tracks
+moves to its permanent generation, which the full collections that the
+interpreter runs at exit skip; the OS reclaims that memory as the process
+ends. The interpreter still flushes stdio and runs atexit. run() never
+freezes, so a program or test that calls it in process keeps its
+collector as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from pathlib import Path
@@ -38,7 +47,9 @@ if TYPE_CHECKING:
 
 
 def main() -> int:
-    return run()
+    code = run()
+    gc.freeze()
+    return code
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -195,8 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bandwidth(args) -> tuple[int, list[str]]:
-    from .device import effective_gate_capacitance
-    from .ladder import cutoff_frequency
+    from .ladder import cutoff_frequency, effective_gate_capacitance
 
     c_eff = effective_gate_capacitance(args.cgs, args.cseries)
     lines = []
@@ -402,4 +412,4 @@ def _write_text(destination, text: str) -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    sys.exit(main())

@@ -481,7 +481,7 @@ def _gate_loading(t: TransistorModel, policy: object) -> tuple[float, float | No
         # lines come out identical
         return t.cds, cseries, penalty
     cseries = float(policy)
-    c_eff = device.effective_gate_capacitance(t.cgs, cseries)
+    c_eff = ladder.effective_gate_capacitance(t.cgs, cseries)
     return c_eff, cseries, c_eff / t.cgs
 
 

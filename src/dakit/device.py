@@ -8,7 +8,6 @@ and ri defaults to 0 for a lossless gate.
 
 from __future__ import annotations
 
-import json
 import math
 
 from ._record import Record, in_range, instance_of, positive
@@ -138,6 +137,9 @@ def load_catalog(text: str, source: str = "") -> Catalog:
     "cds_F": ..., "ri_ohm"?: ..., "rds_ohm"?: ..., "reference"?: ...}, ...]}.
     Unknown keys are rejected so silent typos cannot change a design.
     """
+    # here, not at the top: verify loads device and reads no JSON
+    import json
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -195,20 +197,6 @@ def json_number(value: object, where: str, key: str) -> float:
     if type(value) not in (int, float):
         raise CatalogError(f"{where}: {key} must be a number, got {value!r}")
     return float(value)
-
-
-def effective_gate_capacitance(cgs: float, cseries: float | None = None) -> float:
-    """Input capacitance seen by the gate line.
-
-    A capacitor placed in series with the gate reduces the loading to the
-    series combination cseries*cgs/(cseries+cgs); with no series element
-    the line sees cgs itself.
-    """
-    positive(cgs, "cgs", CatalogError)
-    if cseries is None:
-        return cgs
-    positive(cseries, "series capacitance", CatalogError)
-    return cseries * cgs / (cseries + cgs)
 
 
 def builtin_table1() -> tuple[VerificationRow, ...]:

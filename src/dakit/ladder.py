@@ -8,7 +8,8 @@ where L and C are the per-cell values. Per-cell attenuation of the loaded
 lines (series input resistance on one side, finite output resistance on the
 other) follows from the real part of the propagation constant; the small-loss
 closed forms used for quick sizing are gate_loss_per_cell and
-drain_loss_per_cell.
+drain_loss_per_cell. A capacitor in series with each gate lightens the gate
+line's loading to effective_gate_capacitance.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import cmath
 import math
 
 from ._record import Record, finite_complex, in_range, instance_of, positive
-from .errors import DesignError
+from .errors import CatalogError, DesignError
 
 
 class LineCell(Record):
@@ -63,6 +64,20 @@ def cell_for_impedance(z0: float, capacitance: float) -> LineCell:
     return LineCell(inductance=z0 * z0 * capacitance, capacitance=capacitance)
 
 
+def effective_gate_capacitance(cgs: float, cseries: float | None = None) -> float:
+    """Input capacitance seen by the gate line.
+
+    A capacitor placed in series with the gate reduces the loading to the
+    series combination cseries*cgs/(cseries+cgs); with no series element
+    the line sees cgs itself.
+    """
+    positive(cgs, "cgs", CatalogError)
+    if cseries is None:
+        return cgs
+    positive(cseries, "series capacitance", CatalogError)
+    return cseries * cgs / (cseries + cgs)
+
+
 def cutoff_frequency(z0: float, capacitance: float) -> float:
     """Bragg cutoff 1/(pi*Z0*C) of a constant-k line."""
     positive(z0, "impedance", DesignError)
@@ -86,14 +101,23 @@ def gate_loss_per_cell(f: float, ri: float, cgs: float, z0: float) -> float:
     """Small-loss gate attenuation per cell in nepers.
 
     For a series-RC input branch with omega*ri*cgs << 1 the per-cell
-    attenuation reduces to (2*pi*f)^2 * ri * cgs^2 * z0 / 2.
+    attenuation reduces to (2*pi*f)^2 * ri * cgs^2 * z0 / 2: 0 for a lossless
+    gate (ri = 0) at any frequency, and refused, naming f, where the
+    product overflows.
     """
     positive(f, "frequency", DesignError)
     in_range(ri, "ri", DesignError, ">= 0 and finite")
     positive(cgs, "cgs", DesignError)
     positive(z0, "z0", DesignError)
+    if ri == 0:
+        # the lossless gate; the product below would be inf * 0 = nan
+        # where omega^2 overflows
+        return 0.0
     w = 2.0 * math.pi * f
-    return w * w * ri * cgs * cgs * z0 / 2.0
+    a = w * w * ri * cgs * cgs * z0 / 2.0
+    if not a < math.inf:
+        raise DesignError(f"gate attenuation per cell overflows at frequency (Hz), got {f!r}")
+    return a
 
 
 def drain_loss_per_cell(z0: float, rds: float) -> float:

@@ -165,8 +165,9 @@ ROWS = [
     ("LineSection", LineSection, (2j, 0.5 + 3j), {0: COMPLEX, 1: COMPLEX}),
     ("cell_for_impedance", cell_for_impedance, (50.0, 1e-12), {0: FINITE, 1: FINITE}),
     ("cutoff_frequency", cutoff_frequency, (50.0, 1e-12), {0: FINITE, 1: FINITE}),
+    # a frequency whose omega^2 overflows the attenuation of a lossy gate
     ("gate_loss_per_cell", gate_loss_per_cell, (1e9, 1.0, 1e-12, 50.0),
-     {0: FINITE, 1: FINITE, 2: FINITE, 3: FINITE}),
+     {0: FINITE + (1e160,), 1: FINITE, 2: FINITE, 3: FINITE}),
     ("drain_loss_per_cell", drain_loss_per_cell, (50.0, 200.0), {0: FINITE, 1: UP_TO_INF}),
     ("gate_section", gate_section, (1e9, CELL, 0.5, 1.0, 1e-12),
      {0: FINITE, 1: NOT_RECORDS, 2: FINITE, 3: FINITE, 4: FINITE}),

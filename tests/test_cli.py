@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import functools
+import gc
 import io
 import json
 import math
@@ -448,6 +449,35 @@ class TestDesign:
     def test_bad_series_flag(self, catalog_file):
         assert run(self.design_args(catalog_file, "--series", "match-gate")) == 2
 
+    @pytest.mark.parametrize(
+        "name, flags, code, err",
+        [
+            # omega^2 overflows: a lossless gate has no loss at any frequency
+            # (it took inf * ri = nan), and a lossy gate's is refused, naming
+            # the frequency (the message blamed the attenuation's inf)
+            ("GAN-1", ["--f-loss", "1e300"], 0, ""),
+            (
+                "PHEMT-1",
+                ["--f-loss", "1e300"],
+                1,
+                "error: gate attenuation per cell overflows at frequency (Hz), got 1e+300\n",
+            ),
+            # the default design frequency, half the cutoff of a tiny load,
+            # reaches the cell check, which names the cell's L and C
+            ("GAN-1", ["--series", "1e-300"], 1, "error: cell L (H) and C (F) are out of range"),
+        ],
+    )
+    def test_loss_frequency_whose_omega_squared_overflows(
+        self, capsys, catalog_file, name, flags, code, err
+    ):
+        args = self.design_args(catalog_file, *flags)
+        args[args.index("GAN-1")] = name
+        assert run(args) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(err) and bool(captured.err) == bool(err)
+        if code == 0:
+            assert "design_frequency_hz = 1.000000000e+300" in captured.out.splitlines()
+
     def test_non_finite_catalog_is_domain_error(self, capsys, tmp_path):
         # without the check this synthesized, printing av = nan and predicted_fc_hz = 0
         path = tmp_path / "catalog.json"
@@ -684,6 +714,77 @@ def test_closed_stdout_exits_1_without_a_traceback(argv):
         os.close(write)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
+
+
+def _child(argv, cwd=None):
+    """`python -m dakit.cli` with argv, as a user runs it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dakit.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "dakit.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+        timeout=120,
+    )
+
+
+class TestExitPath:
+    """main() freezes the collector's heap once run() has returned; run()
+    never does, and a child prints and writes what run() does in process."""
+
+    def test_run_in_process_never_freezes(self, capsys, catalog_file):
+        frozen = gc.get_freeze_count()
+        screen = ["screen", "--catalog", catalog_file, "--target-fc", "10e9"]
+        for argv in (["verify", "--table1"], screen, ["polish"]):
+            run(argv)
+            assert gc.get_freeze_count() == frozen, argv
+
+    def test_main_freezes_after_the_command(self):
+        seen = _run_probe(_FREEZE_PROBE, ["taper", "--n", "4"])
+        assert seen["code"] == 0 and seen["frozen"] > 0
+        assert "fc_total_hz = " in seen["out"]
+
+    def test_child_prints_and_writes_what_run_does(
+        self, capsys, catalog_file, tmp_path, monkeypatch
+    ):
+        report = tmp_path / "design.json"
+        board = ["--er", "4.4", "--h", "1.6", "--t", "0.035", "--series", "match-drain"]
+        argv = ["design", "--catalog", catalog_file, "--transistor", "GAN-1", *board]
+        assert run([*argv, "--out", str(report)]) == 0
+        capsys.readouterr()
+        # relative file names, so that both sides print the same lines
+        simulate = ["simulate", "--design", str(report), "--fstart", "1e7", "--fstop", "15e9",
+                    "--points", "401", "--out", "design.s2p", "--csv", "design.csv"]
+        seen = {}
+        for side in ("run", "child"):
+            cwd = tmp_path / side
+            cwd.mkdir()
+            if side == "run":
+                monkeypatch.chdir(cwd)
+                code = run(simulate)
+                stdout, stderr = capsys.readouterr()
+            else:
+                proc = _child(simulate, cwd)
+                code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+            files = [(cwd / name).read_bytes() for name in ("design.s2p", "design.csv")]
+            seen[side] = (code, stdout, stderr, *files)
+        assert seen["child"] == seen["run"]
+        code, stdout, stderr = seen["run"][:3]
+        assert (code, stderr) == (0, "")
+        assert "csv_written = design.csv" in stdout.splitlines()
+
+    @pytest.mark.parametrize("argv", [["bogus"], ["bandwidth"], []])
+    def test_usage_error_child_exits_2_with_empty_stdout(self, argv):
+        proc = _child(argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: dakit") and "Traceback" not in proc.stderr
+
+    def test_help_child_exits_0(self):
+        proc = _child(["--help"])
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: dakit") and proc.stderr == ""
 
 
 class TestUsage:
@@ -1040,6 +1141,18 @@ print(json.dumps(seen))
 """
 
 
+# main() as the console script runs it: argv from sys.argv, the command's
+# stdout, and the objects frozen once it has returned
+_FREEZE_PROBE = """
+import contextlib, gc, io, json, sys
+from dakit import cli
+sys.argv = ["dakit", *json.loads(sys.argv[1])]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main()
+print(json.dumps({"code": code, "frozen": gc.get_freeze_count(), "out": out.getvalue()}))
+"""
+
+
 def _probe_commands(catalog_file, tmp_path):
     """The README session's six commands, simulate last."""
     report = str(tmp_path / "design.json")
@@ -1155,17 +1268,21 @@ def test_star_import_binds_every_name_in_all():
 
 
 # One command per fresh interpreter, as a user runs it: the dakit modules
-# loaded by the import and by the command
+# loaded by the import and by the command, and whether json was loaded. The
+# probe reads its JSON argument as a Python literal, which it also is, and
+# imports json only once it has looked
 _MODULES_PROBE = """
-import contextlib, io, json, sys
+import ast, contextlib, io, sys
 def loaded():
     return sorted(m for m in sys.modules if m.startswith("dakit."))
 import dakit
 seen = {"import": loaded()}
 from dakit import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    seen["code"] = cli.run(json.loads(sys.argv[1]))
+    seen["code"] = cli.run(ast.literal_eval(sys.argv[1]))
 seen["command"] = loaded()
+seen["json"] = "json" in sys.modules
+import json
 print(json.dumps(seen))
 """
 
@@ -1174,21 +1291,23 @@ def test_each_command_loads_only_the_modules_it_runs(catalog_file, tmp_path):
     bandwidth, taper, verify, screen, design, simulate = _probe_commands(catalog_file, tmp_path)
     sizing = ["dakit.device", "dakit.ladder"]
     synthesis = [*sizing, "dakit.design", "dakit.gain", "dakit.microstrip", "dakit.taper"]
-    # in order, so that simulate reads the report design writes
+    # in order, so that simulate reads the report design writes; only the
+    # commands that read or write JSON files load json
     cases = [
-        (bandwidth, sizing),
-        ([*bandwidth, "--taper", "ginzton", "--n", "4"], [*sizing, "dakit.taper"]),
-        (taper, ["dakit.ladder", "dakit.taper"]),
-        (verify, sizing),
-        (screen, sizing),
-        (design, synthesis),
-        (simulate, [*synthesis, "dakit.mna"]),
+        (bandwidth, ["dakit.ladder"], False),
+        ([*bandwidth, "--taper", "ginzton", "--n", "4"], ["dakit.ladder", "dakit.taper"], False),
+        (taper, ["dakit.ladder", "dakit.taper"], False),
+        (verify, sizing, False),
+        (screen, sizing, True),
+        (design, synthesis, True),
+        (simulate, [*synthesis, "dakit.mna"], True),
     ]
-    for argv, modules in cases:
+    for argv, modules, json_loaded in cases:
         assert _run_probe(_MODULES_PROBE, argv) == {
             "import": [],
             "code": 0,
             "command": sorted(["dakit._record", "dakit.cli", "dakit.errors", *modules]),
+            "json": json_loaded,
         }, argv
 
 

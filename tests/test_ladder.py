@@ -124,6 +124,8 @@ def test_gate_loss_per_cell_value():
 
 def test_gate_loss_zero_ri():
     assert gate_loss_per_cell(2e9, 0.0, 1.79e-12, 50.0) == 0.0
+    # omega^2 overflows, but a lossless gate has no loss at any frequency
+    assert gate_loss_per_cell(1e160, 0.0, 1e-12, 50.0) == 0.0
 
 
 def test_drain_loss_per_cell():
